@@ -11,6 +11,12 @@ Everything that decides a certification is exact: delta and D are rationals
 and the square-root comparison is done on cleared denominators, so a float
 can never flip a verdict at a boundary. Floats appear only in reports.
 
+One integer kernel, `sieve_pass_prefix`, decides the criterion for a core
+made of the least primes of q-1, and `best_prefix` sweeps it over every core
+size; scans and `check-bound` both go through them. `SieveParams` and the
+all-subsets `best_sieve` compute the same criterion in Fractions and serve
+as the test oracle for the kernel.
+
 The module also carries the worst-case analysis grid (smallest possible
 sieved primes for an assumed range of omega(q-1)) whose constants the
 `tables` subcommand reproduces, and the W(m) <= c_m * m^(1/6) machinery that
@@ -148,6 +154,9 @@ def sieve_check(params: SieveParams, n: int) -> tuple[bool, float]:
 def best_sieve(q: int, n: int, qm1: Factorization | None = None) -> tuple[bool, SieveParams]:
     """Try every core subset of the primes of q-1; return the best configuration.
 
+    The exhaustive Fraction oracle for `best_prefix`; nothing in production
+    calls it.
+
     Best = smallest exact threshold (largest margin); ties go to the
     lexicographically smallest core. Inapplicable subsets (delta <= 0) are
     skipped; the full core is always applicable so a best always exists.
@@ -169,25 +178,56 @@ def best_sieve(q: int, n: int, qm1: Factorization | None = None) -> tuple[bool, 
     return best.passes(n), best
 
 
-def sieve_pass_prefix(q: int, primes: list[int], core_size: int, n: int) -> bool | None:
-    """Integer-only criterion check with the core = the core_size least primes.
+def sieve_pass_prefix(q: int, primes: list[int], core_size: int,
+                      n: int) -> tuple[bool, int, int] | None:
+    """The criterion with the core_size least primes of q-1 (ascending) as core.
 
-    Returns None when delta <= 0 (inapplicable). This is the scan's inner
-    loop: for a fixed core size, the least-primes core maximizes delta and so
-    minimizes the threshold, which is why prefixes suffice for best-of-all-
-    subsets verdicts.
+    None when delta <= 0 (inapplicable), else (passes, thr_num, thr_den) with
+    n * Delta * W(l)^2 = thr_num / thr_den. With P the sieved primes' product
+    and A = P * delta, Delta = ((2s-1) * P + 2A) / A; sieving nothing gives
+    Delta = 1, the direct criterion. passes is q * thr_den^2 > thr_num^2.
     """
+    if n < 2:
+        raise ValueError("degree n must be >= 2")
     sieved = primes[core_size:]
     s = len(sieved)
-    w4 = 1 << (4 * core_size)
     if s == 0:
-        return q > n * n * w4
-    big_p = prod(sieved)
-    a = big_p - 2 * sum(big_p // p for p in sieved)
-    if a <= 0:
-        return None
-    b = (2 * s - 1) * big_p + 2 * a
-    return q * a * a > n * n * w4 * b * b
+        a = b = 1
+    else:
+        big_p = prod(sieved)
+        a = big_p - 2 * sum(big_p // p for p in sieved)
+        if a <= 0:
+            return None
+        b = (2 * s - 1) * big_p + 2 * a
+    thr_num = n * (1 << (2 * core_size)) * b
+    return q * a * a > thr_num * thr_num, thr_num, a
+
+
+def best_prefix(q: int, primes: list[int], n: int) -> tuple[str, int, int, int]:
+    """(verdict, core_size, thr_num, thr_den) for q over every prefix core.
+
+    The best core is the applicable prefix with the smallest threshold, ties
+    going to the shorter one. Per size the least-primes core maximizes delta,
+    so this agrees with the all-subsets `best_sieve` in verdict and best core.
+    verdict: pass_thm31 if the full core (direct criterion) passes, else
+    pass_sieve if any prefix passes, else candidate.
+    """
+    omega = len(primes)
+    best = None
+    passed_sieve = False
+    for r in range(omega + 1):
+        res = sieve_pass_prefix(q, primes, r, n)
+        if res is None:
+            continue
+        passes, num, den = res
+        if best is None or num * best[2] < best[1] * den:
+            best = (r, num, den)
+        if passes and r < omega:
+            passed_sieve = True
+    # the last res is the full core: sieving nothing is always applicable
+    verdict = ("pass_thm31" if res[0] else
+               "pass_sieve" if passed_sieve else "candidate")
+    return (verdict, *best)
 
 
 @dataclass(frozen=True)

@@ -102,36 +102,41 @@ def _frac_str(x: Fraction) -> str:
 def cmd_check_bound(args) -> int:
     try:
         p, k = _prime_power(args.q)
+        q = args.q
+        qm1 = ffcore.factorize(q - 1)
+        primes = list(qm1.primes)
+        verdict, r, thr_num, thr_den = bounds.best_prefix(q, primes, args.n)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    q = args.q
-    qm1 = ffcore.factorize(q - 1)
-    direct = bounds.direct_criterion_check(args.n, q, qm1)
-    passed, best = bounds.best_sieve(q, args.n, qm1)
-    delta = best.delta
-    big_delta = best.big_delta
-    margin = q**0.5 - float(best.threshold(args.n))
+    core, sieved = primes[:r], primes[r:]
+    threshold = Fraction(thr_num, thr_den)
+    # threshold = n * Delta * W(l)^2 and Delta = (2s-1)/delta + 2 for s > 0
+    big_delta = threshold / (args.n << (2 * r))
+    delta = Fraction(2 * len(sieved) - 1) / (big_delta - 2) if sieved else Fraction(1)
+    margin = q**0.5 - float(threshold)
+    direct = verdict == "pass_thm31"
+    passed = verdict != "candidate"
     payload = {
         "q": q, "p": p, "k": k, "n": args.n,
         "omega": qm1.omega, "W": qm1.num_squarefree_divisors,
         "direct_pass": direct,
         "sieve_pass": passed,
-        "best_core": list(best.core),
+        "best_core": core,
         "delta": [delta.numerator, delta.denominator],
         "big_delta": [big_delta.numerator, big_delta.denominator],
         "margin": margin,
-        "verdict": "pass" if (direct or passed) else "candidate",
+        "verdict": "pass" if passed else "candidate",
     }
     lines = [
         f"q = {q} = {p}^{k}, q-1 = {qm1}",
         f"direct criterion (sqrt(q) > {args.n}*W^2): {'pass' if direct else 'fail'}"
         f"  [W(q-1) = {qm1.num_squarefree_divisors}]",
-        f"best sieve core: {{{', '.join(map(str, best.core))}}}"
-        f"  sieved: {{{', '.join(map(str, best.sieved))}}}",
+        f"best sieve core: {{{', '.join(map(str, core))}}}"
+        f"  sieved: {{{', '.join(map(str, sieved))}}}",
         f"  delta = {_frac_str(delta)}",
         f"  Delta = {_frac_str(big_delta)}",
-        f"  threshold {args.n}*Delta*W(l)^2 = {float(best.threshold(args.n)):.4f},"
+        f"  threshold {args.n}*Delta*W(l)^2 = {float(threshold):.4f},"
         f" sqrt(q) = {q ** 0.5:.4f}, margin = {margin:.4f}",
         f"verdict: {payload['verdict']}",
     ]

@@ -18,7 +18,6 @@ Ascending packed value is the fixed enumeration order used everywhere a
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -225,6 +224,20 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
+def higher_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(q, p, k) for every q = p^k in [lo, hi] with k >= 2, ascending in q."""
+    out = []
+    for p in sieve_primes(isqrt(max(hi, 0))).tolist():
+        v, k = p * p, 2
+        while v <= hi:
+            if v >= lo:
+                out.append((v, p, k))
+            v *= p
+            k += 1
+    out.sort()
+    return out
+
+
 def prime_power_iter(lo: int, hi: int, segment_size: int = 1 << 20):
     """Yield every prime power q = p^k in [lo, hi], ascending, as (p, k, q).
 
@@ -236,16 +249,8 @@ def prime_power_iter(lo: int, hi: int, segment_size: int = 1 << 20):
     if hi < lo:
         return
     base = sieve_primes(isqrt(hi))
-    higher: list[tuple[int, int, int]] = []
-    for p in base.tolist():
-        v = p * p
-        k = 2
-        while v <= hi:
-            if v >= lo:
-                higher.append((v, int(p), k))
-            v *= p
-            k += 1
-    heapq.heapify(higher)
+    higher = higher_prime_powers(lo, hi)
+    j = 0
 
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, hi + 1)
@@ -257,12 +262,12 @@ def prime_power_iter(lo: int, hi: int, segment_size: int = 1 << 20):
             if start < seg_hi:
                 flags[start - seg_lo :: p] = False
         for q in (np.flatnonzero(flags) + seg_lo).tolist():
-            while higher and higher[0][0] < q:
-                v, p, k = heapq.heappop(higher)
+            while j < len(higher) and higher[j][0] < q:
+                v, p, k = higher[j]
+                j += 1
                 yield (p, k, v)
             yield (q, 1, q)
-    while higher:
-        v, p, k = heapq.heappop(higher)
+    for v, p, k in higher[j:]:
         yield (p, k, v)
 
 
@@ -576,15 +581,6 @@ class FieldCtx:
         nz = (a != 0) & (b != 0)
         out[nz] = self.exp[(self.dlog[a[nz]] + self.dlog[b[nz]]) % m]
         return out
-
-    def eval_poly_vec(self, coeffs, xs: np.ndarray) -> np.ndarray:
-        """Evaluate a polynomial (packed coeffs, low first) at packed xs."""
-        acc = np.zeros_like(xs)
-        for c in reversed(coeffs):
-            acc = self.mul_vec(acc, xs)
-            if c:
-                acc = self.add_vec(acc, c)
-        return acc
 
     def __repr__(self):
         if self.k == 1:

@@ -26,16 +26,21 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from multiprocessing import Pool
 
 import numpy as np
 
-from .bounds import sieve_pass_prefix
-from .ffcore import FieldCtx, field_make, sieve_primes
+from .bounds import best_prefix
+from .ffcore import FieldCtx, field_make, higher_prime_powers, sieve_primes
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
 SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
+
+# The segment sieve keeps at most 10 distinct primes per factored value and
+# factors every m in [lo - 1, hi]; the least m with 11 distinct primes is
+# 2*3*5*...*31 = 200560490130, so a scan may reach one below it.
+SCAN_HI_MAX = 200_560_490_129
 
 DEFAULT_SEGMENT = 1 << 20
 
@@ -74,13 +79,16 @@ def pair_exists(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitne
         raise ExceptionalFunctionError(
             "exceptional functions are excluded from pair searches")
     m = ctx.q - 1
-    ts = [t for t in range(1, m) if gcd(t, m) == 1]
-    if order == "desc":
-        ts.reverse()
-    elif order != "asc":
+    if order == "asc":
+        ts = range(1, m)
+    elif order == "desc":
+        ts = range(m - 1, 0, -1)
+    else:
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     examined = 0
     for t in ts:
+        if gcd(t, m) != 1:
+            continue
         examined += 1
         alpha = ctx.exp_of(t)
         den = f.den.eval(alpha)
@@ -179,7 +187,7 @@ def _failing_triples_2_0(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     for b0 in range(ctx.q):
         if b0:
             lin = ctx.mul_vec(prim, np.full_like(prim, b0))
-            base = _add_arrays(ctx, prim_sq, lin)
+            base = ctx.add_vec(prim_sq, lin)
         else:
             base = prim_sq
         disc_b = ctx.mul(b0, b0)
@@ -194,15 +202,6 @@ def _failing_triples_2_0(ctx: FieldCtx) -> list[tuple[int, int, int]]:
                 a = ctx.exp_of(ad)
                 failing.append((a, ctx.mul(a, b0), ctx.mul(a, c0)))
     return sorted(failing)
-
-
-def _add_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if ctx.k == 1:
-        return (a + b) % ctx.p
-    total = np.zeros_like(a)
-    for pe in ctx._pow_p:
-        total += ((a // pe + b // pe) % ctx.p) * pe
-    return total
 
 
 @dataclass(frozen=True)
@@ -285,15 +284,17 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int, method: str = "auto",
 class ScanConfig:
     """Scan parameters that define the output (worker count never does).
 
-    Both modes apply the same criterion: every core size 0..omega with the
-    least primes of q-1 in the core. Per size, the least-primes core
-    maximizes delta and so minimizes the threshold, which makes the prefix
-    sweep equal to best-of-all-subsets. Mode "faithful" additionally counts
-    the degenerate field F_2 (which the criterion rejects trivially, sqrt(2)
-    is not > 2): the published survivor count of 3937 includes it, while
+    Every verdict comes from the one exact kernel, `bounds.best_prefix`,
+    which sweeps every core size 0..omega with the least primes of q-1 in
+    the core and agrees with the all-subsets search (a test oracle only).
+    The two modes differ in one record: "faithful" is "exact" plus the
+    degenerate field F_2 (which the criterion rejects trivially, sqrt(2) is
+    not > 2). The published survivor count of 3937 includes it, while
     "exact" starts at the q = 3 floor and finds the 3936-element subset.
-    Float-boundary effects cannot distinguish the modes: the thinnest pass
-    margin anywhere below 5.86e7 is ~7e-6 in relative terms.
+
+    Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
+    (where the segment sieve's factor buffer would overflow), n < 2 and
+    unknown modes or emit values.
     """
 
     lo: int = SCAN_FLOOR
@@ -302,10 +303,17 @@ class ScanConfig:
     mode: str = "exact"
     emit: str = "candidates"
 
-    def core_sizes(self, omega: int) -> list[int]:
+    def __post_init__(self):
+        if self.lo < SCAN_FLOOR:
+            raise ValueError(f"scan range starts at {SCAN_FLOOR}")
+        if self.hi > SCAN_HI_MAX:
+            raise ValueError(f"scan range ends at most at {SCAN_HI_MAX}, got hi={self.hi}")
+        if self.n < 2:
+            raise ValueError("degree n must be >= 2")
         if self.mode not in ("exact", "faithful"):
             raise ValueError(f"unknown scan mode {self.mode!r}")
-        return list(range(omega, -1, -1))
+        if self.emit not in ("candidates", "all"):
+            raise ValueError(f"unknown emit value {self.emit!r}")
 
     def include_degenerate(self) -> bool:
         return self.mode == "faithful" and self.lo <= 3
@@ -332,20 +340,6 @@ class ScanRecord:
         facs = ";".join(f"{p}^{e}" for p, e in self.factors)
         core = ";".join(str(p) for p in self.best_core)
         return f"{self.q},{self.p},{self.k},{self.omega},{facs},{self.verdict},{core}"
-
-
-def _higher_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(q, p, k) for all p^k in [lo, hi] with k >= 2, sorted by q."""
-    out = []
-    for p in sieve_primes(isqrt(hi)).tolist():
-        v, k = p * p, 2
-        while v <= hi:
-            if v >= lo:
-                out.append((v, p, k))
-            v *= p
-            k += 1
-    out.sort()
-    return out
 
 
 def _segment_distinct_primes(lo: int, hi: int, base: np.ndarray):
@@ -388,53 +382,6 @@ def _exponents_of(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _verdict_for(q: int, primes: list[int], cfg: ScanConfig):
-    """(verdict, best_core) for one prime power under the configured criteria.
-
-    best_core is the applicable prefix with the smallest exact threshold;
-    ascending size order makes ties resolve to the lexicographically smaller
-    (shorter) prefix. Verdict precedence: the no-sieve test (full core), then
-    any passing sieve, then candidate.
-    """
-    omega = len(primes)
-    n = cfg.n
-    sizes = sorted(cfg.core_sizes(omega))
-    best = None  # (threshold numerator, denominator, core size)
-    passed_full = False
-    passed_sieve = False
-    for r in sizes:
-        res = sieve_pass_prefix(q, primes, r, n)
-        if res is None:
-            continue
-        num, den = _threshold_frac(primes, r, n)
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, r)
-        if res:
-            if r == omega:
-                passed_full = True
-            else:
-                passed_sieve = True
-    best_core = tuple(primes[:best[2]]) if best else tuple(primes)
-    if passed_full:
-        return "pass_thm31", best_core
-    if passed_sieve:
-        return "pass_sieve", best_core
-    return "candidate", best_core
-
-
-def _threshold_frac(primes: list[int], r: int, n: int) -> tuple[int, int]:
-    """The criterion threshold n * Delta * W(l)^2 as an exact (num, den) pair."""
-    sieved = primes[r:]
-    s = len(sieved)
-    w2 = 1 << (2 * r)
-    if s == 0:
-        return n * w2, 1
-    big_p = prod(sieved)
-    a = big_p - 2 * sum(big_p // p for p in sieved)
-    b = (2 * s - 1) * big_p + 2 * a
-    return n * w2 * b, a
-
-
 def _scan_segment(args) -> list[ScanRecord]:
     seg_lo, seg_hi, cfg, higher = args
     base = sieve_primes(isqrt(seg_hi - 1))
@@ -450,19 +397,20 @@ def _scan_segment(args) -> list[ScanRecord]:
     events.sort()
 
     n = cfg.n
+    # q above the direct bound n^2 * W(q-1)^4 passes with the full core
     direct_bound = [n * n * (1 << (4 * w)) for w in range(11)]
     records = []
     for q, p, k in events:
         i = q - seg_lo  # row of q - 1 in the factor table
         omega = int(cnt[i])
-        if cfg.emit == "candidates" and cfg.mode == "exact" and q > direct_bound[omega]:
+        if cfg.emit == "candidates" and q > direct_bound[omega]:
             continue  # certain pass, nothing to emit
         primes = [int(v) for v in buf[i, :omega]]
-        verdict, best_core = _verdict_for(q, primes, cfg)
+        verdict, r, _, _ = best_prefix(q, primes, n)
         if cfg.emit == "candidates" and verdict != "candidate":
             continue
         records.append(ScanRecord(
-            q, p, k, omega, _exponents_of(q - 1, primes), verdict, best_core))
+            q, p, k, omega, _exponents_of(q - 1, primes), verdict, tuple(primes[:r])))
     return records
 
 
@@ -491,16 +439,15 @@ def exception_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     """Stream ScanRecords for every prime power in [lo, hi], ascending q.
 
     The sequential reference path; `run_scan` adds workers, CSV output and
-    checkpoints on top of the same per-segment function.
+    checkpoints on top of the same per-segment function. The range must lie
+    within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
-    if lo < SCAN_FLOOR:
-        raise ValueError(f"scan range starts at {SCAN_FLOOR}")
     cfg = ScanConfig(lo, hi, n, mode, emit)
     if hi < lo:
         return
     if cfg.include_degenerate():
         yield _degenerate_record()
-    higher = _higher_prime_powers(lo, hi)
+    higher = higher_prime_powers(lo, hi)
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, hi + 1)
         yield from _scan_segment((seg_lo, seg_hi, cfg, higher))
@@ -521,10 +468,10 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     processed independently, and written in range order. Checkpoints land
     after every completed segment (the atomic unit of resumable work, far
     more often than the nominal 1e5-record cadence); resuming continues at
-    the next unprocessed segment of the same configuration.
+    the next unprocessed segment of the same configuration, with the
+    candidate count and maximum restored from the checkpoint. The range must
+    lie within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
-    if lo < SCAN_FLOOR:
-        raise ValueError(f"scan range starts at {SCAN_FLOOR}")
     cfg = ScanConfig(lo, hi, n, mode, emit)
     if checkpoint_path is None and checkpoint_dir():
         checkpoint_path = os.path.join(
@@ -532,6 +479,8 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
 
     start = lo
     emitted = 0
+    num_cand = 0
+    max_cand = None
     if resume:
         if not checkpoint_path or not os.path.exists(checkpoint_path):
             raise FileNotFoundError("resume requested but no checkpoint found")
@@ -539,13 +488,19 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             ck = json.load(fh)
         if ck["config_hash"] != cfg.config_hash():
             raise ValueError("checkpoint belongs to a different scan configuration")
+        if "num_candidates" not in ck or "max_candidate" not in ck:
+            raise ValueError(
+                f"checkpoint {checkpoint_path} has no candidate summary, so a resumed "
+                "scan could not report its candidates; rerun the scan without resume")
         start = ck["next_q"]
         emitted = ck["records_emitted"]
+        num_cand = ck["num_candidates"]
+        max_cand = ck["max_candidate"]
 
     seg_bounds = [(s, min(s + segment_size, hi + 1))
                   for s in range(lo, hi + 1, segment_size)]
     todo = [(s, e) for s, e in seg_bounds if s >= start]
-    higher = _higher_prime_powers(lo, hi) if hi >= lo else []
+    higher = higher_prime_powers(lo, hi)
     tasks = [(s, e, cfg, higher) for s, e in todo]
 
     out = None
@@ -555,8 +510,6 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             out.write(CSV_HEADER + "\n")
 
     all_records: list[ScanRecord] = []
-    num_cand = 0
-    max_cand = None
     pending_degenerate = cfg.include_degenerate() and start <= lo
 
     def _consume(seg_records, seg_end):
@@ -576,7 +529,8 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             if checkpoint_path:
                 _checkpoint_write(checkpoint_path, {
                     "lo": lo, "hi": hi, "next_q": seg_end,
-                    "records_emitted": emitted, "config_hash": cfg.config_hash()})
+                    "records_emitted": emitted, "num_candidates": num_cand,
+                    "max_candidate": max_cand, "config_hash": cfg.config_hash()})
         except OSError as e:
             raise OSError(
                 f"{e}; scan interrupted before q={seg_end}. Completed segments are "

@@ -10,6 +10,7 @@ from primpair.bounds import (
     PASS_TARGETS,
     PassSpec,
     SieveParams,
+    best_prefix,
     best_sieve,
     c_m,
     c_m_supremum,
@@ -159,15 +160,40 @@ class TestBestSieve:
 
     def test_best_subset_is_best_prefix(self, prime_powers):
         # per core size, the least-primes core minimizes the threshold, so the
-        # scan's prefix sweep and the exhaustive subset search always agree
+        # prefix sweep and the exhaustive subset search always agree, on the
+        # verdict and on the best core
         for p, k, q in prime_powers(3, 2000):
             qm1 = factorize(q - 1)
             primes = list(qm1.primes)
-            prefix_pass = any(
-                sieve_pass_prefix(q, primes, r, 2)
-                for r in range(len(primes) + 1)
-                if sieve_pass_prefix(q, primes, r, 2) is not None)
-            assert prefix_pass == best_sieve(q, 2, qm1)[0], q
+            for n in (2, 3, 5):
+                verdict, r, thr_num, thr_den = best_prefix(q, primes, n)
+                passed, best = best_sieve(q, n, qm1)
+                assert (verdict != "candidate") == passed, (q, n)
+                assert (verdict == "pass_thm31") == direct_criterion_check(n, q, qm1), (q, n)
+                assert tuple(primes[:r]) == best.core, (q, n)
+                assert Fraction(thr_num, thr_den) == best.threshold(n), (q, n)
+
+
+class TestSievePassPrefix:
+    def test_matches_fraction_oracle_on_every_prefix(self, prime_powers):
+        for p, k, q in prime_powers(3, 3000):
+            qm1 = factorize(q - 1)
+            primes = list(qm1.primes)
+            for r in range(len(primes) + 1):
+                params = SieveParams.from_core(q, qm1, primes[:r])
+                res = sieve_pass_prefix(q, primes, r, 3)
+                if not params.applicable:
+                    assert res is None, (q, r)
+                    continue
+                passes, thr_num, thr_den = res
+                assert passes == params.passes(3), (q, r)
+                assert Fraction(thr_num, thr_den) == params.threshold(3), (q, r)
+
+    def test_rejects_degree_below_two(self):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            sieve_pass_prefix(331, [2, 3, 5, 11], 4, 1)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            best_prefix(331, [2, 3, 5, 11], 1)
 
 
 class TestWorstCasePass:

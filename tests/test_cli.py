@@ -36,6 +36,12 @@ class TestCheckBound:
         _, out, _ = run(capsys, "--no-timestamp", "check-bound", "--q", "331")
         assert "23/55" in out  # delta as an exact fraction alongside decimals
 
+    def test_degree_below_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check-bound", "--q", "331", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 2" in err
+
 
 class TestTables:
     def test_all_reproduce(self, capsys):
@@ -80,6 +86,17 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--lo", "1", "--hi", "10")
         assert code == 2
         assert "starts at" in err
+
+    def test_range_above_ceiling(self, capsys):
+        code, _, err = run(capsys, "scan", "--lo", "200560490130", "--hi", "200560490130")
+        assert code == 2
+        assert "at most at 200560490129" in err
+
+    def test_degree_below_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--hi", "100", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 2" in err
 
 
 class TestClassify:

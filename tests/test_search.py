@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from primpair.ffcore import factorize, field_make
 from primpair.polyrat import RationalFunc, enumerate_family
 from primpair.search import (
     CSV_HEADER,
+    SCAN_HI_MAX,
     ExceptionalFunctionError,
     ScanConfig,
     classify_true_exceptions,
@@ -152,19 +154,36 @@ class TestExceptionScan:
         for rec in exception_scan(3, 3000, 2, emit="all"):
             qm1 = factorize(rec.q - 1)
             direct = direct_criterion_check(2, rec.q, qm1)
-            sieve_pass, _ = best_sieve(rec.q, 2, qm1)
+            sieve_pass, best = best_sieve(rec.q, 2, qm1)
             expected = ("pass_thm31" if direct else
                         "pass_sieve" if sieve_pass else "candidate")
             assert rec.verdict == expected, rec
+            assert rec.best_core == best.core, rec
 
     def test_faithful_mode_prepends_degenerate_field(self):
-        exact = [r.q for r in exception_scan(3, 100, 2)]
-        faithful = [r.q for r in exception_scan(3, 100, 2, mode="faithful")]
-        assert faithful == [2] + exact
+        # the modes share one criterion, so every record but q = 2 matches
+        for emit in ("candidates", "all"):
+            exact = list(exception_scan(3, 30_000, 2, emit=emit))
+            faithful = list(exception_scan(3, 30_000, 2, mode="faithful", emit=emit))
+            assert faithful[0].q == 2 and faithful[1:] == exact
 
     def test_floor_validation(self):
         with pytest.raises(ValueError):
             list(exception_scan(1, 100, 2))
+
+    def test_ceiling_validation(self):
+        # one past the last q whose factor rows fit the 10-column buffer
+        with pytest.raises(ValueError, match="at most at 200560490129"):
+            list(exception_scan(SCAN_HI_MAX + 1, SCAN_HI_MAX + 1))
+        with pytest.raises(ValueError, match="at most"):
+            run_scan(3, SCAN_HI_MAX + 1)
+        assert list(exception_scan(SCAN_HI_MAX, SCAN_HI_MAX, emit="all")) == []
+
+    def test_degree_validation(self):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            list(exception_scan(3, 100, 1))
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            run_scan(3, 100, 1)
 
     def test_csv_format(self):
         rec = next(exception_scan(3, 100, 2, emit="all"))
@@ -193,7 +212,7 @@ class TestRunScan:
 
     def test_checkpoint_resume_identical(self, tmp_path):
         full = tmp_path / "full.csv"
-        run_scan(3, 150_000, 2, csv_path=str(full), segment_size=1 << 15)
+        whole, _ = run_scan(3, 150_000, 2, csv_path=str(full), segment_size=1 << 15)
 
         part = tmp_path / "part.csv"
         ck = tmp_path / "ck.json"
@@ -213,9 +232,21 @@ class TestRunScan:
                      checkpoint_path=str(ck), progress=bail)
         state = json.loads(ck.read_text())
         assert state["next_q"] < 150_000
-        run_scan(3, 150_000, 2, csv_path=str(part), segment_size=1 << 15,
-                 checkpoint_path=str(ck), resume=True)
+        resumed, _ = run_scan(3, 150_000, 2, csv_path=str(part), segment_size=1 << 15,
+                              checkpoint_path=str(ck), resume=True)
         assert part.read_bytes() == full.read_bytes()
+        # the summary covers the segments before the checkpoint too
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    def test_resume_refuses_checkpoint_without_summary(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12)
+        state = json.loads(ck.read_text())
+        del state["num_candidates"], state["max_candidate"]
+        ck.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="no candidate summary"):
+            run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12,
+                     resume=True)
 
     def test_resume_rejects_other_config(self, tmp_path):
         ck = tmp_path / "ck.json"
@@ -230,6 +261,12 @@ class TestRunScan:
         assert len(files) == 1
         state = json.loads(files[0].read_text())
         assert state["config_hash"] == result.config.config_hash()
+
+    def test_config_validates_mode_and_emit(self):
+        with pytest.raises(ValueError, match="unknown scan mode"):
+            ScanConfig(3, 100, 2, mode="fast")
+        with pytest.raises(ValueError, match="unknown emit"):
+            ScanConfig(3, 100, 2, emit="some")
 
     def test_config_hash_ignores_workers(self):
         assert (ScanConfig(3, 100, 2).config_hash()
