@@ -224,10 +224,12 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
-def higher_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(q, p, k) for every q = p^k in [lo, hi] with k >= 2, ascending in q."""
+def higher_prime_powers(lo: int, hi: int, base=None) -> list[tuple[int, int, int]]:
+    """(q, p, k) for every q = p^k in [lo, hi] with k >= 2, ascending in q;
+    `base`, if given, holds the primes up to isqrt(hi) already sieved."""
+    base = sieve_primes(isqrt(max(hi, 0))) if base is None else base
     out = []
-    for p in sieve_primes(isqrt(max(hi, 0))).tolist():
+    for p in base.tolist():
         v, k = p * p, 2
         while v <= hi:
             if v >= lo:
@@ -249,7 +251,7 @@ def prime_power_iter(lo: int, hi: int, segment_size: int = 1 << 20):
     if hi < lo:
         return
     base = sieve_primes(isqrt(hi))
-    higher = higher_prime_powers(lo, hi)
+    higher = higher_prime_powers(lo, hi, base)
     j = 0
 
     for seg_lo in range(lo, hi + 1, segment_size):

@@ -585,7 +585,6 @@ class ClassificationResult:
 
 
 def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
-                             scan_mode: str = "exact",
                              quadratic_scope: str = "irreducible",
                              budget_qmax: int = 10_000,
                              jsonl_path: str | None = None,
@@ -608,8 +607,8 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
     entries = []
     high_water = effective
     if effective >= SCAN_FLOOR:
-        for rec in exception_scan(SCAN_FLOOR, effective, 2, mode=scan_mode):
-            if rec.verdict != "candidate" or rec.q < SCAN_FLOOR:
+        for rec in exception_scan(SCAN_FLOOR, effective, 2):
+            if rec.verdict != "candidate":
                 continue
             ctx = field_make(rec.p, rec.k)
             res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
