@@ -235,9 +235,8 @@ def cmd_classify(args) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
     if args.qmax > CLASSIFY_CI_QMAX and not args.long:
-        est_min = max(1, (args.qmax - CLASSIFY_CI_QMAX) // 400)
         print(f"refusing: qmax {args.qmax} > {CLASSIFY_CI_QMAX} requires --long "
-              f"(rough estimate: ~{est_min}+ minutes single-threaded)",
+              "(the exhaustive step costs about q^3 per surviving field q)",
               file=sys.stderr)
         return EXIT_BUDGET
     res = search.classify_true_exceptions(

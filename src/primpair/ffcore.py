@@ -568,9 +568,10 @@ class FieldCtx:
     # -- vectorized arithmetic on int64 arrays of packed values -------------
 
     def add_vec(self, a: np.ndarray, b) -> np.ndarray:
+        """a + b elementwise; a and b broadcast against each other as in numpy."""
         if self.k == 1:
             return (a + b) % self.p
-        total = np.zeros_like(a)
+        total = 0
         for pe in self._pow_p:
             total += ((a // pe + b // pe) % self.p) * pe
         return total

@@ -6,10 +6,11 @@ Three layers:
    primitive alpha in ascending discrete-log order so witnesses are
    deterministic and absence comes with an exhaustion count.
  - `q_in_Q`: membership of a field in the good set for a whole (n1, n2)
-   family. For the (1,1) and (2,0) families a bitmask engine decides all
-   scale factors a at once: for fixed shape h(x), the failing a are exactly
-   the dlogs outside the union of shifted primitive-exponent sets, which is
-   a handful of word-wide AND operations per shape.
+   family. For the (1,1) and (2,0) families a row-batched engine decides
+   every scale factor a of a whole row of shapes at once: for fixed shape
+   h(x), the failing a are the dlogs x with no shift d of h making x + d a
+   unit mod q-1, found by counting rescuing shifts in exact integers on the
+   CRT grid of rad(q-1), one pass per prime.
  - `exception_scan` / `classify_true_exceptions`: segmented scan of all prime
    powers in a range against the certification criteria (vectorized
    factorization of every q-1 via a sieve over the segment), then full
@@ -104,102 +105,123 @@ def pair_exists(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitne
 
 
 # ---------------------------------------------------------------------------
-# Bitmask membership engine.
+# Row-batched membership engine.
 # ---------------------------------------------------------------------------
 
+# The most cells (shapes times q - 1) one block of the engine holds. Rows of
+# shapes are cut into blocks of this size, so no working array grows with the
+# number of shapes in a row; a block holds at least one shape.
+_BLOCK_CELLS = 1 << 20
 
-class _ShiftMasks:
-    """For each shift d, the set of a-dlogs NOT rescued by that shift.
 
-    Bit t of `units` marks a primitive exponent. a-dlog x survives shift d
-    when x + d mod m is not a unit; survivors of all shifts of a shape are
-    the scale factors with no primitive pair.
+class _UnitGrid:
+    """Finds, for a block of shapes, the scale dlogs that no shift rescues.
+
+    Scale dlog x fails a shape when x + d is a non-unit mod m = q - 1 for
+    every kept shift d of the shape. Unit-ness depends only on the residue
+    mod rho = rad(m), and on the CRT grid Z/rho = prod Z/l the number of
+    rescuing shifts,
+
+        count(x) = sum_d prod_l (1 - [x + d = 0 mod l]),
+
+    factors into one pass per prime l: the sum along axis l minus the grid
+    reflected y -> -y along it. Every count is an exact integer.
     """
 
     def __init__(self, ctx: FieldCtx):
         m = ctx.q - 1
-        self.m = m
-        units = 0
-        for t in range(m):
-            if gcd(t, m) == 1:
-                units |= 1 << t
-        self.full = (1 << m) - 1
-        self.not_covered = [
-            self.full & ~(((units >> d) | (units << (m - d))) & self.full)
-            for d in range(m)
-        ]
+        self.primes = ctx.qm1.primes
+        self.rho = ctx.qm1.radical
+        t = np.arange(m, dtype=np.int64)
+        cell = np.zeros(m, dtype=np.int64)
+        for ell in self.primes:
+            cell = cell * ell + t % ell
+        self.cell = cell  # flat (C-order) grid cell of each residue mod m
+        self.residue = np.empty(self.rho, dtype=np.int64)
+        self.residue[cell[:self.rho]] = t[:self.rho]
+        self.reflect = [-np.arange(ell) % ell for ell in self.primes]
+        self.lift = np.arange(0, m, self.rho, dtype=np.int64)
+
+    def failing(self, shifts: np.ndarray, keep: np.ndarray):
+        """Every failing (row, x) of a block, as two parallel int64 arrays.
+
+        shifts is the shapes x points matrix of dlog shifts in [0, m) and keep
+        masks the points that are zeros or poles of a shape.
+        """
+        nrows = shifts.shape[0]
+        rows = np.broadcast_to(np.arange(nrows)[:, None], shifts.shape)[keep]
+        counts = np.bincount(rows * self.rho + self.cell[shifts[keep]],
+                             minlength=nrows * self.rho)
+        grid = counts.reshape((nrows,) + self.primes)
+        for axis, reflect in enumerate(self.reflect, start=1):
+            grid = grid.sum(axis=axis, keepdims=True) - np.take(grid, reflect, axis=axis)
+        rows, cells = np.nonzero(grid.reshape(nrows, self.rho) == 0)
+        xs = self.residue[cells][:, None] + self.lift
+        return np.repeat(rows, self.lift.size), xs.ravel()
 
 
-def _failing_scales(masks: _ShiftMasks, shifts) -> int:
-    """Bitmask of a-dlogs failing every shift in `shifts` (early exit on 0)."""
-    surv = masks.full
-    nc = masks.not_covered
-    for d in shifts:
-        surv &= nc[d]
-        if not surv:
-            break
-    return surv
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _blocks(row: np.ndarray, m: int):
+    """Cut a row of shape parameters into blocks of at most _BLOCK_CELLS cells."""
+    step = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, row.size, step):
+        yield row[lo:lo + step]
 
 
 def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     """All (a, b, c) with a(x+b)/(x+c) lacking a primitive pair, as canonical
-    orbit representatives under (a, b, c) ~ (a^-1, c, b)."""
+    orbit representatives under (a, b, c) ~ (a^-1, c, b).
+
+    One row per c holds every shape x+b over x+c with b < c, one unordered
+    {b, c} per orbit; the orbit representative is the lesser of the two.
+    """
     m = ctx.q - 1
-    masks = _ShiftMasks(ctx)
+    grid = _UnitGrid(ctx)
     prim = ctx.primitive_elements()
-    dlog = ctx.dlog
-    failing: set[tuple[int, int, int]] = set()
-    for c in range(1, ctx.q):
+    dlog, exp = ctx.dlog, ctx.exp
+    failing = []
+    for c in range(2, ctx.q):
         den = ctx.add_vec(prim, c)
         ok_den = den != 0
-        dden = np.where(ok_den, dlog[den], 0)
-        for b in range(1, ctx.q):
-            if b >= c:  # one unordered {b, c} per orbit; b != c always
-                continue
-            num = ctx.add_vec(prim, b)
-            keep = ok_den & (num != 0)
-            shifts = np.unique((dlog[num[keep]] - dden[keep]) % m)
-            surv = _failing_scales(masks, shifts.tolist())
-            for ad in _bits(surv):
-                a = ctx.exp_of(ad)
-                twin = (ctx.inv(a), c, b)
-                cur = (a, b, c)
-                failing.add(min(cur, twin))
+        dden = dlog[den]
+        for bs in _blocks(np.arange(1, c, dtype=np.int64), m):
+            num = ctx.add_vec(prim, bs[:, None])
+            rows, xs = grid.failing((dlog[num] - dden) % m, ok_den & (num != 0))
+            for b, x in zip(bs[rows].tolist(), xs.tolist()):
+                a, a_inv = int(exp[x]), int(exp[-x % m])
+                failing.append((a, b, c) if a <= a_inv else (a_inv, c, b))
     return sorted(failing)
 
 
-def _failing_triples_2_0(ctx: FieldCtx) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with a*x^2 + b*x + c (b^2 != 4ac) lacking a primitive pair."""
+def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
+                         ) -> list[tuple[int, int, int]]:
+    """All (a, b, c) with a*x^2 + b*x + c (b^2 != 4ac) lacking a primitive pair;
+    with irreducible=True only those with no root in F_q.
+
+    One row per b0 holds every shape x^2 + b0*x + c0 with b0^2 != 4*c0. The
+    shape and a times it share their roots, and x^2 + b0*x + c0 has one iff
+    c0 = -(x^2 + b0*x) for some x, so a whole row is masked at once.
+    """
     m = ctx.q - 1
-    masks = _ShiftMasks(ctx)
+    grid = _UnitGrid(ctx)
     prim = ctx.primitive_elements()
-    dlog = ctx.dlog
+    dlog, exp = ctx.dlog, ctx.exp
+    elems = np.arange(ctx.q, dtype=np.int64)
+    squares = ctx.mul_vec(elems, elems)
+    negated = ctx.mul_vec(elems, np.full_like(elems, ctx.neg(1)))
     four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
-    prim_sq = ctx.mul_vec(prim, prim)
-    failing: list[tuple[int, int, int]] = []
+    four_c = ctx.mul_vec(np.full_like(elems, four), elems)
+    failing = []
     for b0 in range(ctx.q):
-        if b0:
-            lin = ctx.mul_vec(prim, np.full_like(prim, b0))
-            base = ctx.add_vec(prim_sq, lin)
-        else:
-            base = prim_sq
-        disc_b = ctx.mul(b0, b0)
-        for c0 in range(ctx.q):
-            if disc_b == ctx.mul(four, c0):
-                continue  # perfect square: outside the family
-            vals = ctx.add_vec(base, c0)
-            keep = vals != 0
-            shifts = np.unique(dlog[vals[keep]])
-            surv = _failing_scales(masks, shifts.tolist())
-            for ad in _bits(surv):
-                a = ctx.exp_of(ad)
+        values = ctx.add_vec(squares, ctx.mul_vec(elems, np.full_like(elems, b0)))
+        shape = four_c != ctx.mul(b0, b0)  # nonzero discriminant
+        if irreducible:
+            shape[negated[values]] = False
+        base = values[prim]
+        for c0s in _blocks(np.flatnonzero(shape), m):
+            vals = ctx.add_vec(base, c0s[:, None])
+            rows, xs = grid.failing(dlog[vals], vals != 0)
+            for c0, x in zip(c0s[rows].tolist(), xs.tolist()):
+                a = int(exp[x])
                 failing.append((a, ctx.mul(a, b0), ctx.mul(a, c0)))
     return sorted(failing)
 
@@ -224,8 +246,8 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int, method: str = "auto",
     """Does every function in the (n1, n2) family admit a primitive pair?
 
     On failure the reported function is the first failing one in canonical
-    enumeration order. method: "bulk" (bitmask engine, (1,1) and (2,0) only),
-    "naive" (walk the family through pair_exists), or "auto".
+    enumeration order. method: "bulk" (row-batched engine, (1,1) and (2,0)
+    only), "naive" (walk the family through pair_exists), or "auto".
 
     quadratic_scope applies to the (2, 0) family only: "all" keeps every
     a*x^2+b*x+c with nonzero discriminant, while "irreducible" restricts to
@@ -247,10 +269,7 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int, method: str = "auto",
             make = lambda a, b, c: RationalFunc(
                 Poly(ctx, (ctx.mul(a, b), a)), Poly(ctx, (c, 1)))
         elif fam == (2, 0):
-            triples = _failing_triples_2_0(ctx)
-            if quadratic_scope == "irreducible":
-                triples = [(a, b, c) for a, b, c in triples
-                           if not quadratic_has_root(ctx, a, b, c)]
+            triples = _failing_triples_2_0(ctx, quadratic_scope == "irreducible")
             make = lambda a, b, c: RationalFunc(
                 Poly(ctx, (c, b, a)), Poly(ctx, (1,)))
         else:
@@ -469,8 +488,11 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     after every completed segment (the atomic unit of resumable work, far
     more often than the nominal 1e5-record cadence); resuming continues at
     the next unprocessed segment of the same configuration, with the
-    candidate count and maximum restored from the checkpoint. The range must
-    lie within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
+    candidate count and maximum restored from the checkpoint. A resume
+    needs the CSV of the interrupted scan: the earlier records live only
+    there. It cuts the CSV back to the byte offset the checkpoint stored, so
+    lines written after the last checkpoint are not written twice. The range
+    must lie within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
     if checkpoint_path is None and checkpoint_dir():
@@ -492,6 +514,14 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             raise ValueError(
                 f"checkpoint {checkpoint_path} has no candidate summary, so a resumed "
                 "scan could not report its candidates; rerun the scan without resume")
+        if not csv_path:
+            raise ValueError(
+                "resume needs the CSV of the interrupted scan (CLI: --out), which "
+                "holds the records before the checkpoint")
+        if ck.get("csv_offset") is None:
+            raise ValueError(
+                f"checkpoint {checkpoint_path} has no CSV byte offset, so the CSV "
+                "could not be cut back to it; rerun the scan without resume")
         start = ck["next_q"]
         emitted = ck["records_emitted"]
         num_cand = ck["num_candidates"]
@@ -505,12 +535,17 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
 
     out = None
     if csv_path:
-        out = open(csv_path, "a" if resume and start > lo else "w")
-        if out.tell() == 0:
+        if resume:
+            out = open(csv_path, "r+")
+            out.seek(ck["csv_offset"])
+            out.truncate()
+        else:
+            out = open(csv_path, "w")
             out.write(CSV_HEADER + "\n")
 
     all_records: list[ScanRecord] = []
-    pending_degenerate = cfg.include_degenerate() and start <= lo
+    # any checkpoint comes after the degenerate record
+    pending_degenerate = cfg.include_degenerate() and not resume
 
     def _consume(seg_records, seg_end):
         nonlocal emitted, num_cand, max_cand
@@ -530,7 +565,9 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
                 _checkpoint_write(checkpoint_path, {
                     "lo": lo, "hi": hi, "next_q": seg_end,
                     "records_emitted": emitted, "num_candidates": num_cand,
-                    "max_candidate": max_cand, "config_hash": cfg.config_hash()})
+                    "max_candidate": max_cand,
+                    "csv_offset": out.tell() if out else None,
+                    "config_hash": cfg.config_hash()})
         except OSError as e:
             raise OSError(
                 f"{e}; scan interrupted before q={seg_end}. Completed segments are "
@@ -541,17 +578,21 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
         if progress:
             progress(seg_end, hi, emitted)
 
-    if pending_degenerate:
-        _consume([_degenerate_record()], lo)
-    if workers <= 1:
-        for task in tasks:
-            _consume(_scan_segment(task), task[1])
-    else:
-        with Pool(workers) as pool:
-            for task, seg_records in zip(tasks, pool.imap(_scan_segment, tasks)):
-                _consume(seg_records, task[1])
-    if out:
-        out.close()
+    try:
+        if pending_degenerate:
+            _consume([_degenerate_record()], lo)
+        if workers <= 1:
+            for task in tasks:
+                _consume(_scan_segment(task), task[1])
+        else:
+            with Pool(workers) as pool:
+                for task, seg_records in zip(tasks, pool.imap(_scan_segment, tasks)):
+                    _consume(seg_records, task[1])
+    finally:
+        # lines past the last checkpoint may reach the file here; a resume
+        # cuts them off at the checkpoint's CSV offset
+        if out:
+            out.close()
     result = ScanResult(cfg, num_cand, max_cand, emitted, csv_path)
     return result, all_records
 

@@ -98,6 +98,17 @@ class TestScan:
         assert out == ""
         assert "n must be >= 2" in err
 
+    def test_resume_without_out_is_usage_error(self, capsys, tmp_path):
+        ck = tmp_path / "ck.json"
+        code, _, _ = run(capsys, "scan", "--hi", "10000", "--segment", "4096",
+                         "--out", str(tmp_path / "scan.csv"), "--checkpoint", str(ck))
+        assert code == 0
+        code, out, err = run(capsys, "scan", "--hi", "10000", "--segment", "4096",
+                             "--checkpoint", str(ck), "--resume")
+        assert code == 2
+        assert out == ""
+        assert "needs the CSV" in err
+
 
 class TestClassify:
     def test_case1_prefix(self, capsys):

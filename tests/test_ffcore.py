@@ -1,6 +1,7 @@
 import random
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 
 from primpair.ffcore import (
@@ -124,6 +125,18 @@ class TestFieldMake:
                 b = rng.randrange(1, q)
                 assert (ctx.dlog_of(ctx.mul(a, b))
                         == (ctx.dlog_of(a) + ctx.dlog_of(b)) % m)
+
+    def test_add_vec_broadcasts(self, field):
+        # an (R, 1) column against a (1, P) row gives the R x P table of sums
+        for p, k in ((2, 3), (3, 2), (7, 1)):
+            ctx = field(p, k)
+            rows = np.arange(ctx.q, dtype=np.int64)
+            cols = np.arange(1, ctx.q, 2, dtype=np.int64)
+            table = ctx.add_vec(cols, rows[:, None])
+            assert table.shape == (rows.size, cols.size)
+            for i, b in enumerate(rows.tolist()):
+                assert table[i].tolist() == ctx.add_vec(cols, b).tolist()
+                assert table[i].tolist() == [ctx.add(a, b) for a in cols.tolist()]
 
     def test_primitivity_count(self, field, prime_powers):
         fields = list(prime_powers(3, 512)) + [(1009, 1, 1009), (2, 11, 2048),

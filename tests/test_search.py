@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import json
+from math import gcd
 
 import pytest
 
+from primpair import search
 from primpair.ffcore import factorize, field_make
 from primpair.polyrat import RationalFunc, enumerate_family
 from primpair.search import (
@@ -14,6 +17,7 @@ from primpair.search import (
     exception_scan,
     pair_exists,
     q_in_Q,
+    quadratic_has_root,
     run_scan,
 )
 
@@ -125,6 +129,93 @@ class TestQInQ:
     def test_degenerate(self):
         with pytest.raises(ValueError):
             q_in_Q(field_make(2, 1), 1, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _failing_one_shift(m, d):
+    return frozenset(x for x in range(m) if gcd((x + d) % m, m) > 1)
+
+
+def _oracle_failing_scales(m, shifts):
+    """Scale dlogs x for which every (x + d) mod m shares a factor with m."""
+    failing = set(range(m))
+    for d in shifts:
+        failing &= _failing_one_shift(m, d)
+        if not failing:
+            break
+    return sorted(failing)
+
+
+def _oracle_tables(ctx):
+    """Primitive elements, the addition table and the dlog list, all built
+    from scalar field arithmetic."""
+    m = ctx.q - 1
+    prim = [ctx.exp_of(t) for t in range(m) if gcd(t, m) == 1]
+    add = [[ctx.add(u, v) for v in range(ctx.q)] for u in range(ctx.q)]
+    dlog = [None] + [ctx.dlog_of(v) for v in range(1, ctx.q)]
+    return prim, add, dlog
+
+
+def _oracle_triples_1_1(ctx):
+    """Failing (a, b, c) of a(x+b)/(x+c), b < c, as orbit representatives,
+    deciding each shape on its own."""
+    m = ctx.q - 1
+    prim, add, dlog = _oracle_tables(ctx)
+    out = []
+    for c in range(1, ctx.q):
+        for b in range(1, c):
+            shifts = {(dlog[add[al][b]] - dlog[add[al][c]]) % m for al in prim
+                      if add[al][b] and add[al][c]}
+            for x in _oracle_failing_scales(m, shifts):
+                a = ctx.exp_of(x)
+                out.append(min((a, b, c), (ctx.inv(a), c, b)))
+    return sorted(out)
+
+
+def _oracle_triples_2_0(ctx):
+    """Failing (a, b, c) of a*x^2 + b*x + c with b^2 != 4ac, deciding each
+    shape x^2 + b0*x + c0 on its own."""
+    m = ctx.q - 1
+    prim, add, dlog = _oracle_tables(ctx)
+    four = add[add[1][1]][add[1][1]]
+    out = []
+    for b0 in range(ctx.q):
+        base = [add[ctx.mul(al, al)][ctx.mul(b0, al)] for al in prim]
+        for c0 in range(ctx.q):
+            if ctx.mul(b0, b0) == ctx.mul(four, c0):
+                continue
+            shifts = {dlog[add[v][c0]] for v in base if add[v][c0]}
+            for x in _oracle_failing_scales(m, shifts):
+                a = ctx.exp_of(x)
+                out.append((a, ctx.mul(a, b0), ctx.mul(a, c0)))
+    return sorted(out)
+
+
+class TestMembershipEngine:
+    def test_triples_match_oracle(self, field, prime_powers):
+        # every failing triple, not only the first and the count
+        for p, k, q in prime_powers(3, 128):
+            ctx = field(p, k)
+            assert search._failing_triples_1_1(ctx) == _oracle_triples_1_1(ctx), q
+            every = _oracle_triples_2_0(ctx)
+            assert search._failing_triples_2_0(ctx) == every, q
+            irreducible = [t for t in every if not quadratic_has_root(ctx, *t)]
+            assert search._failing_triples_2_0(ctx, irreducible=True) == irreducible, q
+
+    @pytest.mark.parametrize("cells", [1, 100])
+    def test_small_blocks_match_one_block(self, field, monkeypatch, cells):
+        # rows cut into blocks of one or a few shapes give the same triples
+        # as whole rows in one block
+        def triples(ctx):
+            return (search._failing_triples_1_1(ctx),
+                    search._failing_triples_2_0(ctx),
+                    search._failing_triples_2_0(ctx, irreducible=True))
+
+        ctxs = [field(p, k) for p, k in ((31, 1), (61, 1), (2, 6), (3, 4), (5, 2))]
+        whole = [triples(ctx) for ctx in ctxs]
+        monkeypatch.setattr(search, "_BLOCK_CELLS", cells)
+        for ctx, expected in zip(ctxs, whole):
+            assert triples(ctx) == expected, ctx.q
 
 
 class TestExceptionScan:
@@ -247,6 +338,78 @@ class TestRunScan:
         with pytest.raises(ValueError, match="no candidate summary"):
             run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12,
                      resume=True)
+
+    def test_resume_refuses_checkpoint_without_csv_offset(self, tmp_path):
+        csv = tmp_path / "scan.csv"
+        ck = tmp_path / "ck.json"
+        run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                 segment_size=1 << 12)
+        state = json.loads(ck.read_text())
+        del state["csv_offset"]
+        ck.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="no CSV byte offset"):
+            run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                     segment_size=1 << 12, resume=True)
+
+    def test_resume_refuses_missing_csv(self, tmp_path):
+        # without the CSV the records before the checkpoint would be lost
+        ck = tmp_path / "ck.json"
+        run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12)
+        with pytest.raises(ValueError, match="needs the CSV"):
+            run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12,
+                     resume=True)
+
+    def test_resume_after_fault_between_csv_and_checkpoint(self, tmp_path, monkeypatch):
+        # segment 3's lines reach the CSV but its checkpoint write fails; the
+        # resume cuts them off again instead of writing them twice
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 400_000, 2, csv_path=str(full), segment_size=100_000)
+
+        part = tmp_path / "part.csv"
+        ck = tmp_path / "ck.json"
+        real_write = search._checkpoint_write
+        writes = [0]
+
+        def write_then_fail(path, payload):
+            writes[0] += 1
+            if writes[0] == 3:
+                raise OSError("injected fault")
+            real_write(path, payload)
+
+        monkeypatch.setattr(search, "_checkpoint_write", write_then_fail)
+        with pytest.raises(OSError, match="injected fault"):
+            run_scan(3, 400_000, 2, csv_path=str(part), checkpoint_path=str(ck),
+                     segment_size=100_000)
+        monkeypatch.undo()
+        assert json.loads(ck.read_text())["next_q"] == 200_003
+        resumed, _ = run_scan(3, 400_000, 2, csv_path=str(part), checkpoint_path=str(ck),
+                              segment_size=100_000, resume=True)
+        assert part.read_bytes() == full.read_bytes()
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    def test_faithful_resume_after_degenerate_record(self, tmp_path):
+        # the q = 2 record gets its own checkpoint; a resume from it must not
+        # count or write that record again
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(full),
+                            segment_size=1 << 14)
+        part = tmp_path / "part.csv"
+        ck = tmp_path / "ck.json"
+
+        class Stop(Exception):
+            pass
+
+        def bail(seg_end, hi, emitted):
+            raise Stop
+
+        with pytest.raises(Stop):
+            run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
+                     checkpoint_path=str(ck), segment_size=1 << 14, progress=bail)
+        assert json.loads(ck.read_text())["next_q"] == 3
+        resumed, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
+                              checkpoint_path=str(ck), segment_size=1 << 14, resume=True)
+        assert part.read_bytes() == full.read_bytes()
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
 
     def test_resume_rejects_other_config(self, tmp_path):
         ck = tmp_path / "ck.json"
