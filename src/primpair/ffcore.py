@@ -7,8 +7,9 @@ sits on two primitives built here:
    functions (number of distinct primes, square-free divisor count, Euler phi,
    Moebius, radical).
  - ``FieldCtx``: a fully materialized field F_{p^k} with a deterministic
-   primitive root and a complete discrete-log table, so primitivity and
-   u-freeness reduce to gcd tests on exponents.
+   primitive root and complete exp/dlog tables, built by doubling in
+   ceil(log2(q-1)) numpy steps, so primitivity and u-freeness reduce to gcd
+   tests on exponents.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -24,6 +25,8 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 DEFAULT_TABLE_CAP = 1 << 24
+_EXACT_BUILD_CAP = 1 << 26  # q^2 < 2^53: field_make's float64 build is exact
+_BUILD_CELLS = 1 << 14  # digit cells per step product in field_make
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24;
 # everything in range here is far below 2^63.
@@ -594,17 +597,21 @@ class FieldCtx:
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible x^k + ... in ascending packed-coefficient order."""
     for packed in range(p**k):
-        coeffs = []
-        v = packed
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        poly = coeffs + [1]
-        if poly[0] == 0:
-            continue  # divisible by x
-        if _is_irreducible(poly, p):
+        poly = [packed // p**i % p for i in range(k)] + [1]
+        if poly[0] != 0 and _is_irreducible(poly, p):  # poly[0] == 0: x | poly
             return tuple(poly)
     raise ArithmeticError(f"no irreducible polynomial of degree {k} over F_{p}")
+
+
+def _step_matrix(c: list[int], mod_list: list[int], p: int, k: int) -> np.ndarray:
+    """A with A @ [floor(v / p^i) for i = 0..k] = the digits of v*c before
+    reduction mod p. Column i of M, the matrix of v -> v*c, holds x^i*c and
+    digit i of v is floor(v / p^i) - p*floor(v / p^(i+1)): A = [M|0] - p[0|M]."""
+    cols = [_rmod(_rmul([0] * i + [1], c, p), mod_list, p) for i in range(k)]
+    mat = np.array([col + [0] * (k - len(col)) for col in cols] + [[0] * k],
+                   dtype=np.float64).T
+    mat[:, 1:] -= p * mat[:, :-1]
+    return mat
 
 
 def field_make(p: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
@@ -612,68 +619,61 @@ def field_make(p: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
 
     The primitive root is the least element (packed order) of order q - 1 and
     the modulus is the first monic irreducible of degree k, so two runs always
-    build the identical field.
+    build the identical field. exp is built by doubling in ceil(log2(q-1))
+    steps, exp[t:t+s] = exp[:s] * g^t with s = min(t, q-1-t). Multiplying by
+    g^t is F_p-linear: a k x k matrix product on the base-p digits (1 x 1 for
+    k == 1, where F_p = F_p[x]/(x)).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     q = p**k
-    if q > table_cap:
+    cap = min(table_cap, _EXACT_BUILD_CAP)
+    if q > cap:
         raise ValueError(
-            f"q = {q} exceeds the table cap {table_cap}; tables this large are "
+            f"q = {q} exceeds the table cap {cap}; tables this large are "
             "refused for memory safety. For order checks in large prime fields "
             "use multiplicative_order(a, p), which needs no table."
         )
     qm1 = factorize(q - 1) if q > 2 else Factorization(1, ())
     m = q - 1
+    modulus = _find_modulus(p, k) if k > 1 else None
+    mod_list = list(modulus) if k > 1 else [0, 1]
 
-    if k == 1:
-        g = None
-        cofactors = [m // r for r in qm1.primes]
-        for cand in range(1, p):
-            if all(pow(cand, c, p) != 1 for c in cofactors):
-                g = cand
-                break
-        if g is None:
-            raise ArithmeticError(f"no primitive root mod {p}")  # unreachable
-        exp = np.ones(m, dtype=np.int64)
-        acc = 1
-        for t in range(1, m):
-            acc = acc * g % p
-            exp[t] = acc
-        modulus = None
-    else:
-        modulus = _find_modulus(p, k)
-        mod_list = list(modulus)
-        pow_p = [p**i for i in range(k)]
+    def unpack(v: int) -> list[int]:
+        return _rtrim([v // p**i % p for i in range(k)])
 
-        def unpack(v: int) -> list[int]:
-            return _rtrim([(v // pe) % p for pe in pow_p])
+    def is_one(v: int, e: int) -> bool:  # v^e == 1
+        return (pow(v, e, p) == 1 if k == 1
+                else _rpowmod(unpack(v), e, mod_list, p) == [1])
 
-        def pack(c: list[int]) -> int:
-            return sum(ci * pe for ci, pe in zip(c, pow_p))
+    cofactors = [m // r for r in qm1.primes]
+    g = next((cand for cand in range(1, q)
+              if not any(is_one(cand, e) for e in cofactors)), None)
+    if g is None:
+        raise ArithmeticError(f"no generator found for F_{q}")  # unreachable
 
-        g = None
-        cofactors = [m // r for r in qm1.primes]
-        for cand in range(2, q):
-            cpoly = unpack(cand)
-            if all(pack(_rpowmod(cpoly, c, mod_list, p)) != 1 for c in cofactors):
-                g = cand
-                break
-        if g is None:
-            raise ArithmeticError(f"no generator found for F_{q}")  # unreachable
-        exp = np.ones(m, dtype=np.int64)
-        gpoly = unpack(g)
-        acc_poly = [1]
-        for t in range(1, m):
-            acc_poly = _rmod(_rmul(acc_poly, gpoly, p), mod_list, p)
-            exp[t] = pack(acc_poly)
+    # Every step is exact in float64: floor(a / b) is exact for integers with
+    # a + b < 2^53, and each partial sum of a product is below k*(p-1)*q <=
+    # q^2 <= 2^52 in size. Blocks of _BUILD_CELLS cells stay in cache and
+    # below the size at which BLAS starts threads.
+    exp = np.ones(m, dtype=np.int64)
+    pow_p = np.array([p**i for i in range(k + 1)], dtype=np.float64)[:, None]
+    width, pack = _BUILD_CELLS // k, pow_p[:-1, 0]
+    c, t = unpack(g), 1
+    while t < m:
+        s = min(t, m - t)
+        mat = _step_matrix(c, mod_list, p, k)
+        for lo in range(0, s, width):
+            hi = min(lo + width, s)
+            sums = mat @ np.floor(exp[lo:hi] / pow_p)
+            sums -= p * np.floor(sums / p)
+            exp[t + lo:t + hi] = pack @ sums
+        c, t = _rmod(_rmul(c, c, p), mod_list, p), 2 * t
 
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[exp] = np.arange(m, dtype=np.int64)
-    ctx = FieldCtx(p, k, modulus, g, exp, dlog, qm1)
-
-    if int(dlog[1]) != 0 or (m > 1 and int(dlog[g]) != 1):
+    if int(dlog[1]) != 0 or (m > 1 and int(dlog[g]) != 1) or (dlog[1:] < 0).any():
         raise ArithmeticError("discrete log table failed self-check")
-    return ctx
+    return FieldCtx(p, k, modulus, g, exp, dlog, qm1)

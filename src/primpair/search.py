@@ -26,9 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt
 from multiprocessing import Pool
+from operator import mul
 
 import numpy as np
 
@@ -38,10 +41,13 @@ from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
 SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
 
-# The segment sieve keeps at most 10 distinct primes per factored value and
-# factors every m in [lo - 1, hi]; the least m with 11 distinct primes is
-# 2*3*5*...*31 = 200560490130, so a scan may reach one below it.
+# The segment sieve factors every m in [lo - 1, hi], one column per distinct
+# prime; the least m with 11 distinct primes is 2*3*5*...*31 = 200560490130,
+# so a scan may reach one below it with at most 10 columns.
 SCAN_HI_MAX = 200_560_490_129
+# Primorials 2, 2*3, 2*3*5, ...: an m <= n has at most
+# bisect_right(_PRIMORIALS, n) distinct prime factors.
+_PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), mul))
 
 DEFAULT_SEGMENT = 1 << 20
 
@@ -364,12 +370,13 @@ class ScanRecord:
 def _segment_distinct_primes(lo: int, hi: int, base: np.ndarray):
     """Distinct prime factors of every m in [lo, hi), via a sieve pass.
 
-    Returns (buf, cnt): buf[i, :cnt[i]] lists the primes of lo + i ascending.
+    Returns (buf, cnt): buf[i, :cnt[i]] lists the primes of lo + i ascending;
+    buf has one column per prime the largest omega below hi allows.
     """
     size = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
     cnt = np.zeros(size, dtype=np.int8)
-    buf = np.zeros((size, 10), dtype=np.int64)
+    buf = np.zeros((size, bisect_right(_PRIMORIALS, hi - 1)), dtype=np.int64)
     for p in base.tolist():
         if p * p >= hi:
             break
@@ -417,7 +424,7 @@ def _scan_segment(args) -> list[ScanRecord]:
 
     n = cfg.n
     # q above the direct bound n^2 * W(q-1)^4 passes with the full core
-    direct_bound = [n * n * (1 << (4 * w)) for w in range(11)]
+    direct_bound = [n * n * (1 << (4 * w)) for w in range(buf.shape[1] + 1)]
     records = []
     for q, p, k in events:
         i = q - seg_lo  # row of q - 1 in the factor table

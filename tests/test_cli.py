@@ -1,5 +1,6 @@
 import json
 
+from primpair import search
 from primpair.cli import main
 
 
@@ -128,6 +129,17 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--family", "1,1",
                            "--qmax", "20000", "--long")
         assert code == 3
+
+    def test_long_budget_refused_before_computing(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("classification ran past the --long budget")
+
+        monkeypatch.setattr(search, "classify_true_exceptions", never)
+        code, _, err = run(capsys, "classify", "--family", "1,1",
+                           "--qmax", "1001", "--long")
+        assert code == 3
+        assert "--long budget 1000" in err
+        assert "q^2 * rad(q-1) * omega(q-1)" in err
 
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "classify", "--family", "3,3", "--qmax", "10")

@@ -4,8 +4,14 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
+from primpair import ffcore
 from primpair.ffcore import (
     Factorization,
+    _find_modulus,
+    _rmod,
+    _rmul,
+    _rpowmod,
+    _rtrim,
     factorize,
     field_make,
     is_prime,
@@ -30,6 +36,43 @@ def trial_division(m):
     if m > 1:
         out.append((m, 1))
     return tuple(out)
+
+
+def per_element_tables(p, k):
+    """Oracle for field_make: (modulus, g, exp, dlog) with the least generator
+    found by trial and exp filled one power of g at a time."""
+    q = p**k
+    m = q - 1
+    cofactors = [m // r for r in factorize(m).primes] if q > 2 else []
+    exp = np.ones(m, dtype=np.int64)
+    if k == 1:
+        modulus = None
+        g = next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors))
+        acc = 1
+        for t in range(1, m):
+            acc = acc * g % p
+            exp[t] = acc
+    else:
+        modulus = _find_modulus(p, k)
+        mod_list = list(modulus)
+        pow_p = [p**i for i in range(k)]
+
+        def unpack(v):
+            return _rtrim([(v // pe) % p for pe in pow_p])
+
+        def pack(c):
+            return sum(ci * pe for ci, pe in zip(c, pow_p))
+
+        g = next(c for c in range(2, q) if all(
+            pack(_rpowmod(unpack(c), e, mod_list, p)) != 1 for e in cofactors))
+        gpoly = unpack(g)
+        acc_poly = [1]
+        for t in range(1, m):
+            acc_poly = _rmod(_rmul(acc_poly, gpoly, p), mod_list, p)
+            exp[t] = pack(acc_poly)
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[exp] = np.arange(m, dtype=np.int64)
+    return modulus, g, exp, dlog
 
 
 class TestFactorize:
@@ -105,6 +148,51 @@ class TestFieldMake:
     def test_table_cap(self):
         with pytest.raises(ValueError, match="table cap"):
             field_make(2, 30)
+        # a raised cap still stops where the float64 build stops being exact
+        with pytest.raises(ValueError, match="table cap 67108864"):
+            field_make(2, 27, table_cap=1 << 30)
+
+    def test_tables_match_per_element_oracle(self, prime_powers):
+        # the fields include q = 2, 3 and 4, and many q with q - 1 not a power
+        # of two, whose last doubling step fills only part of exp
+        fields = [(2, 1)] + [(p, k) for p, k, _ in prime_powers(3, 2000)] + [
+            (2, 14), (3, 8), (5, 6), (7, 5), (11, 4), (23, 3),
+            (999_983, 1), (1_000_003, 1)]
+        for p, k in fields:
+            ctx = field_make(p, k)
+            modulus, g, exp, dlog = per_element_tables(p, k)
+            assert (ctx.modulus, ctx.g) == (modulus, g), (p, k)
+            assert ctx.exp.dtype == np.int64 and ctx.dlog.dtype == np.int64
+            assert np.array_equal(ctx.exp, exp), (p, k)
+            assert np.array_equal(ctx.dlog, dlog), (p, k)
+
+    def test_2_20_table_is_a_bijection(self):
+        ctx = field_make(2, 20)
+        m = ctx.q - 1
+        assert np.array_equal(np.sort(ctx.exp), np.arange(1, ctx.q))
+        assert np.array_equal(ctx.dlog[ctx.exp], np.arange(m))
+        # spot powers of g against repeated squaring mod the modulus
+        g = [(ctx.g >> i) & 1 for i in range(20)]
+        for t in random.Random(5).sample(range(m), 50):
+            power = _rpowmod(_rtrim(g[:]), t, list(ctx.modulus), 2)
+            assert int(ctx.exp[t]) == sum(c << i for i, c in enumerate(power))
+
+    def test_corrupted_step_trips_self_check(self, monkeypatch):
+        # Zeroing every step after the first leaves exp = [1, g, 0, 0, ...], so
+        # dlog[1] == 0 and dlog[g] == 1 still hold; only the check that every
+        # nonzero element received a log can catch it.
+        real = ffcore._step_matrix
+        calls = []
+
+        def corrupted(*args):
+            calls.append(None)
+            return real(*args) * (len(calls) == 1)
+
+        monkeypatch.setattr(ffcore, "_step_matrix", corrupted)
+        for p, k in ((2, 4), (13, 1)):
+            calls.clear()
+            with pytest.raises(ArithmeticError, match="self-check"):
+                field_make(p, k)
 
     def test_dlog_bijection(self, field):
         for p, k in ((5, 1), (13, 1), (3, 3), (2, 5)):

@@ -1,12 +1,12 @@
 import dataclasses
 import functools
 import json
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from primpair import search
-from primpair.ffcore import factorize, field_make
+from primpair.ffcore import factorize, field_make, sieve_primes
 from primpair.polyrat import RationalFunc, enumerate_family
 from primpair.search import (
     CSV_HEADER,
@@ -269,6 +269,26 @@ class TestExceptionScan:
         with pytest.raises(ValueError, match="at most"):
             run_scan(3, SCAN_HI_MAX + 1)
         assert list(exception_scan(SCAN_HI_MAX, SCAN_HI_MAX, emit="all")) == []
+
+    def test_segment_just_below_ceiling(self):
+        # the factor buffer is as wide as the largest omega below hi: 10
+        # columns at the ceiling, 9 just below the first 10-prime value
+        records = list(exception_scan(SCAN_HI_MAX - 3000, SCAN_HI_MAX, emit="all"))
+        assert records and all(r.q <= SCAN_HI_MAX for r in records)
+        for r in records:
+            assert r.factors == factorize(r.q - 1).factors
+            assert r.omega == len(r.factors)
+        base = sieve_primes(isqrt(SCAN_HI_MAX))
+        buf, _ = search._segment_distinct_primes(SCAN_HI_MAX - 3000, SCAN_HI_MAX + 1, base)
+        assert buf.shape == (3001, 10)
+        primorial_10 = 6469693230  # 2 * 3 * ... * 29
+        buf, cnt = search._segment_distinct_primes(primorial_10 - 5, primorial_10 + 1, base)
+        assert buf.shape == (6, 10)
+        assert buf[5].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        buf, cnt = search._segment_distinct_primes(primorial_10 - 5, primorial_10, base)
+        assert buf.shape == (5, 9)
+        for i, m in enumerate(range(primorial_10 - 5, primorial_10)):
+            assert buf[i, :cnt[i]].tolist() == list(factorize(m).primes)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError, match="n must be >= 2"):
