@@ -13,7 +13,6 @@ Library layout:
 from .ffcore import (
     Factorization,
     FieldCtx,
-    FieldElem,
     factorize,
     field_make,
     is_prime,
@@ -23,7 +22,6 @@ from .ffcore import (
 __all__ = [
     "Factorization",
     "FieldCtx",
-    "FieldElem",
     "factorize",
     "field_make",
     "is_prime",

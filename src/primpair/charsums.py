@@ -147,10 +147,9 @@ class MultChar:
 
     def exponent(self, a) -> int | None:
         """k * dlog(a) mod order, or None when a = 0 (the chi(0) = 0 case)."""
-        v = self.ctx._value(a)
-        if v == 0:
+        if a == 0:
             return None
-        return self.index * self.ctx.dlog_of(v) % self.order
+        return self.index * self.ctx.dlog_of(a) % self.order
 
     def value(self, a) -> complex:
         e = self.exponent(a)
@@ -213,11 +212,10 @@ def rho_u(ctx: FieldCtx, alpha, u: int) -> Fraction:
     accumulation. The result is the rational 0 or 1 agreeing with
     FieldCtx.is_ufree.
     """
-    v = ctx._value(alpha)
-    if v == 0:
+    if alpha == 0:
         raise ValueError("the u-free characteristic function is defined on F_q* only")
     rad_u = ctx.rad_of_divisor(u)
-    t = ctx.dlog_of(v)
+    t = ctx.dlog_of(alpha)
     total = Fraction(0)
     for d, weight in _moebius_weights(rad_u):
         total += weight * char_orbit_sum(d, t)
@@ -288,11 +286,6 @@ class PairCountEvaluator:
         if n.denominator != 1:
             raise ArithmeticError(f"expansion gave non-integer {n} for N_f({l1},{l2})")
         return int(n)
-
-
-def nf_char_formula(f: RationalFunc, l1: int, l2: int) -> int:
-    """N_f(l1, l2) via the full character expansion (see PairCountEvaluator)."""
-    return PairCountEvaluator(f).count(l1, l2)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 CLASSIFY_CI_QMAX = 350
-CLASSIFY_LONG_QMAX = 1_000
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -73,16 +72,6 @@ def _parse_coeffs(text: str) -> list:
     if not out:
         raise ValueError("empty coefficient list")
     return out
-
-
-def _coeffs_to_packed(ctx: ffcore.FieldCtx, coeffs: list) -> list[int]:
-    packed = []
-    for c in coeffs:
-        if isinstance(c, tuple):
-            packed.append(ctx.from_coeffs(c))
-        else:
-            packed.append(c % ctx.p if ctx.k == 1 else c)
-    return packed
 
 
 def _emit(args, payload: dict, human_lines: list[str]):
@@ -232,9 +221,9 @@ def cmd_classify(args) -> int:
     cost = ("the exhaustive step costs about q^2 * rad(q-1) * omega(q-1) per "
             "surviving field q: about 10 minutes per family up to 1000, 4 "
             "minutes for F_2003 alone, weeks for all fields up to 10^4")
-    if args.qmax > CLASSIFY_LONG_QMAX:
+    if args.qmax > search.CLASSIFY_LONG_QMAX:
         print(f"refusing: qmax {args.qmax} exceeds the --long budget "
-              f"{CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)
+              f"{search.CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)
         return EXIT_BUDGET
     if args.qmax > CLASSIFY_CI_QMAX and not args.long:
         print(f"refusing: qmax {args.qmax} > {CLASSIFY_CI_QMAX} requires --long "
@@ -266,9 +255,8 @@ def cmd_pair(args) -> int:
     try:
         p, k = _prime_power(args.q)
         ctx = ffcore.field_make(p, k)
-        num = _coeffs_to_packed(ctx, _parse_coeffs(args.num))
-        den = _coeffs_to_packed(ctx, _parse_coeffs(args.den))
-        f = polyrat.RationalFunc.from_coeffs(ctx, num, den)
+        f = polyrat.RationalFunc.from_coeffs(
+            ctx, _parse_coeffs(args.num), _parse_coeffs(args.den))
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -310,7 +298,7 @@ def cmd_qmember(args) -> int:
     try:
         p, k = _prime_power(args.q)
         ctx = ffcore.field_make(p, k)
-        res = search.q_in_Q(ctx, args.n1, args.n2, method=args.method,
+        res = search.q_in_Q(ctx, args.n1, args.n2,
                             quadratic_scope=args.quadratic_scope)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -409,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", required=True, help="1,1 or 2,0")
     s.add_argument("--qmax", type=int, required=True)
     s.add_argument("--long", action="store_true",
-                   help=f"allow qmax up to {CLASSIFY_LONG_QMAX}")
+                   help=f"allow qmax up to {search.CLASSIFY_LONG_QMAX}")
     s.add_argument("--quadratic-scope", choices=("irreducible", "all"),
                    default="irreducible",
                    help="for 2,0: which failing quadratics count (default follows "
@@ -428,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--n1", type=int, required=True)
     s.add_argument("--n2", type=int, required=True)
-    s.add_argument("--method", choices=("auto", "bulk", "naive"), default="auto")
     s.add_argument("--quadratic-scope", choices=("irreducible", "all"), default="all")
     s.set_defaults(func=cmd_qmember)
 

@@ -13,12 +13,16 @@ sits on two primitives built here:
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
+There is no element wrapper type: every FieldCtx operation takes and returns
+plain ints (or int64 arrays of them), and ``FieldCtx.packed`` is the one place
+a value from outside, an integer or a coefficient vector, becomes one.
 Ascending packed value is the fixed enumeration order used everywhere a
 "least" or "lexicographically first" choice is made.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -342,71 +346,6 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
-class FieldElem:
-    """An element of a FieldCtx; thin wrapper over the packed integer value."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: "FieldCtx", value: int):
-        self.ctx = ctx
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.ctx is not self.ctx:
-                raise ValueError("elements from different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.ctx.p if self.ctx.k == 1 else other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx, self.ctx.pow(self.value, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.ctx is other.ctx and self.value == other.value
-        if isinstance(other, int):
-            return self.value == (other % self.ctx.p if self.ctx.k == 1 else other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.value))
-
-    def __int__(self):
-        return self.value
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs_of(self.value)
-
-    def __repr__(self):
-        return f"FieldElem({self.value} in F_{self.ctx.q})"
-
-
 class FieldCtx:
     """A materialized finite field F_{p^k} with full exp/dlog tables.
 
@@ -428,29 +367,17 @@ class FieldCtx:
 
     # -- element plumbing ---------------------------------------------------
 
-    def element(self, v) -> FieldElem:
-        if isinstance(v, FieldElem):
-            if v.ctx is not self:
-                raise ValueError("element belongs to a different field")
-            return v
-        if isinstance(v, (tuple, list)):
-            v = self.from_coeffs(v)
-        elif self.k == 1:
+    def packed(self, v) -> int:
+        """The packed int of a value from outside the field: a coefficient
+        vector (tuple or list, low degree first) or an integer, numpy integers
+        included. Integers are reduced mod p in a prime field; a value out of
+        range for F_q raises ValueError."""
+        v = operator.index(self.from_coeffs(v) if isinstance(v, (tuple, list)) else v)
+        if self.k == 1:
             v %= self.p
         if not 0 <= v < self.q:
             raise ValueError(f"packed value {v} out of range for F_{self.q}")
-        return FieldElem(self, v)
-
-    def elements(self):
-        return (FieldElem(self, v) for v in range(self.q))
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, 1)
+        return v
 
     def coeffs_of(self, v: int) -> tuple[int, ...]:
         return tuple((v // pe) % self.p for pe in self._pow_p)
@@ -460,14 +387,11 @@ class FieldCtx:
             raise ValueError(f"coefficient vector longer than degree {self.k}")
         return sum((c % self.p) * pe for c, pe in zip(coeffs, self._pow_p))
 
-    @staticmethod
-    def _value(a) -> int:
-        return a.value if isinstance(a, FieldElem) else a
-
     # -- scalar arithmetic on packed values ---------------------------------
 
-    def add(self, a, b) -> int:
-        a, b = self._value(a), self._value(b)
+    def add(self, a, b):
+        """a + b for packed ints, or elementwise for int64 arrays of packed
+        values, which broadcast against each other as in numpy."""
         if self.k == 1:
             return (a + b) % self.p
         total = 0
@@ -476,7 +400,6 @@ class FieldCtx:
         return total
 
     def neg(self, a) -> int:
-        a = self._value(a)
         if self.k == 1:
             return -a % self.p
         total = 0
@@ -488,7 +411,6 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b) -> int:
-        a, b = self._value(a), self._value(b)
         if a == 0 or b == 0:
             return 0
         if self.k == 1:
@@ -497,7 +419,6 @@ class FieldCtx:
         return int(self.exp[(int(self.dlog[a]) + int(self.dlog[b])) % m])
 
     def inv(self, a) -> int:
-        a = self._value(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         m = self.q - 1
@@ -507,7 +428,6 @@ class FieldCtx:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int) -> int:
-        a = self._value(a)
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
@@ -518,7 +438,6 @@ class FieldCtx:
     # -- discrete logs and derived predicates --------------------------------
 
     def dlog_of(self, a) -> int:
-        a = self._value(a)
         if a == 0:
             raise ValueError("0 has no discrete log")
         return int(self.dlog[a])
@@ -527,7 +446,6 @@ class FieldCtx:
         return int(self.exp[t % (self.q - 1)])
 
     def order_of(self, a) -> int:
-        a = self._value(a)
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         t = int(self.dlog[a])
@@ -535,7 +453,6 @@ class FieldCtx:
 
     def is_primitive(self, a) -> bool:
         """True iff a generates the multiplicative group."""
-        a = self._value(a)
         if a == 0:
             return False
         return gcd(int(self.dlog[a]), self.q - 1) == 1
@@ -557,7 +474,6 @@ class FieldCtx:
         kept in the test suite as the independent oracle.
         """
         r = self.rad_of_divisor(u)
-        a = self._value(a)
         if a == 0:
             return False
         return gcd(int(self.dlog[a]), r) == 1
@@ -570,14 +486,7 @@ class FieldCtx:
 
     # -- vectorized arithmetic on int64 arrays of packed values -------------
 
-    def add_vec(self, a: np.ndarray, b) -> np.ndarray:
-        """a + b elementwise; a and b broadcast against each other as in numpy."""
-        if self.k == 1:
-            return (a + b) % self.p
-        total = 0
-        for pe in self._pow_p:
-            total += ((a // pe + b // pe) % self.p) * pe
-        return total
+    add_vec = add  # array call sites use this name, so a trace counts them apart
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.k == 1:

@@ -1,7 +1,9 @@
 """Polynomials and rational functions over a FieldCtx.
 
-Coefficients are packed field values, stored low degree first with no
-trailing zeros; the zero polynomial has degree -inf. Rational functions are
+Coefficients are packed field values (plain ints), stored low degree first
+with no trailing zeros; the zero polynomial has degree -inf. A Poly takes its
+coefficients through FieldCtx.packed, so integers and coefficient vectors from
+outside are accepted there and nowhere else. Rational functions are
 kept in lowest terms with a monic denominator. The module also houses the
 square-free decomposition in characteristic p (the multiplicity data behind
 the exceptionality test), the reciprocal reduction f(x) -> f(1/x), and the
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, inf
 
-from .ffcore import FieldCtx, FieldElem
+from .ffcore import FieldCtx
 
 NEG_INF = -inf
 
@@ -24,11 +26,7 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        vals = [ctx.element(c).value if not isinstance(c, int) else
-                (c % ctx.p if ctx.k == 1 else c) for c in coeffs]
-        for v in vals:
-            if not 0 <= v < ctx.q:
-                raise ValueError(f"coefficient {v} out of range for F_{ctx.q}")
+        vals = [ctx.packed(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.ctx = ctx
@@ -105,7 +103,6 @@ class Poly:
         return Poly(ctx, out)
 
     def scale(self, c) -> "Poly":
-        c = self.ctx.element(c).value if isinstance(c, FieldElem) else c
         return Poly(self.ctx, [self.ctx.mul(a, c) for a in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -150,7 +147,6 @@ class Poly:
 
     def eval(self, x) -> int:
         """Horner evaluation; returns a packed value."""
-        x = self.ctx._value(x) if isinstance(x, FieldElem) else x
         acc = 0
         for c in reversed(self.coeffs):
             acc = self.ctx.add(self.ctx.mul(acc, x), c)
@@ -381,7 +377,7 @@ def _nonzero_elements(ctx: FieldCtx) -> range:
     return range(1, ctx.q)
 
 
-def enumerate_family(ctx: FieldCtx, n1: int, n2: int, include_monomials: bool = False):
+def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
     """Yield one canonical representative per function in the (n1, n2) family.
 
     (1,1) and (2,0) use their closed-form parametrizations:
@@ -392,10 +388,9 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int, include_monomials: bool = 
 
     The general path walks coefficient tuples in ascending packed order
     (denominator monic, numerator leading coefficient nonzero, coprime,
-    non-exceptional; equal-degree families also need both constant terms
-    nonzero so the reciprocal reduction applies). ``include_monomials``
-    keeps functions whose only exceptionality is being a monomial; it is an
-    exploration aid and leaves certified results untouched.
+    non-exceptional, so monomials c*x^j are excluded; equal-degree families
+    also need both constant terms nonzero so the reciprocal reduction
+    applies).
     """
     if n1 < n2:
         raise ValueError(f"family needs n1 >= n2, got ({n1}, {n2})")
@@ -405,7 +400,7 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int, include_monomials: bool = 
     if (n1, n2) == (2, 0):
         yield from _family_2_0(ctx)
         return
-    yield from _family_general(ctx, n1, n2, include_monomials)
+    yield from _family_general(ctx, n1, n2)
 
 
 def _family_1_1(ctx: FieldCtx):
@@ -422,7 +417,7 @@ def _family_1_1(ctx: FieldCtx):
 
 
 def _family_2_0(ctx: FieldCtx):
-    four = ctx.element(4 % ctx.p).value if ctx.k == 1 else ctx.add(ctx.add(1, 1), ctx.add(1, 1))
+    four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
     for a in _nonzero_elements(ctx):
         for b in range(ctx.q):
             b2 = ctx.mul(b, b)
@@ -442,7 +437,7 @@ def _tuples(ctx: FieldCtx, length: int):
             yield head + (v,)
 
 
-def _family_general(ctx: FieldCtx, n1: int, n2: int, include_monomials: bool):
+def _family_general(ctx: FieldCtx, n1: int, n2: int):
     for den_tail in _tuples(ctx, n2):
         den = Poly(ctx, den_tail + (1,))
         for num_low in _tuples(ctx, n1):
@@ -453,7 +448,7 @@ def _family_general(ctx: FieldCtx, n1: int, n2: int, include_monomials: bool):
                 if poly_gcd(num, den).degree > 0:
                     continue
                 f = RationalFunc(num, den)
-                bad, witness = is_exceptional(f)
-                if bad and not (include_monomials and witness.is_monomial):
+                bad, _ = is_exceptional(f)
+                if bad:
                     continue
                 yield f

@@ -10,7 +10,8 @@ Three layers:
    every scale factor a of a whole row of shapes at once: for fixed shape
    h(x), the failing a are the dlogs x with no shift d of h making x + d a
    unit mod q-1, found by counting rescuing shifts in exact integers on the
-   CRT grid of rad(q-1), one pass per prime.
+   CRT grid of rad(q-1), one pass per prime. `naive_membership` walks any
+   other family one function at a time and is the engine's test oracle.
  - `exception_scan` / `classify_true_exceptions`: segmented scan of all prime
    powers in a range against the certification criteria (vectorized
    factorization of every q-1 via a sieve over the segment), then full
@@ -50,6 +51,10 @@ SCAN_HI_MAX = 200_560_490_129
 _PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), mul))
 
 DEFAULT_SEGMENT = 1 << 20
+
+# The largest q a classification decides, and the CLI's --long limit: one
+# field costs about q^2 * rad(q-1) * omega(q-1), so 10^4 would take weeks.
+CLASSIFY_LONG_QMAX = 1_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
 
@@ -247,13 +252,34 @@ def quadratic_has_root(ctx: FieldCtx, a: int, b: int, c: int) -> bool:
         for x in range(ctx.q))
 
 
-def q_in_Q(ctx: FieldCtx, n1: int, n2: int, method: str = "auto",
+def naive_membership(ctx: FieldCtx, n1: int, n2: int,
+                     irreducible: bool = False) -> QMembership:
+    """q_in_Q by walking the family through pair_exists, one function at a
+    time; the path for families without a row engine and the tests' oracle
+    for the (1,1) and (2,0) engine. irreducible=True keeps, in the (2, 0)
+    family, only quadratics with no root in F_q."""
+    fam = (n1, n2)
+    num_failing = 0
+    first = None
+    for f in enumerate_family(ctx, n1, n2):
+        if fam == (2, 0) and irreducible:
+            c0, b0, a0 = (f.num.coeffs + (0, 0, 0))[:3]
+            if quadratic_has_root(ctx, a0, b0, c0):
+                continue
+        if not pair_exists(ctx, f).found:
+            num_failing += 1
+            if first is None:
+                first = f
+    return QMembership(ctx.q, fam, first is None, first, num_failing)
+
+
+def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
            quadratic_scope: str = "all") -> QMembership:
     """Does every function in the (n1, n2) family admit a primitive pair?
 
     On failure the reported function is the first failing one in canonical
-    enumeration order. method: "bulk" (row-batched engine, (1,1) and (2,0)
-    only), "naive" (walk the family through pair_exists), or "auto".
+    enumeration order. The (1,1) and (2,0) families go through the
+    row-batched engine; every other family is walked by naive_membership.
 
     quadratic_scope applies to the (2, 0) family only: "all" keeps every
     a*x^2+b*x+c with nonzero discriminant, while "irreducible" restricts to
@@ -267,37 +293,20 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int, method: str = "auto",
     if quadratic_scope not in ("all", "irreducible"):
         raise ValueError(f"unknown quadratic_scope {quadratic_scope!r}")
     fam = (n1, n2)
-    if method == "auto":
-        method = "bulk" if fam in ((1, 1), (2, 0)) else "naive"
-    if method == "bulk":
-        if fam == (1, 1):
-            triples = _failing_triples_1_1(ctx)
-            make = lambda a, b, c: RationalFunc(
-                Poly(ctx, (ctx.mul(a, b), a)), Poly(ctx, (c, 1)))
-        elif fam == (2, 0):
-            triples = _failing_triples_2_0(ctx, quadratic_scope == "irreducible")
-            make = lambda a, b, c: RationalFunc(
-                Poly(ctx, (c, b, a)), Poly(ctx, (1,)))
-        else:
-            raise ValueError(f"no bulk engine for family {fam}")
-        if not triples:
-            return QMembership(ctx.q, fam, True, None, 0)
-        a, b, c = triples[0]
-        return QMembership(ctx.q, fam, False, make(a, b, c), len(triples))
-    if method != "naive":
-        raise ValueError(f"unknown method {method!r}")
-    num_failing = 0
-    first = None
-    for f in enumerate_family(ctx, n1, n2):
-        if fam == (2, 0) and quadratic_scope == "irreducible":
-            c0, b0, a0 = (f.num.coeffs + (0, 0, 0))[:3]
-            if quadratic_has_root(ctx, a0, b0, c0):
-                continue
-        if not pair_exists(ctx, f).found:
-            num_failing += 1
-            if first is None:
-                first = f
-    return QMembership(ctx.q, fam, first is None, first, num_failing)
+    if fam == (1, 1):
+        triples = _failing_triples_1_1(ctx)
+        make = lambda a, b, c: RationalFunc(
+            Poly(ctx, (ctx.mul(a, b), a)), Poly(ctx, (c, 1)))
+    elif fam == (2, 0):
+        triples = _failing_triples_2_0(ctx, quadratic_scope == "irreducible")
+        make = lambda a, b, c: RationalFunc(
+            Poly(ctx, (c, b, a)), Poly(ctx, (1,)))
+    else:
+        return naive_membership(ctx, n1, n2, quadratic_scope == "irreducible")
+    if not triples:
+        return QMembership(ctx.q, fam, True, None, 0)
+    a, b, c = triples[0]
+    return QMembership(ctx.q, fam, False, make(a, b, c), len(triples))
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +643,15 @@ class ClassificationResult:
 
 def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
                              quadratic_scope: str = "irreducible",
-                             budget_qmax: int = 10_000,
+                             budget_qmax: int = CLASSIFY_LONG_QMAX,
                              jsonl_path: str | None = None,
                              progress=None) -> ClassificationResult:
     """Find every q <= q_max whose (n1, n2) family truly lacks a primitive pair.
 
     Candidates failing the certification criteria are verified exhaustively;
     each true exception carries its first failing function, re-verified by a
-    reversed-order search. Work stops at budget_qmax with an explicit
-    high-water mark when q_max exceeds the budget.
+    reversed-order search. Work stops at budget_qmax (CLASSIFY_LONG_QMAX by
+    default) with an explicit high-water mark when q_max exceeds it.
 
     For the (2, 0) family the default scope counts only irreducible failing
     quadratics, matching the established classification; pass

@@ -1,6 +1,8 @@
-"""Every narrative script in demos/ runs to completion against the library."""
+"""Every narrative script in demos/ and the README's library example run to
+completion against the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +17,25 @@ def test_demos_exist():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    _run(str(demo))
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    lines = _run("-c", blocks[0]).splitlines()
+    assert "alpha=6, value=7" in lines[0]
+    assert lines[1] == "False"

@@ -15,6 +15,7 @@ from primpair.search import (
     ScanConfig,
     classify_true_exceptions,
     exception_scan,
+    naive_membership,
     pair_exists,
     q_in_Q,
     quadratic_has_root,
@@ -91,8 +92,8 @@ class TestQInQ:
         for p, k, q in prime_powers(3, 32):
             ctx = field(p, k)
             for fam in ((1, 1), (2, 0)):
-                rb = q_in_Q(ctx, *fam, method="bulk")
-                rn = q_in_Q(ctx, *fam, method="naive")
+                rb = q_in_Q(ctx, *fam)
+                rn = naive_membership(ctx, *fam)
                 assert rb.member == rn.member, (q, fam)
                 assert rb.num_failing == rn.num_failing, (q, fam)
                 assert rb.failing == rn.failing, (q, fam)
@@ -100,8 +101,8 @@ class TestQInQ:
     def test_bulk_matches_naive_irreducible_scope(self, field, prime_powers):
         for p, k, q in prime_powers(3, 30):
             ctx = field(p, k)
-            rb = q_in_Q(ctx, 2, 0, method="bulk", quadratic_scope="irreducible")
-            rn = q_in_Q(ctx, 2, 0, method="naive", quadratic_scope="irreducible")
+            rb = q_in_Q(ctx, 2, 0, quadratic_scope="irreducible")
+            rn = naive_membership(ctx, 2, 0, irreducible=True)
             assert (rb.member, rb.num_failing, rb.failing) == \
                    (rn.member, rn.num_failing, rn.failing), q
 
@@ -482,6 +483,20 @@ class TestClassify:
         assert not res.complete
         assert res.high_water == 50
         assert res.q_list == [q for q in CASE_1_1 if q <= 50]
+
+    def test_default_budget_stops_at_long_limit(self, monkeypatch):
+        asked = []
+
+        def member(ctx, n1, n2, quadratic_scope="all"):
+            asked.append(ctx.q)
+            return search.QMembership(ctx.q, (n1, n2), True, None, 0)
+
+        monkeypatch.setattr(search, "q_in_Q", member)
+        res = classify_true_exceptions(1500, (1, 1))
+        assert search.CLASSIFY_LONG_QMAX == 1000
+        assert not res.complete
+        assert res.high_water == 1000
+        assert asked and max(asked) <= 1000
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
