@@ -15,7 +15,9 @@ One integer kernel, `sieve_pass_prefix`, decides the criterion for a core
 made of the least primes of q-1, and `best_prefix` sweeps it over every core
 size; scans and `check-bound` both go through them. `SieveParams` and the
 all-subsets `best_sieve` compute the same criterion in Fractions and serve
-as the test oracle for the kernel.
+as the test oracle for the kernel. `certain_prefix_pass` is the same sweep
+in float64 over a whole factor table at once; a scan uses it only to skip
+rows that pass by a wide margin, never to emit a verdict.
 
 The module also carries the worst-case analysis grid (smallest possible
 sieved primes for an assumed range of omega(q-1)) whose constants the
@@ -29,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod, sqrt
+
+import numpy as np
 
 from .ffcore import Factorization, factorize, sieve_primes
 
@@ -228,6 +232,42 @@ def best_prefix(q: int, primes: list[int], n: int) -> tuple[str, int, int, int]:
     verdict = ("pass_thm31" if res[0] else
                "pass_sieve" if passed_sieve else "candidate")
     return (verdict, *best)
+
+
+# Relative room by which sqrt(q) must clear a threshold in the float64 sweep.
+# The sweep's own error is far smaller. Below the scan ceiling a row has at
+# most 10 primes, so a suffix sum of 1/p is off by under 10 * 2^-53 < 1.2e-15.
+# A core that passes there has 2 * Delta <= n * Delta * W(l)^2 < sqrt(q)
+# < 4.5e5 and Delta >= 1/delta, so delta > 4.4e-6: delta, Delta and the
+# threshold are then within a relative 1e-9 of their exact values.
+SWEEP_MARGIN = 1e-6
+
+
+def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
+                        n: int) -> np.ndarray:
+    """Rows that some prefix core passes with SWEEP_MARGIN to spare.
+
+    The float64 sweep of `best_prefix` over every row at once: row i has
+    q[i] and the primes primes[i, :omega[i]] of q[i]-1, ascending (later
+    columns are ignored). With the r least primes as core, the sieved tail
+    sums 1/p by a suffix sum along the row. True means q certainly passes
+    (its verdict is pass_thm31 or pass_sieve); False decides nothing, and
+    only `best_prefix` may give such a row a verdict.
+    """
+    width = primes.shape[1]
+    cols = np.arange(width)
+    inv = np.where(cols < omega[:, None], 1.0 / np.maximum(primes, 1), 0.0)
+    tail = np.zeros((q.size, width + 1))  # tail[:, r]: sum of 1/p over primes[r:]
+    tail[:, :width] = np.cumsum(inv[:, ::-1], axis=1)[:, ::-1]
+    r = np.arange(width + 1)
+    s = omega[:, None] - r  # sieved count; negative past the row's omega
+    delta = 1.0 - 2.0 * tail
+    with np.errstate(divide="ignore"):
+        big_delta = np.where(s > 0, (2 * s - 1) / delta + 2, 1.0)
+    thr = n * big_delta * 4.0 ** r
+    passes = (s >= 0) & (delta > 0)  # delta is 1 when nothing is sieved
+    passes &= np.sqrt(q.astype(np.float64))[:, None] > thr * (1 + SWEEP_MARGIN)
+    return passes.any(axis=1)
 
 
 @dataclass(frozen=True)

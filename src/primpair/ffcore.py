@@ -23,6 +23,7 @@ Ascending packed value is the fixed enumeration order used everywhere a
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -247,37 +248,45 @@ def higher_prime_powers(lo: int, hi: int, base=None) -> list[tuple[int, int, int
     return out
 
 
+def segment_prime_powers(lo: int, hi: int, base: np.ndarray, higher):
+    """Every prime power q = p^k in [lo, hi), ascending, as int64 arrays (q, p, k).
+
+    A segmented sieve of Eratosthenes marks the primes with one strided slice
+    per base prime; `base` holds at least the primes up to isqrt(hi - 1) and
+    `higher` is a `higher_prime_powers` list covering the segment, whose
+    entries in [lo, hi) are merged in. Needs lo >= 2.
+    """
+    flags = np.ones(max(hi - lo, 0), dtype=bool)
+    base = base[:np.searchsorted(base, isqrt(max(hi - 1, 0)), side="right")]
+    starts = np.maximum(base * base, (lo + base - 1) // base * base) - lo
+    for start, p in zip(starts.tolist(), base.tolist()):
+        flags[start::p] = False
+    primes = np.flatnonzero(flags) + lo
+    powers = higher[bisect_left(higher, (lo,)):bisect_left(higher, (hi,))]
+    pw = np.array(powers, dtype=np.int64).reshape(-1, 3)
+    q = np.concatenate((primes, pw[:, 0]))
+    order = np.argsort(q, kind="stable")
+    return (q[order], np.concatenate((primes, pw[:, 1]))[order],
+            np.concatenate((np.ones_like(primes), pw[:, 2]))[order])
+
+
 def prime_power_iter(lo: int, hi: int, segment_size: int = 1 << 20):
     """Yield every prime power q = p^k in [lo, hi], ascending, as (p, k, q).
 
-    Primes come from a segmented sieve; higher powers are enumerated directly
-    and merged in. Empty when hi < lo.
+    One `segment_prime_powers` call per segment. Empty when hi < lo.
     """
     if lo < 3:
         raise ValueError(f"prime power enumeration starts at 3, got lo={lo}")
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     if hi < lo:
         return
     base = sieve_primes(isqrt(hi))
     higher = higher_prime_powers(lo, hi, base)
-    j = 0
-
     for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size, hi + 1)
-        flags = np.ones(seg_hi - seg_lo, dtype=bool)
-        if seg_lo <= 1:
-            flags[: 2 - seg_lo] = False
-        for p in base.tolist():
-            start = max(p * p, (seg_lo + p - 1) // p * p)
-            if start < seg_hi:
-                flags[start - seg_lo :: p] = False
-        for q in (np.flatnonzero(flags) + seg_lo).tolist():
-            while j < len(higher) and higher[j][0] < q:
-                v, p, k = higher[j]
-                j += 1
-                yield (p, k, v)
-            yield (q, 1, q)
-    for v, p, k in higher[j:]:
-        yield (p, k, v)
+        q, p, k = segment_prime_powers(
+            seg_lo, min(seg_lo + segment_size, hi + 1), base, higher)
+        yield from zip(p.tolist(), k.tolist(), q.tolist())
 
 
 # ---------------------------------------------------------------------------

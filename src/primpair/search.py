@@ -13,9 +13,10 @@ Three layers:
    CRT grid of rad(q-1), one pass per prime. `naive_membership` walks any
    other family one function at a time and is the engine's test oracle.
  - `exception_scan` / `classify_true_exceptions`: segmented scan of all prime
-   powers in a range against the certification criteria (vectorized
-   factorization of every q-1 via a sieve over the segment), then full
-   exhaustive classification of the survivors.
+   powers in a range against the certification criteria (a segment sieve
+   marks the prime powers, a row factoriser sieves only their q-1, and a
+   float64 sweep spares the exact kernel the rows that pass by a wide
+   margin), then full exhaustive classification of the survivors.
 
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and checkpoints allow byte-identical
@@ -36,21 +37,26 @@ from operator import mul
 
 import numpy as np
 
-from .bounds import best_prefix
-from .ffcore import FieldCtx, field_make, higher_prime_powers, sieve_primes
+from .bounds import best_prefix, certain_prefix_pass
+from .ffcore import (FieldCtx, field_make, higher_prime_powers, segment_prime_powers,
+                     sieve_primes)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
 SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
 
-# The segment sieve factors every m in [lo - 1, hi], one column per distinct
-# prime; the least m with 11 distinct primes is 2*3*5*...*31 = 200560490130,
-# so a scan may reach one below it with at most 10 columns.
+# The row factoriser gives q - 1 one column per distinct prime. Every m below
+# 2*3*5*...*31 = 200560490130 has at most 10, so the limit keeps q - 1 within
+# 10 columns. That primorial is no prime power, and the next prime power,
+# the prime 200560490131, is the first whose q - 1 would need an 11th.
 SCAN_HI_MAX = 200_560_490_129
 # Primorials 2, 2*3, 2*3*5, ...: an m <= n has at most
 # bisect_right(_PRIMORIALS, n) distinct prime factors.
 _PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), mul))
 
 DEFAULT_SEGMENT = 1 << 20
+# The row factoriser takes one strided view per base prime below this; the
+# larger primes, with few multiples in a segment each, share one gather.
+_STRIDED_BELOW = 256
 
 # The largest q a classification decides, and the CLI's --long limit: one
 # field costs about q^2 * rad(q-1) * omega(q-1), so 10^4 would take weeks.
@@ -327,7 +333,7 @@ class ScanConfig:
     "exact" starts at the q = 3 floor and finds the 3936-element subset.
 
     Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
-    (where the segment sieve's factor buffer would overflow), n < 2 and
+    (where the row factoriser's 10 columns would not do), n < 2 and
     unknown modes or emit values.
     """
 
@@ -376,30 +382,53 @@ class ScanRecord:
         return f"{self.q},{self.p},{self.k},{self.omega},{facs},{self.verdict},{core}"
 
 
-def _segment_distinct_primes(lo: int, hi: int, base: np.ndarray):
-    """Distinct prime factors of every m in [lo, hi), via a sieve pass.
+def _factor_rows(m: np.ndarray, base: np.ndarray):
+    """Distinct prime factors of each m[i], for an ascending int64 array m >= 1
+    that spans about a segment.
 
-    Returns (buf, cnt): buf[i, :cnt[i]] lists the primes of lo + i ascending;
-    buf has one column per prime the largest omega below hi allows.
+    An offset-to-row map `pos` over the window [m[0], m[-1]] finds the rows
+    each base prime p divides at the offsets (-m[0]) % p + j*p: a strided view
+    pos[(-m[0]) % p :: p] for p below _STRIDED_BELOW, one gather for all the
+    larger p. `base` holds at least the primes up to isqrt(m[-1]). What is
+    left of m[i] once their powers are divided out is 1 or one more prime,
+    above every base prime used. Returns (buf, cnt): buf[i, :cnt[i]] lists
+    the primes of m[i] ascending; buf has one column per prime the largest
+    omega up to m[-1] allows.
     """
-    size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    cnt = np.zeros(size, dtype=np.int8)
-    buf = np.zeros((size, bisect_right(_PRIMORIALS, hi - 1)), dtype=np.int64)
-    for p in base.tolist():
-        if p * p >= hi:
-            break
-        start = (lo + p - 1) // p * p
-        idx = np.arange(start - lo, size, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        buf[idx, cnt[idx]] = p
-        cnt[idx] += 1
-        rem[idx] //= p
-        sub = idx[rem[idx] % p == 0]
-        while sub.size:
-            rem[sub] //= p
-            sub = sub[rem[sub] % p == 0]
+    size = m.size
+    if not size:
+        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    m0, top = int(m[0]), int(m[-1])
+    buf = np.zeros((size, bisect_right(_PRIMORIALS, top)), dtype=np.int64)
+    span = top - m0 + 1
+    pos = np.full(span, -1, dtype=np.int32)
+    pos[m - m0] = np.arange(size, dtype=np.int32)
+    base = base[:np.searchsorted(base, isqrt(top), side="right")]
+    small, large = base[base < _STRIDED_BELOW], base[base >= _STRIDED_BELOW]
+    views = [pos[(-m0) % p :: p] for p in small.tolist()]
+    first = (-m0) % large
+    count = (span - 1 - first) // large + 1  # multiples of p in the window
+    k = np.repeat(np.arange(large.size), count)  # index in `large` of each
+    j = np.arange(k.size) - (np.cumsum(count) - count)[k]
+    rows = np.concatenate(views + [pos[first[k] + j * large[k]]])
+    ps = np.concatenate([np.full(v.size, p) for p, v in zip(small.tolist(), views)]
+                        + [large[k]])
+    hit = np.flatnonzero(rows >= 0)
+    hit = hit[np.argsort(rows[hit], kind="stable")]  # keeps p ascending in a row
+    rows, ps = rows[hit], ps[hit]
+    cnt = np.bincount(rows, minlength=size)
+    row_start = np.cumsum(cnt) - cnt
+    buf[rows, np.arange(rows.size) - row_start[rows]] = ps
+    power = ps.copy()  # grows to the largest power of p dividing the row's m
+    mult = m[rows]
+    sub = np.flatnonzero(mult % (power * ps) == 0)
+    while sub.size:
+        power[sub] *= ps[sub]
+        sub = sub[mult[sub] % (power[sub] * ps[sub]) == 0]
+    rem = m.copy()
+    factored = np.flatnonzero(cnt)
+    if factored.size:
+        rem[factored] //= np.multiply.reduceat(power, row_start[factored])
     left = np.flatnonzero(rem > 1)
     buf[left, cnt[left]] = rem[left]
     cnt[left] += 1
@@ -418,34 +447,35 @@ def _exponents_of(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
 
 
 def _scan_segment(args) -> list[ScanRecord]:
-    seg_lo, seg_hi, cfg, higher = args
-    base = sieve_primes(isqrt(seg_hi - 1))
-    buf, cnt = _segment_distinct_primes(seg_lo - 1, seg_hi, base)
+    """The records of the prime powers q in [seg_lo, seg_hi), ascending.
 
-    # q prime <=> the factor row of q is (q) itself with a single entry
-    offs = np.arange(seg_lo, seg_hi, dtype=np.int64) - (seg_lo - 1)
-    qvals = np.arange(seg_lo, seg_hi, dtype=np.int64)
-    is_q_prime = (cnt[offs] == 1) & (buf[offs, 0] == qvals)
-
-    events = [(int(q), int(q), 1) for q in qvals[is_q_prime]]
-    events.extend((v, p, k) for v, p, k in higher if seg_lo <= v < seg_hi)
-    events.sort()
-
+    Only the q - 1 of prime powers are factored. With emit="candidates" a row
+    is dropped, as a certain pass, when q is above the direct bound
+    n^2 * W(q-1)^4 (exact in int64) or when the float64 prefix sweep clears
+    it by SWEEP_MARGIN; every other row, and every row under emit="all",
+    gets its verdict from the exact kernel `best_prefix`.
+    """
+    seg_lo, seg_hi, cfg, base, higher = args
+    q, p, k = segment_prime_powers(seg_lo, seg_hi, base, higher)
+    buf, cnt = _factor_rows(q - 1, base)
     n = cfg.n
-    # q above the direct bound n^2 * W(q-1)^4 passes with the full core
-    direct_bound = [n * n * (1 << (4 * w)) for w in range(buf.shape[1] + 1)]
+    if cfg.emit == "candidates":
+        # clipped above every q a scan reaches, so no entry overflows
+        direct = np.array([min(n * n << 4 * w, SCAN_HI_MAX + 1)
+                           for w in range(buf.shape[1] + 1)], dtype=np.int64)
+        rows = np.flatnonzero(q <= direct[cnt])
+        rows = rows[~certain_prefix_pass(q[rows], buf[rows], cnt[rows], n)]
+    else:
+        rows = np.arange(q.size)
     records = []
-    for q, p, k in events:
-        i = q - seg_lo  # row of q - 1 in the factor table
-        omega = int(cnt[i])
-        if cfg.emit == "candidates" and q > direct_bound[omega]:
-            continue  # certain pass, nothing to emit
-        primes = [int(v) for v in buf[i, :omega]]
-        verdict, r, _, _ = best_prefix(q, primes, n)
+    for qi, pi, ki, omega, row in zip(q[rows].tolist(), p[rows].tolist(), k[rows].tolist(),
+                                      cnt[rows].tolist(), buf[rows].tolist()):
+        primes = row[:omega]
+        verdict, r, _, _ = best_prefix(qi, primes, n)
         if cfg.emit == "candidates" and verdict != "candidate":
             continue
         records.append(ScanRecord(
-            q, p, k, omega, _exponents_of(q - 1, primes), verdict, tuple(primes[:r])))
+            qi, pi, ki, omega, _exponents_of(qi - 1, primes), verdict, tuple(primes[:r])))
     return records
 
 
@@ -478,14 +508,27 @@ def exception_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
+    _check_segment_size(segment_size)
     if hi < lo:
         return
     if cfg.include_degenerate():
         yield _degenerate_record()
-    higher = higher_prime_powers(lo, hi)
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size, hi + 1)
-        yield from _scan_segment((seg_lo, seg_hi, cfg, higher))
+    for task in _segment_tasks(cfg, lo, segment_size):
+        yield from _scan_segment(task)
+
+
+def _check_segment_size(segment_size: int):
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
+
+
+def _segment_tasks(cfg: ScanConfig, start: int, segment_size: int) -> list[tuple]:
+    """One _scan_segment task per segment of [start, cfg.hi], all sharing a
+    single sieve of the base primes up to isqrt(hi)."""
+    base = sieve_primes(isqrt(cfg.hi))
+    higher = higher_prime_powers(cfg.lo, cfg.hi, base)
+    return [(s, min(s + segment_size, cfg.hi + 1), cfg, base, higher)
+            for s in range(start, cfg.hi + 1, segment_size)]
 
 
 def _degenerate_record() -> ScanRecord:
@@ -503,14 +546,18 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     processed independently, and written in range order. Checkpoints land
     after every completed segment (the atomic unit of resumable work, far
     more often than the nominal 1e5-record cadence); resuming continues at
-    the next unprocessed segment of the same configuration, with the
-    candidate count and maximum restored from the checkpoint. A resume
-    needs the CSV of the interrupted scan: the earlier records live only
-    there. It cuts the CSV back to the byte offset the checkpoint stored, so
-    lines written after the last checkpoint are not written twice. The range
-    must lie within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
+    the checkpoint's next q, in segments of this call's size (which may
+    differ from the interrupted run's), with the candidate count and maximum
+    restored from the checkpoint. A resume needs the CSV of the interrupted
+    scan: the earlier records live only there. It cuts the CSV back to the
+    byte offset the checkpoint stored, so lines written after the last
+    checkpoint are not written twice. The range must lie within
+    [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
+    _check_segment_size(segment_size)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint_path is None and checkpoint_dir():
         checkpoint_path = os.path.join(
             checkpoint_dir(), f"scan_{cfg.config_hash()}.json")
@@ -543,11 +590,8 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
         num_cand = ck["num_candidates"]
         max_cand = ck["max_candidate"]
 
-    seg_bounds = [(s, min(s + segment_size, hi + 1))
-                  for s in range(lo, hi + 1, segment_size)]
-    todo = [(s, e) for s, e in seg_bounds if s >= start]
-    higher = higher_prime_powers(lo, hi)
-    tasks = [(s, e, cfg, higher) for s, e in todo]
+    # segments start at the resume point, so their size never changes output
+    tasks = _segment_tasks(cfg, start, segment_size)
 
     out = None
     if csv_path:
@@ -597,7 +641,7 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     try:
         if pending_degenerate:
             _consume([_degenerate_record()], lo)
-        if workers <= 1:
+        if workers == 1:
             for task in tasks:
                 _consume(_scan_segment(task), task[1])
         else:

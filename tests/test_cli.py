@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from primpair import search
 from primpair.cli import main
 
@@ -98,6 +100,19 @@ class TestScan:
         assert code == 2
         assert out == ""
         assert "n must be >= 2" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--segment", "-5", "segment_size must be >= 1"),
+        ("--segment", "0", "segment_size must be >= 1"),
+        ("--workers", "0", "workers must be >= 1"),
+        ("--workers", "-3", "workers must be >= 1"),
+    ])
+    def test_segment_or_workers_below_one_is_usage_error(self, capsys, flag, value,
+                                                         message):
+        code, out, err = run(capsys, "scan", "--hi", "1000", flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_resume_without_out_is_usage_error(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"

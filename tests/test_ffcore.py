@@ -14,9 +14,11 @@ from primpair.ffcore import (
     _rtrim,
     factorize,
     field_make,
+    higher_prime_powers,
     is_prime,
     multiplicative_order,
     prime_power_iter,
+    segment_prime_powers,
     sieve_primes,
 )
 
@@ -293,6 +295,28 @@ class TestPrimePowerIter:
         expected = [q for q in range(3, 3001)
                     if len(trial_division(q)) == 1]
         assert qs == expected
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000])
+    def test_segment_marker_matches_trial_division(self, size):
+        # segment edges on, before and after primes and higher prime powers
+        hi = 5000
+        base = sieve_primes(isqrt(hi))
+        higher = higher_prime_powers(2, hi, base)
+        got = []
+        for lo in range(2, hi + 1, size):
+            q, p, k = segment_prime_powers(lo, min(lo + size, hi + 1), base, higher)
+            assert q.dtype == p.dtype == k.dtype == np.int64
+            got += zip(q.tolist(), p.tolist(), k.tolist())
+        expected = []
+        for q in range(2, hi + 1):
+            fac = trial_division(q)
+            if len(fac) == 1:
+                expected.append((q, fac[0][0], fac[0][1]))
+        assert got == expected
+
+    def test_segment_size_below_one_refused(self):
+        with pytest.raises(ValueError, match="segment_size must be >= 1"):
+            list(prime_power_iter(3, 100, segment_size=0))
 
     def test_count_against_prime_counting_oracle(self):
         import sympy

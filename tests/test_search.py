@@ -3,10 +3,13 @@ import functools
 import json
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
-from primpair import search
-from primpair.ffcore import factorize, field_make, sieve_primes
+from primpair import bounds, search
+from primpair.bounds import best_prefix, certain_prefix_pass
+from primpair.ffcore import (factorize, field_make, higher_prime_powers,
+                             segment_prime_powers, sieve_primes)
 from primpair.polyrat import RationalFunc, enumerate_family
 from primpair.search import (
     CSV_HEADER,
@@ -280,16 +283,29 @@ class TestExceptionScan:
             assert r.factors == factorize(r.q - 1).factors
             assert r.omega == len(r.factors)
         base = sieve_primes(isqrt(SCAN_HI_MAX))
-        buf, _ = search._segment_distinct_primes(SCAN_HI_MAX - 3000, SCAN_HI_MAX + 1, base)
-        assert buf.shape == (3001, 10)
-        primorial_10 = 6469693230  # 2 * 3 * ... * 29
-        buf, cnt = search._segment_distinct_primes(primorial_10 - 5, primorial_10 + 1, base)
+        qm1 = np.array([r.q - 1 for r in records], dtype=np.int64)
+        buf, _ = search._factor_rows(qm1, base)
+        assert buf.shape == (len(records), 10)
+        # no q - 1 lies near 2 * 3 * ... * 29, so these rows go in directly
+        primorial_10 = 6469693230
+        buf, cnt = search._factor_rows(
+            np.arange(primorial_10 - 5, primorial_10 + 1, dtype=np.int64), base)
         assert buf.shape == (6, 10)
         assert buf[5].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        buf, cnt = search._segment_distinct_primes(primorial_10 - 5, primorial_10, base)
+        buf, cnt = search._factor_rows(
+            np.arange(primorial_10 - 5, primorial_10, dtype=np.int64), base)
         assert buf.shape == (5, 9)
         for i, m in enumerate(range(primorial_10 - 5, primorial_10)):
             assert buf[i, :cnt[i]].tolist() == list(factorize(m).primes)
+
+    def test_huge_degree_keeps_direct_bound_exact(self, prime_powers):
+        # n^2 * 16^omega passes 2^63 for n = 10^6; no q <= 10^5 can pass, so
+        # every prime power must come out as a candidate
+        n = 10**6
+        expected = [_oracle_record(q, p, k, n) for p, k, q in prime_powers(3, 100_000)]
+        assert all(r.verdict == "candidate" for r in expected)
+        for emit in ("candidates", "all"):
+            assert list(exception_scan(3, 100_000, n, emit=emit)) == expected
 
     def test_degree_validation(self):
         with pytest.raises(ValueError, match="n must be >= 2"):
@@ -305,6 +321,72 @@ class TestExceptionScan:
         # q = 128 passes with the empty core (sieving the lone odd prime 127)
         rec128 = next(r for r in exception_scan(127, 128, 2, emit="all") if r.q == 128)
         assert rec128.csv_line() == "128,2,7,1,127^1,pass_thm31,"
+
+
+def _oracle_record(q: int, p: int, k: int, n: int) -> search.ScanRecord:
+    fac = factorize(q - 1)
+    verdict, r, _, _ = best_prefix(q, list(fac.primes), n)
+    return search.ScanRecord(q, p, k, fac.omega, fac.factors, verdict, fac.primes[:r])
+
+
+class TestScanSieve:
+    """The segment marker, the row factoriser and the float64 prefix sweep."""
+
+    @pytest.mark.parametrize("lo", [2**16 - 300, 2**31 - 300, 2**33 - 300,
+                                    251**2 - 300, 257**2 - 300, 7919**2 - 300,
+                                    65521**2 - 300])
+    def test_factor_rows_match_factorize(self, lo):
+        # windows around 2^k and p^2, for p on both sides of _STRIDED_BELOW,
+        # whole and as the sparse rows of every fifth m
+        base = sieve_primes(isqrt(lo + 600))
+        whole = np.arange(lo, lo + 600, dtype=np.int64)
+        for m in (whole, whole[3::5]):
+            buf, cnt = search._factor_rows(m, base)
+            for i, v in enumerate(m.tolist()):
+                assert buf[i, :cnt[i]].tolist() == list(factorize(v).primes), v
+
+    @pytest.mark.parametrize("segment", [1, 97, 1000])
+    def test_rows_across_segment_edges(self, segment, prime_powers):
+        # segment edges fall on and around 2^16 and 257^2 = 66049
+        recs = list(exception_scan(2**16 - 2000, 257**2 + 2000, 2, emit="all",
+                                   segment_size=segment))
+        assert [r.q for r in recs] == [q for _, _, q in prime_powers(2**16 - 2000,
+                                                                     257**2 + 2000)]
+        for r in recs:
+            assert r == _oracle_record(r.q, r.p, r.k, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_float_sweep_certifies_only_passes(self, n):
+        # every prime power q <= 10^6 the sweep lets skip the exact kernel
+        # really passes
+        hi = 10**6
+        base = sieve_primes(isqrt(hi))
+        q, _, _ = segment_prime_powers(3, hi + 1, base, higher_prime_powers(3, hi, base))
+        buf, cnt = search._factor_rows(q - 1, base)
+        sure = certain_prefix_pass(q, buf, cnt, n)
+        assert 0 < sure.sum() < q.size
+        for qi, omega, row in zip(q[sure].tolist(), cnt[sure].tolist(), buf[sure].tolist()):
+            assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
+
+    def test_wide_margin_sends_every_row_to_exact_kernel(self, monkeypatch, prime_powers):
+        calls = [0]
+        real = search.best_prefix
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(search, "best_prefix", counting)
+        default = list(exception_scan(3, 300_000, 2, segment_size=1 << 15))
+        default_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
+        wide = list(exception_scan(3, 300_000, 2, segment_size=1 << 15))
+        assert wide == default
+        # every row at or below the direct bound n^2 * 16^omega
+        past_direct = sum(1 for _, _, q in prime_powers(3, 300_000)
+                          if q <= 4 * 16 ** factorize(q - 1).omega)
+        assert calls[0] == past_direct
+        assert len(default) <= default_calls < past_direct
 
 
 class TestRunScan:
@@ -407,6 +489,45 @@ class TestRunScan:
                               segment_size=100_000, resume=True)
         assert part.read_bytes() == full.read_bytes()
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    def test_resume_with_other_segment_size(self, tmp_path):
+        # the resume starts its segments at the checkpoint's next q, so the
+        # q before the next segment start counted from lo are scanned too
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 400_000, 2, emit="all", csv_path=str(full),
+                            segment_size=100_000)
+        part = tmp_path / "part.csv"
+        ck = tmp_path / "ck.json"
+
+        class Stop(Exception):
+            pass
+
+        def bail(seg_end, hi, emitted):
+            if seg_end >= 200_000:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_scan(3, 400_000, 2, emit="all", csv_path=str(part),
+                     checkpoint_path=str(ck), segment_size=100_000, progress=bail)
+        assert json.loads(ck.read_text())["next_q"] == 200_003
+        resumed, _ = run_scan(3, 400_000, 2, emit="all", csv_path=str(part),
+                              checkpoint_path=str(ck), segment_size=300_000, resume=True)
+        assert part.read_bytes() == full.read_bytes()
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_segment_size_below_one_refused(self, size, tmp_path):
+        csv = tmp_path / "scan.csv"
+        with pytest.raises(ValueError, match="segment_size must be >= 1"):
+            run_scan(3, 1000, 2, csv_path=str(csv), segment_size=size)
+        assert not csv.exists()
+        with pytest.raises(ValueError, match="segment_size must be >= 1"):
+            list(exception_scan(3, 1000, 2, segment_size=size))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_scan(3, 1000, 2, workers=workers)
 
     def test_faithful_resume_after_degenerate_record(self, tmp_path):
         # the q = 2 record gets its own checkpoint; a resume from it must not
