@@ -3,7 +3,9 @@
 Coefficients are packed field values (plain ints), stored low degree first
 with no trailing zeros; the zero polynomial has degree -inf. A Poly takes its
 coefficients through FieldCtx.packed, so integers and coefficient vectors from
-outside are accepted there and nowhere else. Rational functions are
+outside are accepted there and nowhere else; Poly arithmetic and the family
+enumerators build their results with Poly._of, from values already packed
+and in range. Rational functions are
 kept in lowest terms with a monic denominator. The module also houses the
 square-free decomposition in characteristic p (the multiplicity data behind
 the exceptionality test), the reciprocal reduction f(x) -> f(1/x), and the
@@ -26,7 +28,17 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        vals = [ctx.packed(c) for c in coeffs]
+        self._assign(ctx, [ctx.packed(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, vals) -> "Poly":
+        """A Poly of packed values already in range, such as FieldCtx
+        arithmetic returns; they skip the ctx.packed check."""
+        poly = cls.__new__(cls)
+        poly._assign(ctx, list(vals))
+        return poly
+
+    def _assign(self, ctx: FieldCtx, vals: list):
         while vals and vals[-1] == 0:
             vals.pop()
         self.ctx = ctx
@@ -80,10 +92,10 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = ctx.add(out[i], c)
-        return Poly(ctx, out)
+        return Poly._of(ctx, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
+        return Poly._of(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -92,7 +104,7 @@ class Poly:
         self._same_field(other)
         ctx = self.ctx
         if self.is_zero() or other.is_zero():
-            return Poly(ctx)
+            return Poly._of(ctx, [])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -100,10 +112,10 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-        return Poly(ctx, out)
+        return Poly._of(ctx, out)
 
     def scale(self, c) -> "Poly":
-        return Poly(self.ctx, [self.ctx.mul(a, c) for a in self.coeffs])
+        return Poly._of(self.ctx, [self.ctx.mul(a, c) for a in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same_field(other)
@@ -113,7 +125,7 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
-            return Poly(ctx), self
+            return Poly._of(ctx, []), self
         quot = [0] * (dq + 1)
         inv_lead = ctx.inv(other.coeffs[-1])
         for shift in range(dq, -1, -1):
@@ -122,7 +134,7 @@ class Poly:
                 quot[shift] = c
                 for i, b in enumerate(other.coeffs):
                     rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, b))
-        return Poly(ctx, quot), Poly(ctx, rem)
+        return Poly._of(ctx, quot), Poly._of(ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -143,7 +155,7 @@ class Poly:
         for i, c in enumerate(self.coeffs[1:], start=1):
             mult = i % ctx.p
             out.append(ctx.mul(c, mult) if mult else 0)
-        return Poly(ctx, out)
+        return Poly._of(ctx, out)
 
     def eval(self, x) -> int:
         """Horner evaluation; returns a packed value."""
@@ -156,7 +168,7 @@ class Poly:
         """Multiply by x^j (j >= 0)."""
         if self.is_zero():
             return self
-        return Poly(self.ctx, (0,) * j + self.coeffs)
+        return Poly._of(self.ctx, (0,) * j + self.coeffs)
 
     def x_valuation(self) -> int:
         """Largest j with x^j dividing the polynomial (0 for nonzero constant)."""
@@ -176,7 +188,7 @@ class Poly:
         p = ctx.p
         root_exp = p ** (ctx.k - 1)
         out = [ctx.pow(c, root_exp) for c in self.coeffs[::p]]
-        return Poly(ctx, out)
+        return Poly._of(ctx, out)
 
     def __repr__(self):
         if self.is_zero():
@@ -319,7 +331,7 @@ class ExceptionalityWitness:
 
 def _strip_x(poly: Poly) -> tuple[int, Poly]:
     v = poly.x_valuation()
-    return v, Poly(poly.ctx, poly.coeffs[v:])
+    return v, Poly._of(poly.ctx, poly.coeffs[v:])
 
 
 def is_exceptional(f: RationalFunc) -> tuple[bool, ExceptionalityWitness]:
@@ -366,8 +378,8 @@ def reciprocal_reduce(f: RationalFunc) -> RationalFunc:
     v2 = f.den.x_valuation()
     if (v1 > 0) == (v2 > 0):
         raise ValueError("exactly one of numerator, denominator must be divisible by x")
-    rev_num = Poly(f.ctx, f.num.coeffs[::-1])
-    rev_den = Poly(f.ctx, f.den.coeffs[::-1])
+    rev_num = Poly._of(f.ctx, f.num.coeffs[::-1])
+    rev_den = Poly._of(f.ctx, f.den.coeffs[::-1])
     out = RationalFunc(rev_num, rev_den)
     assert out.degree < f.degree
     return out
@@ -413,7 +425,7 @@ def _family_1_1(ctx: FieldCtx):
                 if (inv_a, c, b) < (a, b, c):
                     continue  # the orbit twin was (or will be) yielded
                 yield RationalFunc(
-                    Poly(ctx, (ctx.mul(a, b), a)), Poly(ctx, (c, 1)))
+                    Poly._of(ctx, (ctx.mul(a, b), a)), Poly._of(ctx, (c, 1)))
 
 
 def _family_2_0(ctx: FieldCtx):
@@ -425,7 +437,7 @@ def _family_2_0(ctx: FieldCtx):
             for c in range(ctx.q):
                 if b2 == ctx.mul(four_a, c):
                     continue  # perfect-square quadratic
-                yield RationalFunc(Poly(ctx, (c, b, a)), Poly(ctx, (1,)))
+                yield RationalFunc(Poly._of(ctx, (c, b, a)), Poly._of(ctx, (1,)))
 
 
 def _tuples(ctx: FieldCtx, length: int):
@@ -439,10 +451,10 @@ def _tuples(ctx: FieldCtx, length: int):
 
 def _family_general(ctx: FieldCtx, n1: int, n2: int):
     for den_tail in _tuples(ctx, n2):
-        den = Poly(ctx, den_tail + (1,))
+        den = Poly._of(ctx, den_tail + (1,))
         for num_low in _tuples(ctx, n1):
             for lead in _nonzero_elements(ctx):
-                num = Poly(ctx, num_low + (lead,))
+                num = Poly._of(ctx, num_low + (lead,))
                 if n1 == n2 and (num.coeffs[0] == 0 or den.coeffs[0] == 0):
                     continue
                 if poly_gcd(num, den).degree > 0:

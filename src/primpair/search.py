@@ -6,12 +6,17 @@ Three layers:
    primitive alpha in ascending discrete-log order so witnesses are
    deterministic and absence comes with an exhaustion count.
  - `q_in_Q`: membership of a field in the good set for a whole (n1, n2)
-   family. For the (1,1) and (2,0) families a row-batched engine decides
-   every scale factor a of a whole row of shapes at once: for fixed shape
-   h(x), the failing a are the dlogs x with no shift d of h making x + d a
-   unit mod q-1, found by counting rescuing shifts in exact integers on the
-   CRT grid of rad(q-1), one pass per prime. `naive_membership` walks any
-   other family one function at a time and is the engine's test oracle.
+   family. For the (1,1) and (2,0) families a batched engine decides every
+   scale factor a of a block of shapes at once: for fixed shape h(x), the
+   failing a are the dlogs x with no shift d of h making x + d a unit mod
+   q-1, found by counting rescuing shifts in exact integers on the CRT grid
+   of rho = rad(q-1). Each shift is counted at the cell of -d, so every
+   per-prime pass is a sum minus the grid, with no reflection. Multiplying
+   by u in H = <g^rho> permutes the primitive elements, so the engine
+   decides one shape per orbit of H (rows of rho shapes, the (1,1) shifts
+   read from a table of translate dlogs) and expands the failing ones back
+   over H. `naive_membership` walks any other family one function at a
+   time and is the engine's test oracle.
  - `exception_scan` / `classify_true_exceptions`: segmented scan of all prime
    powers in a range against the certification criteria (a segment sieve
    marks the prime powers, a row factoriser sieves only their q-1, and a
@@ -38,8 +43,8 @@ from operator import mul
 import numpy as np
 
 from .bounds import best_prefix, certain_prefix_pass
-from .ffcore import (FieldCtx, field_make, higher_prime_powers, segment_prime_powers,
-                     sieve_primes)
+from .ffcore import (DEFAULT_TABLE_CAP, FieldCtx, field_make, higher_prime_powers,
+                     segment_prime_powers, sieve_primes)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
 SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
@@ -59,7 +64,7 @@ DEFAULT_SEGMENT = 1 << 20
 _STRIDED_BELOW = 256
 
 # The largest q a classification decides, and the CLI's --long limit: one
-# field costs about q^2 * rad(q-1) * omega(q-1), so 10^4 would take weeks.
+# field costs about q * rad(q-1)^2 * omega(q-1) per family.
 CLASSIFY_LONG_QMAX = 1_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
@@ -122,13 +127,13 @@ def pair_exists(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitne
 
 
 # ---------------------------------------------------------------------------
-# Row-batched membership engine.
+# Batched membership engine, one shape per orbit of the rad(q-1)-th powers.
 # ---------------------------------------------------------------------------
 
-# The most cells (shapes times q - 1) one block of the engine holds. Rows of
-# shapes are cut into blocks of this size, so no working array grows with the
-# number of shapes in a row; a block holds at least one shape.
-_BLOCK_CELLS = 1 << 20
+# The most cells (shapes times q - 1) one block of the engine holds. Shapes are
+# cut into blocks of this size, so no working array grows with the number of
+# shapes; a block holds at least one shape. Blocks this small stay in cache.
+_BLOCK_CELLS = 1 << 15
 
 
 class _UnitGrid:
@@ -141,8 +146,9 @@ class _UnitGrid:
 
         count(x) = sum_d prod_l (1 - [x + d = 0 mod l]),
 
-    factors into one pass per prime l: the sum along axis l minus the grid
-    reflected y -> -y along it. Every count is an exact integer.
+    factors into one pass per prime l. Each shift is counted at the cell of
+    -d, so the pass along axis l is the sum along it minus the grid itself,
+    with no reflection. Every count is an exact integer.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -152,61 +158,102 @@ class _UnitGrid:
         t = np.arange(m, dtype=np.int64)
         cell = np.zeros(m, dtype=np.int64)
         for ell in self.primes:
-            cell = cell * ell + t % ell
-        self.cell = cell  # flat (C-order) grid cell of each residue mod m
+            cell = cell * ell + -t % ell
         self.residue = np.empty(self.rho, dtype=np.int64)
-        self.residue[cell[:self.rho]] = t[:self.rho]
-        self.reflect = [-np.arange(ell) % ell for ell in self.primes]
-        self.lift = np.arange(0, m, self.rho, dtype=np.int64)
+        self.residue[cell[-t[:self.rho]]] = t[:self.rho]
+        # Flat (C-order) grid cell of -s for each shift s in (-m, m), indexed
+        # from the end for s < 0. A shift with m < |s| <= 2m marks a zero or
+        # pole; it lands in cell rho, one past the grid, and is not counted.
+        self.cell = np.concatenate((cell, np.full(2 * m, self.rho), cell))
 
-    def failing(self, shifts: np.ndarray, keep: np.ndarray):
-        """Every failing (row, x) of a block, as two parallel int64 arrays.
+    def failing(self, shifts: np.ndarray):
+        """Every failing (row, x mod rho) of a block, as two int64 arrays.
 
-        shifts is the shapes x points matrix of dlog shifts in [0, m) and keep
-        masks the points that are zeros or poles of a shape.
+        shifts is the shapes x points matrix of dlog shifts, in (-m, m) for
+        the points counted and m < |s| <= 2m for the zeros and poles of a
+        shape. A failing class r stands for the scales x = r + j*rho, j < m /
+        rho. The grid keeps the rows as its last, contiguous axis.
         """
         nrows = shifts.shape[0]
-        rows = np.broadcast_to(np.arange(nrows)[:, None], shifts.shape)[keep]
-        counts = np.bincount(rows * self.rho + self.cell[shifts[keep]],
-                             minlength=nrows * self.rho)
-        grid = counts.reshape((nrows,) + self.primes)
-        for axis, reflect in enumerate(self.reflect, start=1):
-            grid = grid.sum(axis=axis, keepdims=True) - np.take(grid, reflect, axis=axis)
-        rows, cells = np.nonzero(grid.reshape(nrows, self.rho) == 0)
-        xs = self.residue[cells][:, None] + self.lift
-        return np.repeat(rows, self.lift.size), xs.ravel()
+        cells = self.cell[shifts] * nrows + np.arange(nrows)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=(self.rho + 1) * nrows)
+        grid = counts[:self.rho * nrows].reshape(self.primes + (nrows,))
+        for axis in range(len(self.primes)):
+            np.subtract(grid.sum(axis=axis, keepdims=True), grid, out=grid)
+        cells, rows = np.divmod(np.flatnonzero(grid == 0), nrows)
+        return rows, self.residue[cells]
 
 
-def _blocks(row: np.ndarray, m: int):
-    """Cut a row of shape parameters into blocks of at most _BLOCK_CELLS cells."""
-    step = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, row.size, step):
-        yield row[lo:lo + step]
+def _blocks(count: int, width: int):
+    """Cut count items of width cells each into slices of at most _BLOCK_CELLS
+    cells, and at least one item."""
+    step = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def _shift_dlog(ctx: FieldCtx) -> np.ndarray:
+    """The dlog table with 2(q-1) in place of the -1 at zero, so that a zero
+    or pole yields a shift _UnitGrid does not count."""
+    dlog = ctx.dlog.copy()
+    dlog[0] = 2 * (ctx.q - 1)
+    return dlog
+
+
+def _translate_table(ctx: FieldCtx) -> np.ndarray:
+    """T[t, i] = dlog(g^t + prim[i]), with 2(q-1) where the sum is zero: the
+    dlogs of every nonzero translate of the primitive elements, m x phi(m).
+    It is filled in blocks, so the sums never take a second table's memory."""
+    dlog, exp, prim = _shift_dlog(ctx), ctx.exp, ctx.primitive_elements()
+    table = np.empty((exp.size, prim.size), dtype=np.int64)
+    for blk in _blocks(exp.size, prim.size):
+        table[blk] = dlog[ctx.add_vec(exp[blk, None], prim)]
+    return table
+
+
+def _sorted_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray
+                    ) -> list[tuple[int, int, int]]:
+    """The distinct (a, b, c) of three parallel arrays, ascending."""
+    a, b, c = a.ravel(), b.ravel(), c.ravel()
+    order = np.lexsort((c, b, a))
+    a, b, c = a[order], b[order], c[order]
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (c[1:] != c[:-1])
+    return list(zip(a[new].tolist(), b[new].tolist(), c[new].tolist()))
 
 
 def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with a(x+b)/(x+c) lacking a primitive pair, as canonical
-    orbit representatives under (a, b, c) ~ (a^-1, c, b).
+    """All (a, b, c) with a(x+b)/(x+c) lacking a primitive pair, b != c both
+    nonzero, as canonical orbit representatives min((a, b, c), (a^-1, c, b)).
 
-    One row per c holds every shape x+b over x+c with b < c, one unordered
-    {b, c} per orbit; the orbit representative is the lesser of the two.
+    For u in H = <g^rho>, rho = rad(q-1), u*alpha is primitive exactly when
+    alpha is, so the shape (b, c) fails at the same scales as (u*b, u*c).
+    One shape per orbit is decided: b = g^beta, c = g^(beta+d) for beta <
+    rho and d in [1, m/2]. Every unordered {b, c} has such an orientation,
+    and both orientations when d = m/2, which the final dedupe absorbs.
+    Each failing class r mod rho is then expanded over H on both sides:
+    a = g^(r + i*rho), b = g^(beta + j*rho), c = b*g^d.
     """
     m = ctx.q - 1
     grid = _UnitGrid(ctx)
-    prim = ctx.primitive_elements()
-    dlog, exp = ctx.dlog, ctx.exp
-    failing = []
-    for c in range(2, ctx.q):
-        den = ctx.add_vec(prim, c)
-        ok_den = den != 0
-        dden = dlog[den]
-        for bs in _blocks(np.arange(1, c, dtype=np.int64), m):
-            num = ctx.add_vec(prim, bs[:, None])
-            rows, xs = grid.failing((dlog[num] - dden) % m, ok_den & (num != 0))
-            for b, x in zip(bs[rows].tolist(), xs.tolist()):
-                a, a_inv = int(exp[x]), int(exp[-x % m])
-                failing.append((a, b, c) if a <= a_inv else (a_inv, c, b))
-    return sorted(failing)
+    rho = grid.rho
+    table = _translate_table(ctx)
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for blk in _blocks(rho * (m // 2), m):
+        d, beta = np.divmod(np.arange(blk.start, blk.stop), rho)
+        d += 1
+        rows, r = grid.failing(table[beta] - table[(beta + d) % m])
+        found.append(np.stack((beta[rows], d[rows], r)))
+    beta, d, r = (v[:, None, None] for v in np.concatenate(found, axis=1))
+    lift = np.arange(0, m, rho)
+    ta = r + lift[:, None]  # (reps, i, 1)
+    tb = beta + lift  # (reps, 1, j)
+    exp = ctx.exp
+    a, a_inv = exp[ta], exp[-ta]
+    b, c = exp[tb], exp[(tb + d) % m]
+    swap = (a_inv < a) | ((a_inv == a) & (c < b))
+    return _sorted_triples(np.where(swap, a_inv, a), np.where(swap, c, b),
+                           np.where(swap, b, c))
 
 
 def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
@@ -214,33 +261,47 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
     """All (a, b, c) with a*x^2 + b*x + c (b^2 != 4ac) lacking a primitive pair;
     with irreducible=True only those with no root in F_q.
 
-    One row per b0 holds every shape x^2 + b0*x + c0 with b0^2 != 4*c0. The
-    shape and a times it share their roots, and x^2 + b0*x + c0 has one iff
-    c0 = -(x^2 + b0*x) for some x, so a whole row is masked at once.
+    A row b0 holds every shape x^2 + b0*x + c0 with b0^2 != 4*c0. The shape
+    and a times it share their roots, and x^2 + b0*x + c0 has one iff c0 =
+    -(x^2 + b0*x) for some x, so a whole row is masked at once. For u in
+    H = <g^rho>, a*x^2 + b*x + c fails exactly when a*u^2*x^2 + b*u*x + c
+    does, and shapes keep their roots under it. So the rows decided are b0 =
+    0 and b0 = g^beta for beta < rho, and a failing class r mod rho of row b0
+    expands to (a*u^2, a*b0*u, a*c0) for a = g^(r + i*rho) and u in H. Row 0
+    holds every c0 already, and its expansion only repeats triples, which
+    the final dedupe drops.
     """
-    m = ctx.q - 1
+    q, m = ctx.q, ctx.q - 1
     grid = _UnitGrid(ctx)
+    rho = grid.rho
     prim = ctx.primitive_elements()
-    dlog, exp = ctx.dlog, ctx.exp
-    elems = np.arange(ctx.q, dtype=np.int64)
+    dlog, exp = _shift_dlog(ctx), ctx.exp
+    elems = np.arange(q, dtype=np.int64)
     squares = ctx.mul_vec(elems, elems)
     negated = ctx.mul_vec(elems, np.full_like(elems, ctx.neg(1)))
     four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
     four_c = ctx.mul_vec(np.full_like(elems, four), elems)
-    failing = []
-    for b0 in range(ctx.q):
-        values = ctx.add_vec(squares, ctx.mul_vec(elems, np.full_like(elems, b0)))
-        shape = four_c != ctx.mul(b0, b0)  # nonzero discriminant
+    row_b0 = np.concatenate(([0], exp[:rho]))
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for grp in _blocks(rho + 1, q):
+        b0, x = np.broadcast_arrays(row_b0[grp, None], elems)
+        values = ctx.add_vec(squares, ctx.mul_vec(b0, x))  # x^2 + b0*x
+        shape = four_c != ctx.mul_vec(b0[:, :1], b0[:, :1])  # nonzero discriminant
         if irreducible:
-            shape[negated[values]] = False
-        base = values[prim]
-        for c0s in _blocks(np.flatnonzero(shape), m):
-            vals = ctx.add_vec(base, c0s[:, None])
-            rows, xs = grid.failing(dlog[vals], vals != 0)
-            for c0, x in zip(c0s[rows].tolist(), xs.tolist()):
-                a = int(exp[x])
-                failing.append((a, ctx.mul(a, b0), ctx.mul(a, c0)))
-    return sorted(failing)
+            shape[np.arange(shape.shape[0])[:, None], negated[values]] = False
+        base = values[:, prim]
+        kept = np.flatnonzero(shape)
+        for blk in _blocks(kept.size, m):
+            row, c0 = np.divmod(kept[blk], q)
+            vals = ctx.add_vec(base[row], c0[:, None])
+            rows, r = grid.failing(dlog[vals])
+            found.append(np.stack((row[rows] + grp.start, c0[rows], r)))
+    row, c0, r = (v[:, None, None] for v in np.concatenate(found, axis=1))
+    lift = np.arange(0, m, rho)
+    ta = r + lift[:, None]  # (reps, i, 1)
+    a, au, au2, b0, c0 = np.broadcast_arrays(exp[ta], exp[(ta + lift) % m],
+                                             exp[(ta + 2 * lift) % m], row_b0[row], c0)
+    return _sorted_triples(au2, ctx.mul_vec(au, b0), ctx.mul_vec(a, c0))
 
 
 @dataclass(frozen=True)
@@ -285,7 +346,10 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
 
     On failure the reported function is the first failing one in canonical
     enumeration order. The (1,1) and (2,0) families go through the
-    row-batched engine; every other family is walked by naive_membership.
+    batched engine; every other family is walked by naive_membership.
+    The engine refuses, with ValueError, a field where q * phi(q-1) exceeds
+    ffcore.DEFAULT_TABLE_CAP: the (1,1) translate table holds about that
+    many entries, and one (2,0) row of q shapes spans that many points.
 
     quadratic_scope applies to the (2, 0) family only: "all" keeps every
     a*x^2+b*x+c with nonzero discriminant, while "irreducible" restricts to
@@ -299,6 +363,13 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
     if quadratic_scope not in ("all", "irreducible"):
         raise ValueError(f"unknown quadratic_scope {quadratic_scope!r}")
     fam = (n1, n2)
+    if fam in ((1, 1), (2, 0)):
+        cells = ctx.q * ctx.qm1.euler_phi
+        if cells > DEFAULT_TABLE_CAP:
+            raise ValueError(
+                f"the ({n1},{n2}) engine of F_{ctx.q} needs tables of q * phi(q-1) = "
+                f"{cells} entries, above the limit of {DEFAULT_TABLE_CAP} "
+                "(ffcore.DEFAULT_TABLE_CAP)")
     if fam == (1, 1):
         triples = _failing_triples_1_1(ctx)
         make = lambda a, b, c: RationalFunc(

@@ -154,7 +154,7 @@ class TestClassify:
                            "--qmax", "1001", "--long")
         assert code == 3
         assert "--long budget 1000" in err
-        assert "q^2 * rad(q-1) * omega(q-1)" in err
+        assert "q * rad(q-1)^2 * omega(q-1)" in err
 
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "classify", "--family", "3,3", "--qmax", "10")
@@ -237,6 +237,12 @@ class TestQMember:
         code, _, _ = run(capsys, "--format", "json", "qmember", "--q", "127",
                          "--n1", "2", "--n2", "0", "--quadratic-scope", "irreducible")
         assert code == 0
+
+    def test_table_cap_exits_usage(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "qmember", "--q", "65537",
+                             "--n1", "1", "--n2", "1")
+        assert code == 2 and out == ""
+        assert "limit of 16777216" in err
 
     def test_general_family_naive(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "qmember", "--q", "7",

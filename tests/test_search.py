@@ -221,6 +221,67 @@ class TestMembershipEngine:
         for ctx, expected in zip(ctxs, whole):
             assert triples(ctx) == expected, ctx.q
 
+    @pytest.mark.parametrize("p, k", [(151, 1), (13, 2)])
+    def test_triples_match_oracle_with_rho_powers(self, field, p, k):
+        # past the oracle sweep above: F_151 (q - 1 = 2 * 3 * 5^2) fails both
+        # families and F_169 neither, and the engine decides one shape in 5
+        # and in 4 there
+        ctx = field(p, k)
+        assert search._failing_triples_1_1(ctx) == _oracle_triples_1_1(ctx)
+        every = _oracle_triples_2_0(ctx)
+        assert search._failing_triples_2_0(ctx) == every
+        irreducible = [t for t in every if not quadratic_has_root(ctx, *t)]
+        assert search._failing_triples_2_0(ctx, irreducible=True) == irreducible
+
+    @pytest.mark.parametrize("p, k, sizes", [
+        (163, 1, (0, 0, 0)), (193, 1, (0, 0, 0)), (197, 1, (0, 0, 0)),
+        (13, 2, (0, 0, 0)), (151, 1, (50, 25, 25)), (11, 2, (128, 64, 32)),
+        (7, 2, (128, 256, 0)), (73, 1, (144, 72, 72))])
+    def test_triples_closed_under_rho_powers(self, field, p, k, sizes):
+        # u = g^rad(q-1) maps primitive elements onto primitive elements, so
+        # it maps failing functions onto failing functions: a(x+b)/(x+c) to
+        # a(x+bu)/(x+cu), and A*x^2 + B*x + C to A*u^2*x^2 + B*u*x + C
+        ctx = field(p, k)
+        u = ctx.exp_of(ctx.qm1.radical)
+        mul, inv = ctx.mul, ctx.inv
+        t11 = search._failing_triples_1_1(ctx)
+        t20 = search._failing_triples_2_0(ctx)
+        t20i = search._failing_triples_2_0(ctx, irreducible=True)
+        assert (len(t11), len(t20), len(t20i)) == sizes
+        assert {min((a, mul(b, u), mul(c, u)), (inv(a), mul(c, u), mul(b, u)))
+                for a, b, c in t11} == set(t11)
+        for triples in (t20, t20i):
+            assert {(mul(a, mul(u, u)), mul(b, u), c) for a, b, c in triples} == set(triples)
+
+    def test_verdicts_pinned_beyond_oracle(self, field):
+        # num_failing and the first failing function, as the engine gave them
+        # when it decided every shape on its own
+        def verdict(q, fam, scope="all"):
+            res = q_in_Q(field(q, 1), *fam, quadratic_scope=scope)
+            return res.num_failing, (res.failing and (res.failing.num.coeffs,
+                                                      res.failing.den.coeffs))
+
+        assert verdict(193, (1, 1)) == (0, None)
+        assert verdict(197, (1, 1)) == (0, None)
+        assert verdict(331, (1, 1)) == (1, ((330, 126), (205, 1)))
+        assert verdict(211, (2, 0)) == (10, ((154, 198, 90), (1,)))
+        assert verdict(211, (2, 0), "irreducible") == (6, ((178, 64, 125), (1,)))
+
+    def test_table_cap_refused_before_building(self, field, monkeypatch):
+        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap
+        def no_table(*args):
+            raise AssertionError("built a table past the cap")
+
+        monkeypatch.setattr(search, "_translate_table", no_table)
+        monkeypatch.setattr(search, "_UnitGrid", no_table)
+        ctx = field(65537, 1)
+        for fam in ((1, 1), (2, 0)):
+            with pytest.raises(ValueError, match="limit of 16777216"):
+                q_in_Q(ctx, *fam)
+        # F_2003, with 2003 * 720 entries, is still decided
+        monkeypatch.setattr(search, "_failing_triples_1_1", lambda ctx: [])
+        assert q_in_Q(field(2003, 1), 1, 1).member
+
 
 class TestExceptionScan:
     def test_small_range_contains_true_exceptions(self):
