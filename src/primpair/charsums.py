@@ -7,6 +7,10 @@ that the theory promises to be a rational integer is produced as one; floats
 appear only in reporting. The convention chi(0) = 0 applies to every
 character, including the trivial one, which keeps the u-free characteristic
 function supported on F_q*.
+
+The sums over a rational function f (`chi_f`, `PairCountEvaluator` and
+`weil_bound_check`) share one walk of f over F_q, `_walk`, which evaluates f
+once per point and returns the discrete logs of alpha and f(alpha).
 """
 
 from __future__ import annotations
@@ -142,9 +146,6 @@ class MultChar:
     def exact_order(self) -> int:
         return self.order // gcd(self.index, self.order)
 
-    def is_trivial(self) -> bool:
-        return self.exact_order == 1
-
     def exponent(self, a) -> int | None:
         """k * dlog(a) mod order, or None when a = 0 (the chi(0) = 0 case)."""
         if a == 0:
@@ -161,31 +162,37 @@ class MultChar:
         return f"MultChar(order={self.order}, index={self.index}, F_{self.ctx.q})"
 
 
+def _walk(f: RationalFunc) -> tuple[np.ndarray, np.ndarray]:
+    """Dlogs of alpha and of f(alpha) for every alpha in F_q that is neither a
+    pole nor a zero of f, as two int64 arrays; alpha = 0 has dlog -1."""
+    ctx = f.ctx
+    alphas, values = [], []
+    for a in range(ctx.q):
+        den = f.den.eval(a)
+        if den == 0:
+            continue
+        val = ctx.div(f.num.eval(a), den)
+        if val:
+            alphas.append(a)
+            values.append(val)
+    return (ctx.dlog[np.array(alphas, dtype=np.int64)],
+            ctx.dlog[np.array(values, dtype=np.int64)])
+
+
 def chi_f(chi1: MultChar, chi2: MultChar, f: RationalFunc) -> CycloSum:
     """The exact sum of chi1(alpha) * chi2(f(alpha)) over non-pole alpha.
 
     Terms with alpha = 0 or f(alpha) = 0 vanish under chi(0) = 0 and are not
     counted as summands.
     """
-    ctx = f.ctx
-    if chi1.ctx is not ctx or chi2.ctx is not ctx:
+    if chi1.ctx is not f.ctx or chi2.ctx is not f.ctx:
         raise ValueError("characters and function must share one field")
     m = lcm(chi1.order, chi2.order)
-    s1, s2 = m // chi1.order, m // chi2.order
-    counts = [0] * m
-    for a in range(ctx.q):
-        den = f.den.eval(a)
-        if den == 0:
-            continue
-        e1 = chi1.exponent(a)
-        if e1 is None:
-            continue
-        val = ctx.div(f.num.eval(a), den)
-        e2 = chi2.exponent(val)
-        if e2 is None:
-            continue
-        counts[(e1 * s1 + e2 * s2) % m] += 1
-    return CycloSum(m, tuple(counts))
+    t1, t2 = _walk(f)
+    keep = t1 >= 0
+    e1 = chi1.index * t1[keep] % chi1.order * (m // chi1.order)
+    e2 = chi2.index * t2[keep] % chi2.order * (m // chi2.order)
+    return CycloSum(m, tuple(np.bincount((e1 + e2) % m, minlength=m).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -237,19 +244,9 @@ class PairCountEvaluator:
             raise ValueError("character expansion requires a non-exceptional function")
         self.f = f
         self.ctx = f.ctx
-        ctx = f.ctx
-        t1, t2 = [], []
-        for a in range(ctx.q):
-            den = f.den.eval(a)
-            if den == 0 or a == 0:
-                continue
-            val = ctx.div(f.num.eval(a), den)
-            if val == 0:
-                continue
-            t1.append(ctx.dlog_of(a))
-            t2.append(ctx.dlog_of(val))
-        self._t1 = np.array(t1, dtype=np.int64)
-        self._t2 = np.array(t2, dtype=np.int64)
+        t1, t2 = _walk(f)
+        keep = t1 >= 0
+        self._t1, self._t2 = t1[keep], t2[keep]
         self._orbit1: dict[int, np.ndarray] = {}
         self._orbit2: dict[int, np.ndarray] = {}
         self._core: dict[tuple[int, int], Fraction] = {}
@@ -266,23 +263,17 @@ class PairCountEvaluator:
         key = (rad1, rad2)
         if key not in self._core:
             total = Fraction(0)
-            for d1 in factorize(rad1).squarefree_divisors():
-                f1 = factorize(d1)
-                w1 = Fraction(f1.mobius, f1.euler_phi)
+            for d1, w1 in _moebius_weights(rad1):
                 o1 = self._orbit_values(d1, 1)
-                for d2 in factorize(rad2).squarefree_divisors():
-                    f2 = factorize(d2)
-                    inner = int(np.dot(o1, self._orbit_values(d2, 2)))
-                    total += w1 * Fraction(f2.mobius, f2.euler_phi) * inner
+                for d2, w2 in _moebius_weights(rad2):
+                    total += w1 * w2 * int(np.dot(o1, self._orbit_values(d2, 2)))
             self._core[key] = total
         return self._core[key]
 
     def count(self, l1: int, l2: int) -> int:
         ctx = self.ctx
         core = self._core_sum(ctx.rad_of_divisor(l1), ctx.rad_of_divisor(l2))
-        theta1 = Fraction(factorize(l1).euler_phi, l1)
-        theta2 = Fraction(factorize(l2).euler_phi, l2)
-        n = theta1 * theta2 * core
+        n = _theta(l1) * _theta(l2) * core
         if n.denominator != 1:
             raise ArithmeticError(f"expansion gave non-integer {n} for N_f({l1},{l2})")
         return int(n)
@@ -318,16 +309,8 @@ def weil_bound_check(chi: MultChar, F: RationalFunc) -> WeilReport:
     if not mults or all(m % d == 0 for m in mults):
         raise ValueError("inapplicable: F is a d-th power up to a constant")
 
-    counts = [0] * d
-    for a in range(ctx.q):
-        den = F.den.eval(a)
-        if den == 0:
-            continue
-        val = ctx.div(F.num.eval(a), den)
-        e = chi.exponent(val)
-        if e is not None:
-            counts[e] += 1
-    total = CycloSum(d, tuple(counts))
+    _, values = _walk(F)
+    total = CycloSum(d, tuple(np.bincount(chi.index * values % d, minlength=d).tolist()))
     rad_deg = sum(deg for deg, _ in witness.layers) + (1 if witness.x_power != 0 else 0)
     bound = (rad_deg - 1) * sqrt(ctx.q)
     return WeilReport(total, bound, total.abs() <= bound + 1e-6)

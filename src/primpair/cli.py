@@ -7,6 +7,10 @@ and a seeded audit of the character-sum machinery.
 
 Exit codes: 0 success, 1 negative verdict (candidate, absent pair,
 non-member, failed audit), 2 usage error, 3 compute-budget refusal.
+Inputs are refused in one place: `main` turns a ValueError (the library's
+refusals), a ZeroDivisionError (a zero denominator) or a FileNotFoundError
+(a missing checkpoint or output directory) from any subcommand into an
+`error:` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -89,20 +93,14 @@ def _frac_str(x: Fraction) -> str:
 
 
 def cmd_check_bound(args) -> int:
-    try:
-        p, k = _prime_power(args.q)
-        q = args.q
-        qm1 = ffcore.factorize(q - 1)
-        primes = list(qm1.primes)
-        verdict, r, thr_num, thr_den = bounds.best_prefix(q, primes, args.n)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    p, k = _prime_power(args.q)
+    q = args.q
+    qm1 = ffcore.factorize(q - 1)
+    primes = list(qm1.primes)
+    verdict, r, _, _ = bounds.best_prefix(q, primes, args.n)
     core, sieved = primes[:r], primes[r:]
-    threshold = Fraction(thr_num, thr_den)
-    # threshold = n * Delta * W(l)^2 and Delta = (2s-1)/delta + 2 for s > 0
-    big_delta = threshold / (args.n << (2 * r))
-    delta = Fraction(2 * len(sieved) - 1) / (big_delta - 2) if sieved else Fraction(1)
+    params = bounds.SieveParams.from_core(q, qm1, core)
+    delta, big_delta, threshold = params.delta, params.big_delta, params.threshold(args.n)
     margin = q**0.5 - float(threshold)
     direct = verdict == "pass_thm31"
     passed = verdict != "candidate"
@@ -174,15 +172,11 @@ def cmd_tables(args) -> int:
 
 def cmd_scan(args) -> int:
     mode = "faithful" if args.paper_faithful else "exact"
-    try:
-        result, records = search.run_scan(
-            args.lo, args.hi, args.n, mode=mode, emit=args.emit,
-            workers=args.workers, csv_path=args.out,
-            checkpoint_path=args.checkpoint, resume=args.resume,
-            segment_size=args.segment)
-    except (ValueError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    result, records = search.run_scan(
+        args.lo, args.hi, args.n, mode=mode, emit=args.emit,
+        workers=args.workers, csv_path=args.out,
+        checkpoint_path=args.checkpoint, resume=args.resume,
+        segment_size=args.segment)
     payload = {
         "lo": args.lo, "hi": args.hi, "n": args.n, "mode": mode,
         "emit": args.emit, "workers": args.workers,
@@ -252,14 +246,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    try:
-        p, k = _prime_power(args.q)
-        ctx = ffcore.field_make(p, k)
-        f = polyrat.RationalFunc.from_coeffs(
-            ctx, _parse_coeffs(args.num), _parse_coeffs(args.den))
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    p, k = _prime_power(args.q)
+    ctx = ffcore.field_make(p, k)
+    f = polyrat.RationalFunc.from_coeffs(
+        ctx, _parse_coeffs(args.num), _parse_coeffs(args.den))
     bad, witness = polyrat.is_exceptional(f)
     payload = {
         "q": args.q,
@@ -295,14 +285,9 @@ def cmd_pair(args) -> int:
 
 
 def cmd_qmember(args) -> int:
-    try:
-        p, k = _prime_power(args.q)
-        ctx = ffcore.field_make(p, k)
-        res = search.q_in_Q(ctx, args.n1, args.n2,
-                            quadratic_scope=args.quadratic_scope)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    p, k = _prime_power(args.q)
+    ctx = ffcore.field_make(p, k)
+    res = search.q_in_Q(ctx, args.n1, args.n2, quadratic_scope=args.quadratic_scope)
     payload = {
         "q": args.q, "family": [args.n1, args.n2], "member": res.member,
         "num_failing": res.num_failing,
@@ -320,6 +305,10 @@ def cmd_qmember(args) -> int:
 
 
 def cmd_weil_audit(args) -> int:
+    if args.qmax < 3:
+        raise ValueError(f"--qmax must be >= 3, the smallest field audited; got {args.qmax}")
+    if args.degmax < 1:
+        raise ValueError(f"--degmax must be >= 1, got {args.degmax}")
     rng = random.Random(args.seed)
     fields = [(p, kk) for p, kk, q in ffcore.prime_power_iter(3, args.qmax)]
     ctxs = {}
@@ -429,9 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ZeroDivisionError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
+# The largest q field_make builds tables for. It must stay <= 2^26, where
+# q^2 <= 2^52 keeps field_make's float64 build exact.
 DEFAULT_TABLE_CAP = 1 << 24
-_EXACT_BUILD_CAP = 1 << 26  # q^2 < 2^53: field_make's float64 build is exact
 _BUILD_CELLS = 1 << 14  # digit cells per step product in field_make
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24;
@@ -201,18 +202,6 @@ def factorize(m: int) -> Factorization:
         stack.append(d)
         stack.append(n // d)
     return Factorization(value, tuple(sorted(found.items())))
-
-
-def euler_phi(n: int) -> int:
-    return factorize(n).euler_phi
-
-
-def mobius(n: int) -> int:
-    return factorize(n).mobius
-
-
-def radical(n: int) -> int:
-    return factorize(n).radical
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -532,7 +521,7 @@ def _step_matrix(c: list[int], mod_list: list[int], p: int, k: int) -> np.ndarra
     return mat
 
 
-def field_make(p: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
+def field_make(p: int, k: int) -> FieldCtx:
     """Construct F_{p^k} with tables, primitive root, and q-1 factorization.
 
     The primitive root is the least element (packed order) of order q - 1 and
@@ -547,10 +536,9 @@ def field_make(p: int, k: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     q = p**k
-    cap = min(table_cap, _EXACT_BUILD_CAP)
-    if q > cap:
+    if q > DEFAULT_TABLE_CAP:
         raise ValueError(
-            f"q = {q} exceeds the table cap {cap}; tables this large are "
+            f"q = {q} exceeds the table cap {DEFAULT_TABLE_CAP}; tables this large are "
             "refused for memory safety. For order checks in large prime fields "
             "use multiplicative_order(a, p), which needs no table."
         )

@@ -44,14 +44,6 @@ class Poly:
         self.ctx = ctx
         self.coeffs = tuple(vals)
 
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (0, 1))
-
-    @classmethod
-    def const(cls, ctx: FieldCtx, c) -> "Poly":
-        return cls(ctx, (c,))
-
     @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
@@ -163,12 +155,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = self.ctx.add(self.ctx.mul(acc, x), c)
         return acc
-
-    def shift_x(self, j: int) -> "Poly":
-        """Multiply by x^j (j >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly._of(self.ctx, (0,) * j + self.coeffs)
 
     def x_valuation(self) -> int:
         """Largest j with x^j dividing the polynomial (0 for nonzero constant)."""
@@ -290,10 +276,6 @@ class RationalFunc:
     def __hash__(self):
         return hash((id(self.ctx), self.num.coeffs, self.den.coeffs))
 
-    def poles(self) -> list[int]:
-        """Packed values alpha in F_q with den(alpha) = 0."""
-        return [a for a in range(self.ctx.q) if self.den.eval(a) == 0]
-
     def eval(self, x) -> int:
         """Value at a non-pole x, packed."""
         d = self.den.eval(x)
@@ -304,10 +286,6 @@ class RationalFunc:
     def inverse(self) -> "RationalFunc":
         """1/f, renormalized (monic denominator)."""
         return RationalFunc(self.den, self.num)
-
-    def key(self) -> tuple:
-        """Deterministic sort key: degrees, then packed coefficient tuples."""
-        return (self.n1, self.n2, self.num.coeffs, self.den.coeffs)
 
     def __repr__(self):
         return f"RationalFunc({self.num.coeffs}/{self.den.coeffs} over F_{self.ctx.q})"
@@ -385,10 +363,6 @@ def reciprocal_reduce(f: RationalFunc) -> RationalFunc:
     return out
 
 
-def _nonzero_elements(ctx: FieldCtx) -> range:
-    return range(1, ctx.q)
-
-
 def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
     """Yield one canonical representative per function in the (n1, n2) family.
 
@@ -416,10 +390,10 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
 
 
 def _family_1_1(ctx: FieldCtx):
-    for a in _nonzero_elements(ctx):
+    for a in range(1, ctx.q):
         inv_a = ctx.inv(a)
-        for b in _nonzero_elements(ctx):
-            for c in _nonzero_elements(ctx):
+        for b in range(1, ctx.q):
+            for c in range(1, ctx.q):
                 if b == c:
                     continue
                 if (inv_a, c, b) < (a, b, c):
@@ -430,7 +404,7 @@ def _family_1_1(ctx: FieldCtx):
 
 def _family_2_0(ctx: FieldCtx):
     four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
-    for a in _nonzero_elements(ctx):
+    for a in range(1, ctx.q):
         for b in range(ctx.q):
             b2 = ctx.mul(b, b)
             four_a = ctx.mul(four, a)
@@ -453,7 +427,7 @@ def _family_general(ctx: FieldCtx, n1: int, n2: int):
     for den_tail in _tuples(ctx, n2):
         den = Poly._of(ctx, den_tail + (1,))
         for num_low in _tuples(ctx, n1):
-            for lead in _nonzero_elements(ctx):
+            for lead in range(1, ctx.q):
                 num = Poly._of(ctx, num_low + (lead,))
                 if n1 == n2 and (num.coeffs[0] == 0 or den.coeffs[0] == 0):
                     continue

@@ -101,13 +101,16 @@ def pair_exists(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitne
     if bad:
         raise ExceptionalFunctionError(
             "exceptional functions are excluded from pair searches")
-    m = ctx.q - 1
-    if order == "asc":
-        ts = range(1, m)
-    elif order == "desc":
-        ts = range(m - 1, 0, -1)
-    else:
+    if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
+    return _pair_walk(ctx, f, order)
+
+
+def _pair_walk(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitness:
+    """pair_exists without its checks, for a non-exceptional f over ctx, q > 2,
+    such as the family enumerators and the membership engine give."""
+    m = ctx.q - 1
+    ts = range(1, m) if order == "asc" else range(m - 1, 0, -1)
     examined = 0
     for t in ts:
         if gcd(t, m) != 1:
@@ -313,27 +316,21 @@ class QMembership:
     num_failing: int
 
 
-def quadratic_has_root(ctx: FieldCtx, a: int, b: int, c: int) -> bool:
-    return any(
-        ctx.add(ctx.add(ctx.mul(a, ctx.mul(x, x)), ctx.mul(b, x)), c) == 0
-        for x in range(ctx.q))
-
-
 def naive_membership(ctx: FieldCtx, n1: int, n2: int,
                      irreducible: bool = False) -> QMembership:
-    """q_in_Q by walking the family through pair_exists, one function at a
+    """q_in_Q by walking the family through the pair search, one function at a
     time; the path for families without a row engine and the tests' oracle
     for the (1,1) and (2,0) engine. irreducible=True keeps, in the (2, 0)
-    family, only quadratics with no root in F_q."""
+    family, only quadratics with no root in F_q. Needs q >= 3, which q_in_Q
+    checks."""
     fam = (n1, n2)
     num_failing = 0
     first = None
     for f in enumerate_family(ctx, n1, n2):
-        if fam == (2, 0) and irreducible:
-            c0, b0, a0 = (f.num.coeffs + (0, 0, 0))[:3]
-            if quadratic_has_root(ctx, a0, b0, c0):
-                continue
-        if not pair_exists(ctx, f).found:
+        if fam == (2, 0) and irreducible and any(
+                f.num.eval(x) == 0 for x in range(ctx.q)):
+            continue
+        if not _pair_walk(ctx, f).found:
             num_failing += 1
             if first is None:
                 first = f
@@ -789,16 +786,12 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
             if res.member:
                 continue
             f = res.failing
-            confirm = pair_exists(ctx, f, order="desc")
+            confirm = _pair_walk(ctx, f, order="desc")
             if confirm.found:
                 raise AssertionError(f"witness disagreement at q={rec.q}")
             exceptions.append(ClassifiedException(
                 rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))
-            entries.append({
-                "q": rec.q, "family": list(family),
-                "f": {"num": list(f.num.coeffs), "den": list(f.den.coeffs)},
-                "witness": None,
-            })
+            entries.append(witness_entry(ctx, f, family, confirm))
     if jsonl_path:
         write_witness_jsonl(jsonl_path, entries)
     return ClassificationResult(family, q_max, exceptions, high_water,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primpair import search
+from primpair import ffcore, search
 from primpair.cli import main
 
 
@@ -214,6 +214,12 @@ class TestPair:
         code, _, err = run(capsys, "pair", "--q", "13", "--num", "1,1", "--den", "0")
         assert code == 2
 
+    def test_field_of_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "pair", "--q", "2", "--num", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the multiplicative group of F_2 is trivial; no pairs exist\n"
+
 
 class TestQMember:
     def test_member(self, capsys):
@@ -263,6 +269,26 @@ class TestWeilAudit:
         _, out1, _ = run(capsys, "--format", "json", "weil-audit", "--count", "25")
         _, out2, _ = run(capsys, "--format", "json", "weil-audit", "--count", "25")
         assert out1 == out2
+
+    def test_pinned_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "weil-audit",
+                           "--seed", "0", "--count", "20")
+        assert code == 0
+        assert out == '{"failures": [], "seed": 0, "tested": 20}\n'
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--qmax", "2", "--qmax must be >= 3"),
+        ("--degmax", "0", "--degmax must be >= 1"),
+    ])
+    def test_out_of_range_is_usage_error(self, capsys, monkeypatch, flag, value, message):
+        def never(*args, **kwargs):
+            raise AssertionError("weil-audit built a field before refusing")
+
+        monkeypatch.setattr(ffcore, "field_make", never)
+        code, out, err = run(capsys, "weil-audit", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message)
 
 
 def test_timestamp_suppression(capsys):

@@ -148,11 +148,12 @@ class TestFieldMake:
             field_make(4, 1)
 
     def test_table_cap(self):
-        with pytest.raises(ValueError, match="table cap"):
+        with pytest.raises(ValueError, match="table cap 16777216"):
             field_make(2, 30)
-        # a raised cap still stops where the float64 build stops being exact
-        with pytest.raises(ValueError, match="table cap 67108864"):
-            field_make(2, 27, table_cap=1 << 30)
+        with pytest.raises(ValueError, match="multiplicative_order"):
+            field_make(2, 25)
+        # the one cap stays where the float64 build is still exact
+        assert ffcore.DEFAULT_TABLE_CAP <= 1 << 26
 
     def test_tables_match_per_element_oracle(self, prime_powers):
         # the fields include q = 2, 3 and 4, and many q with q - 1 not a power

@@ -6,11 +6,11 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from primpair import bounds, search
+from primpair import bounds, polyrat, search
 from primpair.bounds import best_prefix, certain_prefix_pass
 from primpair.ffcore import (factorize, field_make, higher_prime_powers,
                              segment_prime_powers, sieve_primes)
-from primpair.polyrat import RationalFunc, enumerate_family
+from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 from primpair.search import (
     CSV_HEADER,
     SCAN_HI_MAX,
@@ -21,7 +21,6 @@ from primpair.search import (
     naive_membership,
     pair_exists,
     q_in_Q,
-    quadratic_has_root,
     run_scan,
 )
 
@@ -134,6 +133,26 @@ class TestQInQ:
         with pytest.raises(ValueError):
             q_in_Q(field_make(2, 1), 1, 1)
 
+    @pytest.mark.parametrize("p, k, fam", [(5, 1, (2, 1)), (2, 2, (3, 0)),
+                                           (7, 1, (1, 1)), (7, 1, (2, 0))])
+    def test_naive_walk_adds_no_exceptionality_test(self, field, monkeypatch, p, k, fam):
+        # the enumerators yield only non-exceptional functions, so the walk
+        # over them tests none again: each function is tested at most once,
+        # by the enumerator
+        calls = [0]
+
+        def counted(f):
+            calls[0] += 1
+            return is_exceptional(f)
+
+        ctx = field(p, k)
+        monkeypatch.setattr(polyrat, "is_exceptional", counted)
+        monkeypatch.setattr(search, "is_exceptional", counted)
+        list(enumerate_family(ctx, *fam))
+        by_enumerator, calls[0] = calls[0], 0
+        naive_membership(ctx, *fam)
+        assert calls[0] == by_enumerator, (ctx.q, fam)
+
 
 @functools.lru_cache(maxsize=None)
 def _failing_one_shift(m, d):
@@ -195,6 +214,11 @@ def _oracle_triples_2_0(ctx):
     return sorted(out)
 
 
+def _has_root(ctx, a, b, c):
+    quadratic = Poly(ctx, (c, b, a))
+    return any(quadratic.eval(x) == 0 for x in range(ctx.q))
+
+
 class TestMembershipEngine:
     def test_triples_match_oracle(self, field, prime_powers):
         # every failing triple, not only the first and the count
@@ -203,7 +227,7 @@ class TestMembershipEngine:
             assert search._failing_triples_1_1(ctx) == _oracle_triples_1_1(ctx), q
             every = _oracle_triples_2_0(ctx)
             assert search._failing_triples_2_0(ctx) == every, q
-            irreducible = [t for t in every if not quadratic_has_root(ctx, *t)]
+            irreducible = [t for t in every if not _has_root(ctx, *t)]
             assert search._failing_triples_2_0(ctx, irreducible=True) == irreducible, q
 
     @pytest.mark.parametrize("cells", [1, 100])
@@ -230,7 +254,7 @@ class TestMembershipEngine:
         assert search._failing_triples_1_1(ctx) == _oracle_triples_1_1(ctx)
         every = _oracle_triples_2_0(ctx)
         assert search._failing_triples_2_0(ctx) == every
-        irreducible = [t for t in every if not quadratic_has_root(ctx, *t)]
+        irreducible = [t for t in every if not _has_root(ctx, *t)]
         assert search._failing_triples_2_0(ctx, irreducible=True) == irreducible
 
     @pytest.mark.parametrize("p, k, sizes", [
