@@ -213,8 +213,9 @@ def cmd_classify(args) -> int:
         print(f"error: classification supports families 1,1 and 2,0", file=sys.stderr)
         return EXIT_USAGE
     cost = ("the exhaustive step costs about q * rad(q-1)^2 * omega(q-1) per "
-            "surviving field q: about 1.5 minutes per family up to 1000 and "
-            "1 minute for F_2003 alone, on one core")
+            "surviving field q, half that for 1,1: up to 1000 about half a "
+            "minute for 1,1 and 1.5 minutes for 2,0, and for F_2003 alone "
+            "about 45 s and 1 minute, on one core")
     if args.qmax > search.CLASSIFY_LONG_QMAX:
         print(f"refusing: qmax {args.qmax} exceeds the --long budget "
               f"{search.CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)
@@ -250,7 +251,11 @@ def cmd_pair(args) -> int:
     ctx = ffcore.field_make(p, k)
     f = polyrat.RationalFunc.from_coeffs(
         ctx, _parse_coeffs(args.num), _parse_coeffs(args.den))
-    bad, witness = polyrat.is_exceptional(f)
+    try:
+        w = search.pair_exists(ctx, f)
+    except search.ExceptionalFunctionError:
+        w = None
+    bad = w is None
     payload = {
         "q": args.q,
         "f": {"num": list(f.num.coeffs), "den": list(f.den.coeffs)},
@@ -265,7 +270,6 @@ def cmd_pair(args) -> int:
         lines.append("no pair search: exceptional functions are excluded")
         _emit(args, payload, lines)
         return EXIT_NEGATIVE
-    w = search.pair_exists(ctx, f)
     payload["witness"] = (
         {"alpha": w.alpha, "f_alpha": w.value,
          "alpha_dlog": w.alpha_dlog, "f_alpha_dlog": w.value_dlog}

@@ -15,8 +15,10 @@ Three layers:
    by u in H = <g^rho> permutes the primitive elements, so the engine
    decides one shape per orbit of H (rows of rho shapes, the (1,1) shifts
    read from a table of translate dlogs) and expands the failing ones back
-   over H. `naive_membership` walks any other family one function at a
-   time and is the engine's test oracle.
+   over H. In (1,1), alpha -> 1/alpha pairs each orbit (beta, d) with
+   (-beta-d mod rho, d), and failing scale class r with d - r, so only one
+   orbit of each pair is decided. `naive_membership` walks any other family
+   one function at a time and is the engine's test oracle.
  - `exception_scan` / `classify_true_exceptions`: segmented scan of all prime
    powers in a range against the certification criteria (a segment sieve
    marks the prime powers, a row factoriser sieves only their q-1, and a
@@ -59,12 +61,11 @@ SCAN_HI_MAX = 200_560_490_129
 _PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), mul))
 
 DEFAULT_SEGMENT = 1 << 20
-# The row factoriser takes one strided view per base prime below this; the
-# larger primes, with few multiples in a segment each, share one gather.
-_STRIDED_BELOW = 256
 
 # The largest q a classification decides, and the CLI's --long limit: one
-# field costs about q * rad(q-1)^2 * omega(q-1) per family.
+# field costs about q * rad(q-1)^2 * omega(q-1) per family, half that for
+# (1,1), which decides one shape of each inversion pair. Up to 1000 that is
+# about 33 s for (1,1) and 89 s for (2,0) on one core.
 CLASSIFY_LONG_QMAX = 1_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
@@ -231,23 +232,44 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
 
     For u in H = <g^rho>, rho = rad(q-1), u*alpha is primitive exactly when
     alpha is, so the shape (b, c) fails at the same scales as (u*b, u*c).
-    One shape per orbit is decided: b = g^beta, c = g^(beta+d) for beta <
-    rho and d in [1, m/2]. Every unordered {b, c} has such an orientation,
-    and both orientations when d = m/2, which the final dedupe absorbs.
-    Each failing class r mod rho is then expanded over H on both sides:
-    a = g^(r + i*rho), b = g^(beta + j*rho), c = b*g^d.
+    The orbits are the shapes b = g^beta, c = g^(beta+d) for beta < rho and
+    d in [1, m/2]. Every unordered {b, c} has such an orientation, and both
+    orientations when d = m/2, which the final dedupe absorbs.
+
+    1/alpha is primitive exactly when alpha is, and f(1/alpha) is
+    (ab/c)(alpha + 1/b)/(alpha + 1/c); taking 1/f of that, the shape
+    (beta, d) fails at scale class r exactly when (beta*, d) fails at class
+    d - r, where beta* = -beta - d mod rho. So only the shapes with beta <=
+    beta* are decided, and each failing (beta, d, r) with beta* != beta also
+    gives (beta*, d, d - r mod rho). Each failing class r mod rho is then
+    expanded over H on both sides: a = g^(r + i*rho), b = g^(beta + j*rho),
+    c = b*g^d.
     """
     m = ctx.q - 1
     grid = _UnitGrid(ctx)
     rho = grid.rho
     table = _translate_table(ctx)
+    # The shapes kept for shift d, with s = -d mod rho, are beta in [0, s/2]
+    # and then in (s, (s+rho)/2], numbered from start[d-1] on.
+    shift = np.arange(1, m // 2 + 1)
+    s = -shift % rho
+    head = s // 2 + 1
+    count = head + (s + rho) // 2 - s
+    start = np.cumsum(count) - count
     found = [np.zeros((3, 0), dtype=np.int64)]
-    for blk in _blocks(rho * (m // 2), m):
-        d, beta = np.divmod(np.arange(blk.start, blk.stop), rho)
-        d += 1
+    for blk in _blocks(int(count.sum()), m):
+        i = np.arange(blk.start, blk.stop)
+        k = np.searchsorted(start, i, side="right") - 1
+        beta = i - start[k]
+        beta += np.where(beta < head[k], 0, s[k] + 1 - head[k])
+        d = shift[k]
         rows, r = grid.failing(table[beta] - table[(beta + d) % m])
         found.append(np.stack((beta[rows], d[rows], r)))
-    beta, d, r = (v[:, None, None] for v in np.concatenate(found, axis=1))
+    beta, d, r = np.concatenate(found, axis=1)
+    partner = (-beta - d) % rho
+    other = partner != beta
+    beta, d, r = (np.concatenate(v)[:, None, None] for v in (
+        (beta, partner[other]), (d, d[other]), (r, (d - r)[other] % rho)))
     lift = np.arange(0, m, rho)
     ta = r + lift[:, None]  # (reps, i, 1)
     tb = beta + lift  # (reps, 1, j)
@@ -456,12 +478,14 @@ def _factor_rows(m: np.ndarray, base: np.ndarray):
 
     An offset-to-row map `pos` over the window [m[0], m[-1]] finds the rows
     each base prime p divides at the offsets (-m[0]) % p + j*p: a strided view
-    pos[(-m[0]) % p :: p] for p below _STRIDED_BELOW, one gather for all the
-    larger p. `base` holds at least the primes up to isqrt(m[-1]). What is
-    left of m[i] once their powers are divided out is 1 or one more prime,
-    above every base prime used. Returns (buf, cnt): buf[i, :cnt[i]] lists
-    the primes of m[i] ascending; buf has one column per prime the largest
-    omega up to m[-1] allows.
+    pos[(-m[0]) % p :: p] for p below the window's span, one gather for the
+    larger p, which have at most one multiple there. Each multiple costs one
+    int32 entry of `rows` and no further temporary, so a segment allocates
+    little fresh memory. `base` holds at least the primes up to isqrt(m[-1]).
+    What is left of m[i] once their powers are divided out is 1 or one more
+    prime, above every base prime used. Returns (buf, cnt): buf[i, :cnt[i]]
+    lists the primes of m[i] ascending; buf has one column per prime the
+    largest omega up to m[-1] allows.
     """
     size = m.size
     if not size:
@@ -472,18 +496,16 @@ def _factor_rows(m: np.ndarray, base: np.ndarray):
     pos = np.full(span, -1, dtype=np.int32)
     pos[m - m0] = np.arange(size, dtype=np.int32)
     base = base[:np.searchsorted(base, isqrt(top), side="right")]
-    small, large = base[base < _STRIDED_BELOW], base[base >= _STRIDED_BELOW]
-    views = [pos[(-m0) % p :: p] for p in small.tolist()]
-    first = (-m0) % large
-    count = (span - 1 - first) // large + 1  # multiples of p in the window
-    k = np.repeat(np.arange(large.size), count)  # index in `large` of each
-    j = np.arange(k.size) - (np.cumsum(count) - count)[k]
-    rows = np.concatenate(views + [pos[first[k] + j * large[k]]])
-    ps = np.concatenate([np.full(v.size, p) for p, v in zip(small.tolist(), views)]
-                        + [large[k]])
+    first = (-m0) % base
+    # rows[ends[i-1]:ends[i]] are the rows at the multiples of base[i]
+    ends = np.cumsum((span - 1 - first) // base + 1)
+    few = np.searchsorted(base, span)
+    views = [pos[f::p] for f, p in zip(first[:few].tolist(), base[:few].tolist())]
+    once = first[few:]
+    rows = np.concatenate(views + [pos[once[once < span]]])
     hit = np.flatnonzero(rows >= 0)
     hit = hit[np.argsort(rows[hit], kind="stable")]  # keeps p ascending in a row
-    rows, ps = rows[hit], ps[hit]
+    rows, ps = rows[hit], base[np.searchsorted(ends, hit, side="right")]
     cnt = np.bincount(rows, minlength=size)
     row_start = np.cumsum(cnt) - cnt
     buf[rows, np.arange(rows.size) - row_start[rows]] = ps

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from primpair import ffcore, search
+from primpair import ffcore, polyrat, search
 from primpair.cli import main
 
 
@@ -168,6 +169,22 @@ class TestClassify:
         entries = [json.loads(s) for s in out_path.read_text().splitlines()]
         assert [e["q"] for e in entries] == [3, 4, 5, 7, 11, 13, 19]
 
+    @pytest.mark.parametrize("family, qmax, lines, digest", [
+        ("1,1", "350", 28,
+         "b998b66ab0121397e0bcf4258bd17bd424b3a22bbfad1ccf441070a89e18f5ef"),
+        ("2,0", "250", 20,
+         "3a09c39036782e0e2a6530a1c8df1c4b9fe16c83ed2d824712d8d6d5a1182fce")])
+    def test_witness_file_pinned(self, capsys, tmp_path, family, qmax, lines, digest):
+        # every byte of the report: the first failing function of each true
+        # exception and its reversed re-verification
+        out_path = tmp_path / "w.jsonl"
+        code, _, _ = run(capsys, "classify", "--family", family, "--qmax", qmax,
+                         "--out", str(out_path))
+        assert code == 0
+        data = out_path.read_bytes()
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestPair:
     def test_witness(self, capsys):
@@ -219,6 +236,27 @@ class TestPair:
         assert code == 2
         assert out == ""
         assert err == "error: the multiplicative group of F_2 is trivial; no pairs exist\n"
+
+    def test_field_of_two_monomial_is_usage_error(self, capsys):
+        # F_2 is refused before f is tested, monomial or not
+        code, out, err = run(capsys, "pair", "--q", "2", "--num", "0,1")
+        assert (code, out) == (2, "")
+        assert err == "error: the multiplicative group of F_2 is trivial; no pairs exist\n"
+
+    @pytest.mark.parametrize("q, num, den, code", [
+        ("13", "1,1", "2,1", 0), ("7", "0,0,5", "1", 1)])
+    def test_one_exceptionality_test(self, capsys, monkeypatch, q, num, den, code):
+        # the search's own test decides the exceptional branch too
+        calls, real = [0], polyrat.is_exceptional
+
+        def counted(f):
+            calls[0] += 1
+            return real(f)
+
+        monkeypatch.setattr(search, "is_exceptional", counted)
+        monkeypatch.setattr(polyrat, "is_exceptional", counted)
+        assert run(capsys, "pair", "--q", q, "--num", num, "--den", den)[0] == code
+        assert calls[0] == 1
 
 
 class TestQMember:

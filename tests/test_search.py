@@ -277,6 +277,26 @@ class TestMembershipEngine:
         for triples in (t20, t20i):
             assert {(mul(a, mul(u, u)), mul(b, u), c) for a, b, c in triples} == set(triples)
 
+    @pytest.mark.parametrize("p, k, size", [
+        (163, 1, 0), (193, 1, 0), (197, 1, 0), (13, 2, 0), (151, 1, 50),
+        (11, 2, 128), (7, 2, 128), (73, 1, 144), (131, 1, 0), (2, 6, 0),
+        (211, 1, 127), (103, 1, 291)])
+    def test_triples_closed_under_inversion(self, field, p, k, size):
+        # 1/alpha is primitive exactly when alpha is, and f(1/alpha) =
+        # (ab/c)(alpha + 1/b)/(alpha + 1/c) for f = a(x+b)/(x+c), so that map
+        # sends failing functions onto failing functions. F_131, F_211 and
+        # F_103 have square-free q - 1, so H is trivial there.
+        ctx = field(p, k)
+        mul, inv = ctx.mul, ctx.inv
+
+        def canonical(a, b, c):
+            return min((a, b, c), (inv(a), c, b))
+
+        t11 = search._failing_triples_1_1(ctx)
+        assert len(t11) == size
+        assert {canonical(mul(mul(a, b), inv(c)), inv(b), inv(c))
+                for a, b, c in t11} == set(t11)
+
     def test_verdicts_pinned_beyond_oracle(self, field):
         # num_failing and the first failing function, as the engine gave them
         # when it decided every shape on its own
@@ -421,8 +441,9 @@ class TestScanSieve:
                                     251**2 - 300, 257**2 - 300, 7919**2 - 300,
                                     65521**2 - 300])
     def test_factor_rows_match_factorize(self, lo):
-        # windows around 2^k and p^2, for p on both sides of _STRIDED_BELOW,
-        # whole and as the sparse rows of every fifth m
+        # windows around 2^k and p^2, for p on both sides of the window span
+        # (strided views and the gather), whole and as the sparse rows of
+        # every fifth m
         base = sieve_primes(isqrt(lo + 600))
         whole = np.arange(lo, lo + 600, dtype=np.int64)
         for m in (whole, whole[3::5]):
