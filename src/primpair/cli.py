@@ -21,7 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import bounds, charsums, ffcore, polyrat, search
 
@@ -97,10 +97,12 @@ def cmd_check_bound(args) -> int:
     q = args.q
     qm1 = ffcore.factorize(q - 1)
     primes = list(qm1.primes)
-    verdict, r, _, _ = bounds.best_prefix(q, primes, args.n)
+    verdict, r, thr_num, thr_den = bounds.best_prefix(q, primes, args.n)
     core, sieved = primes[:r], primes[r:]
-    params = bounds.SieveParams.from_core(q, qm1, core)
-    delta, big_delta, threshold = params.delta, params.big_delta, params.threshold(args.n)
+    # thr_den = delta * prod(sieved) and thr_num / thr_den = n * Delta * W(l)^2
+    delta = Fraction(thr_den, prod(sieved))
+    threshold = Fraction(thr_num, thr_den)
+    big_delta = threshold / (args.n << 2 * r)
     margin = q**0.5 - float(threshold)
     direct = verdict == "pass_thm31"
     passed = verdict != "candidate"
@@ -207,11 +209,9 @@ def cmd_classify(args) -> int:
     try:
         family = tuple(int(v) for v in args.family.split(","))
     except ValueError:
-        print(f"error: cannot parse family {args.family!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if family not in ((1, 1), (2, 0)):
-        print(f"error: classification supports families 1,1 and 2,0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot parse family {args.family!r}") from None
+    if family not in search.ENGINE_FAMILIES:  # a usage error, before the budget
+        raise ValueError("classification supports families 1,1 and 2,0")
     cost = ("the exhaustive step costs about q * rad(q-1)^2 * omega(q-1) per "
             "surviving field q, half that for 1,1: up to 1000 about half a "
             "minute for 1,1 and 1.5 minutes for 2,0, and for F_2003 alone "

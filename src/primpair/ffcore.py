@@ -34,6 +34,8 @@ import numpy as np
 DEFAULT_TABLE_CAP = 1 << 24
 _BUILD_CELLS = 1 << 14  # digit cells per step product in field_make
 
+DEFAULT_SEGMENT = 1 << 20  # integers per segment of a prime-power walk
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24;
 # everything in range here is far below 2^63.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -221,10 +223,9 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
-def higher_prime_powers(lo: int, hi: int, base=None) -> list[tuple[int, int, int]]:
+def higher_prime_powers(lo: int, hi: int, base: np.ndarray) -> list[tuple[int, int, int]]:
     """(q, p, k) for every q = p^k in [lo, hi] with k >= 2, ascending in q;
-    `base`, if given, holds the primes up to isqrt(hi) already sieved."""
-    base = sieve_primes(isqrt(max(hi, 0))) if base is None else base
+    `base` holds the primes up to isqrt(hi)."""
     out = []
     for p in base.tolist():
         v, k = p * p, 2
@@ -259,22 +260,30 @@ def segment_prime_powers(lo: int, hi: int, base: np.ndarray, higher):
             np.concatenate((np.ones_like(primes), pw[:, 2]))[order])
 
 
-def prime_power_iter(lo: int, hi: int, segment_size: int = 1 << 20):
-    """Yield every prime power q = p^k in [lo, hi], ascending, as (p, k, q).
+def prime_power_segments(lo: int, hi: int, segment_size: int) -> list[tuple]:
+    """The segments of a walk over the prime powers in [lo, hi], ascending.
 
-    One `segment_prime_powers` call per segment. Empty when hi < lo.
+    One (seg_lo, seg_hi, base, higher) per segment [seg_lo, seg_hi) of at
+    most segment_size integers, ready for `segment_prime_powers`; every
+    segment shares one sieve of the base primes up to isqrt(hi) and one
+    `higher_prime_powers` list. Empty when hi < lo.
     """
     if lo < 3:
         raise ValueError(f"prime power enumeration starts at 3, got lo={lo}")
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     if hi < lo:
-        return
+        return []
     base = sieve_primes(isqrt(hi))
     higher = higher_prime_powers(lo, hi, base)
-    for seg_lo in range(lo, hi + 1, segment_size):
-        q, p, k = segment_prime_powers(
-            seg_lo, min(seg_lo + segment_size, hi + 1), base, higher)
+    return [(seg_lo, min(seg_lo + segment_size, hi + 1), base, higher)
+            for seg_lo in range(lo, hi + 1, segment_size)]
+
+
+def prime_power_iter(lo: int, hi: int):
+    """Yield every prime power q = p^k in [lo, hi], ascending, as (p, k, q)."""
+    for segment in prime_power_segments(lo, hi, DEFAULT_SEGMENT):
+        q, p, k = segment_prime_powers(*segment)
         yield from zip(p.tolist(), k.tolist(), q.tolist())
 
 

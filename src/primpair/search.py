@@ -19,11 +19,15 @@ Three layers:
    (-beta-d mod rho, d), and failing scale class r with d - r, so only one
    orbit of each pair is decided. `naive_membership` walks any other family
    one function at a time and is the engine's test oracle.
- - `exception_scan` / `classify_true_exceptions`: segmented scan of all prime
-   powers in a range against the certification criteria (a segment sieve
-   marks the prime powers, a row factoriser sieves only their q-1, and a
-   float64 sweep spares the exact kernel the rows that pass by a wide
-   margin), then full exhaustive classification of the survivors.
+ - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
+   of all prime powers in a range against the certification criteria (a
+   segment sieve marks the prime powers, a row factoriser sieves only their
+   q-1, and a float64 sweep spares the exact kernel the rows that pass by a
+   wide margin), then full exhaustive classification of the survivors. One
+   driver, `_scan_segments`, walks the segments that
+   `ffcore.prime_power_segments` plans, for all three, in one process or a
+   worker pool. In faithful mode it yields the q = 2 record first, as its
+   own segment ending at the scan's lo.
 
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and checkpoints allow byte-identical
@@ -36,7 +40,9 @@ import hashlib
 import json
 import os
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from math import gcd, isqrt
 from multiprocessing import Pool
@@ -45,8 +51,8 @@ from operator import mul
 import numpy as np
 
 from .bounds import best_prefix, certain_prefix_pass
-from .ffcore import (DEFAULT_TABLE_CAP, FieldCtx, field_make, higher_prime_powers,
-                     segment_prime_powers, sieve_primes)
+from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, field_make,
+                     prime_power_segments, segment_prime_powers)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
 SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
@@ -60,13 +66,15 @@ SCAN_HI_MAX = 200_560_490_129
 # bisect_right(_PRIMORIALS, n) distinct prime factors.
 _PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), mul))
 
-DEFAULT_SEGMENT = 1 << 20
-
 # The largest q a classification decides, and the CLI's --long limit: one
 # field costs about q * rad(q-1)^2 * omega(q-1) per family, half that for
 # (1,1), which decides one shape of each inversion pair. Up to 1000 that is
 # about 33 s for (1,1) and 89 s for (2,0) on one core.
 CLASSIFY_LONG_QMAX = 1_000
+
+# The families the batched engine decides, and so the ones a classification
+# covers; every other family goes through naive_membership.
+ENGINE_FAMILIES = ((1, 1), (2, 0))
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
 
@@ -91,9 +99,9 @@ class PairWitness:
     examined: int
 
 
-def pair_exists(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitness:
-    """Search primitive alpha (ascending dlog; "desc" re-verifies backwards)
-    for one with f(alpha) primitive. Poles and zeros of f are skipped."""
+def pair_exists(ctx: FieldCtx, f: RationalFunc) -> PairWitness:
+    """Search primitive alpha, ascending dlog, for one with f(alpha)
+    primitive. Poles and zeros of f are skipped."""
     if ctx.q <= 2:
         raise ValueError("the multiplicative group of F_2 is trivial; no pairs exist")
     if f.ctx is not ctx:
@@ -102,14 +110,13 @@ def pair_exists(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitne
     if bad:
         raise ExceptionalFunctionError(
             "exceptional functions are excluded from pair searches")
-    if order not in ("asc", "desc"):
-        raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
-    return _pair_walk(ctx, f, order)
+    return _pair_walk(ctx, f)
 
 
 def _pair_walk(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitness:
     """pair_exists without its checks, for a non-exceptional f over ctx, q > 2,
-    such as the family enumerators and the membership engine give."""
+    such as the family enumerators and the membership engine give; order
+    "desc" walks backwards, to re-verify an absence."""
     m = ctx.q - 1
     ts = range(1, m) if order == "asc" else range(m - 1, 0, -1)
     examined = 0
@@ -382,7 +389,7 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
     if quadratic_scope not in ("all", "irreducible"):
         raise ValueError(f"unknown quadratic_scope {quadratic_scope!r}")
     fam = (n1, n2)
-    if fam in ((1, 1), (2, 0)):
+    if fam in ENGINE_FAMILIES:
         cells = ctx.q * ctx.qm1.euler_phi
         if cells > DEFAULT_TABLE_CAP:
             raise ValueError(
@@ -417,9 +424,9 @@ class ScanConfig:
     Every verdict comes from the one exact kernel, `bounds.best_prefix`,
     which sweeps every core size 0..omega with the least primes of q-1 in
     the core and agrees with the all-subsets search (a test oracle only).
-    The two modes differ in one record: "faithful" is "exact" plus the
-    degenerate field F_2 (which the criterion rejects trivially, sqrt(2) is
-    not > 2). The published survivor count of 3937 includes it, while
+    The two modes differ in one record: "faithful" from lo = SCAN_FLOOR is
+    "exact" plus the degenerate field F_2 (which the criterion rejects
+    trivially, sqrt(2) is not > 2). The published survivor count of 3937 includes it, while
     "exact" starts at the q = 3 floor and finds the 3936-element subset.
 
     Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
@@ -444,9 +451,6 @@ class ScanConfig:
             raise ValueError(f"unknown scan mode {self.mode!r}")
         if self.emit not in ("candidates", "all"):
             raise ValueError(f"unknown emit value {self.emit!r}")
-
-    def include_degenerate(self) -> bool:
-        return self.mode == "faithful" and self.lo <= 3
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -536,8 +540,9 @@ def _exponents_of(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _scan_segment(args) -> list[ScanRecord]:
-    """The records of the prime powers q in [seg_lo, seg_hi), ascending.
+def _scan_segment(cfg: ScanConfig, segment: tuple) -> list[ScanRecord]:
+    """The records of the prime powers q in one `prime_power_segments`
+    segment [seg_lo, seg_hi), ascending.
 
     Only the q - 1 of prime powers are factored. With emit="candidates" a row
     is dropped, as a certain pass, when q is above the direct bound
@@ -545,9 +550,8 @@ def _scan_segment(args) -> list[ScanRecord]:
     it by SWEEP_MARGIN; every other row, and every row under emit="all",
     gets its verdict from the exact kernel `best_prefix`.
     """
-    seg_lo, seg_hi, cfg, base, higher = args
-    q, p, k = segment_prime_powers(seg_lo, seg_hi, base, higher)
-    buf, cnt = _factor_rows(q - 1, base)
+    q, p, k = segment_prime_powers(*segment)
+    buf, cnt = _factor_rows(q - 1, segment[2])  # the segment's base primes
     n = cfg.n
     if cfg.emit == "candidates":
         # clipped above every q a scan reaches, so no entry overflows
@@ -589,40 +593,37 @@ class ScanResult:
     csv_path: str | None
 
 
+def _scan_segments(cfg: ScanConfig, plan: list[tuple], workers: int = 1,
+                   resumed: bool = False):
+    """The one scan driver: yield (end, records) per segment, in range order,
+    where records are those of every q below end not yielded before.
+
+    The q = 2 record of a faithful scan from SCAN_FLOOR comes first, as its
+    own segment ending at cfg.lo; a resumed scan is past it. Then one segment
+    per `prime_power_segments` entry of plan, decided by `_scan_segment`
+    through map, or through the imap of a pool of workers processes, which
+    is terminated when the generator finishes or is closed.
+    """
+    if cfg.mode == "faithful" and cfg.lo == SCAN_FLOOR and not resumed:
+        yield cfg.lo, [ScanRecord(2, 2, 1, 0, (), "candidate", ())]
+    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
+        decided = (pool.imap if pool else map)(partial(_scan_segment, cfg), plan)
+        for segment, records in zip(plan, decided):
+            yield segment[1], records
+
+
 def exception_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
                    emit: str = "candidates", segment_size: int = DEFAULT_SEGMENT):
-    """Stream ScanRecords for every prime power in [lo, hi], ascending q.
+    """Stream ScanRecords for every prime power in [lo, hi], ascending q,
+    with the q = 2 record first in faithful mode from lo = SCAN_FLOOR.
 
-    The sequential reference path; `run_scan` adds workers, CSV output and
-    checkpoints on top of the same per-segment function. The range must lie
-    within [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
+    The sequential path through the same driver as `run_scan`, without CSV
+    output or checkpoints. The range must lie within [SCAN_FLOOR,
+    SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
-    _check_segment_size(segment_size)
-    if hi < lo:
-        return
-    if cfg.include_degenerate():
-        yield _degenerate_record()
-    for task in _segment_tasks(cfg, lo, segment_size):
-        yield from _scan_segment(task)
-
-
-def _check_segment_size(segment_size: int):
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-
-
-def _segment_tasks(cfg: ScanConfig, start: int, segment_size: int) -> list[tuple]:
-    """One _scan_segment task per segment of [start, cfg.hi], all sharing a
-    single sieve of the base primes up to isqrt(hi)."""
-    base = sieve_primes(isqrt(cfg.hi))
-    higher = higher_prime_powers(cfg.lo, cfg.hi, base)
-    return [(s, min(s + segment_size, cfg.hi + 1), cfg, base, higher)
-            for s in range(start, cfg.hi + 1, segment_size)]
-
-
-def _degenerate_record() -> ScanRecord:
-    return ScanRecord(2, 2, 1, 0, (), "candidate", ())
+    for _, records in _scan_segments(cfg, prime_power_segments(lo, hi, segment_size)):
+        yield from records
 
 
 def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
@@ -634,9 +635,9 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
 
     Output is byte-identical for any worker count: segments are disjoint,
     processed independently, and written in range order. Checkpoints land
-    after every completed segment (the atomic unit of resumable work, far
-    more often than the nominal 1e5-record cadence); resuming continues at
-    the checkpoint's next q, in segments of this call's size (which may
+    after every completed segment, the atomic unit of resumable work, the
+    q = 2 record of a faithful scan included; resuming continues at the
+    checkpoint's next q, in segments of this call's size (which may
     differ from the interrupted run's), with the candidate count and maximum
     restored from the checkpoint. A resume needs the CSV of the interrupted
     scan: the earlier records live only there. It cuts the CSV back to the
@@ -645,7 +646,6 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
-    _check_segment_size(segment_size)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoint_path is None and checkpoint_dir():
@@ -681,7 +681,7 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
         max_cand = ck["max_candidate"]
 
     # segments start at the resume point, so their size never changes output
-    tasks = _segment_tasks(cfg, start, segment_size)
+    plan = prime_power_segments(start, hi, segment_size)
 
     out = None
     if csv_path:
@@ -694,53 +694,42 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             out.write(CSV_HEADER + "\n")
 
     all_records: list[ScanRecord] = []
-    # any checkpoint comes after the degenerate record
-    pending_degenerate = cfg.include_degenerate() and not resume
-
-    def _consume(seg_records, seg_end):
-        nonlocal emitted, num_cand, max_cand
-        try:
-            for rec in seg_records:
-                if out:
-                    out.write(rec.csv_line() + "\n")
-                else:
-                    all_records.append(rec)
-                emitted += 1
-                if rec.verdict == "candidate":
-                    num_cand += 1
-                    max_cand = rec.q if max_cand is None or rec.q > max_cand else max_cand
-            if out:
-                out.flush()
-            if checkpoint_path:
-                _checkpoint_write(checkpoint_path, {
-                    "lo": lo, "hi": hi, "next_q": seg_end,
-                    "records_emitted": emitted, "num_candidates": num_cand,
-                    "max_candidate": max_cand,
-                    "csv_offset": out.tell() if out else None,
-                    "config_hash": cfg.config_hash()})
-        except OSError as e:
-            raise OSError(
-                f"{e}; scan interrupted before q={seg_end}. Completed segments are "
-                + (f"checkpointed at {checkpoint_path}; rerun with resume=True "
-                   f"(CLI: --resume) to continue." if checkpoint_path else
-                   "not checkpointed; rerun with a checkpoint path to make the "
-                   "scan resumable.")) from e
-        if progress:
-            progress(seg_end, hi, emitted)
-
+    segments = _scan_segments(cfg, plan, workers, resume)
     try:
-        if pending_degenerate:
-            _consume([_degenerate_record()], lo)
-        if workers == 1:
-            for task in tasks:
-                _consume(_scan_segment(task), task[1])
-        else:
-            with Pool(workers) as pool:
-                for task, seg_records in zip(tasks, pool.imap(_scan_segment, tasks)):
-                    _consume(seg_records, task[1])
+        for seg_end, seg_records in segments:
+            try:
+                for rec in seg_records:
+                    if out:
+                        out.write(rec.csv_line() + "\n")
+                    else:
+                        all_records.append(rec)
+                    emitted += 1
+                    if rec.verdict == "candidate":
+                        num_cand += 1
+                        max_cand = rec.q if max_cand is None or rec.q > max_cand else max_cand
+                if out:
+                    out.flush()
+                if checkpoint_path:
+                    _checkpoint_write(checkpoint_path, {
+                        "lo": lo, "hi": hi, "next_q": seg_end,
+                        "records_emitted": emitted, "num_candidates": num_cand,
+                        "max_candidate": max_cand,
+                        "csv_offset": out.tell() if out else None,
+                        "config_hash": cfg.config_hash()})
+            except OSError as e:
+                raise OSError(
+                    f"{e}; scan interrupted before q={seg_end}. Completed segments are "
+                    + (f"checkpointed at {checkpoint_path}; rerun with resume=True "
+                       f"(CLI: --resume) to continue." if checkpoint_path else
+                       "not checkpointed; rerun with a checkpoint path to make the "
+                       "scan resumable.")) from e
+            if progress:
+                progress(seg_end, hi, emitted)
     finally:
-        # lines past the last checkpoint may reach the file here; a resume
-        # cuts them off at the checkpoint's CSV offset
+        # closing the driver terminates its worker pool; lines past the last
+        # checkpoint may reach the file here, and a resume cuts them off at
+        # the checkpoint's CSV offset
+        segments.close()
         if out:
             out.close()
     result = ScanResult(cfg, num_cand, max_cand, emitted, csv_path)
@@ -777,47 +766,44 @@ class ClassificationResult:
 
 def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
                              quadratic_scope: str = "irreducible",
-                             budget_qmax: int = CLASSIFY_LONG_QMAX,
                              jsonl_path: str | None = None,
                              progress=None) -> ClassificationResult:
     """Find every q <= q_max whose (n1, n2) family truly lacks a primitive pair.
 
-    Candidates failing the certification criteria are verified exhaustively;
-    each true exception carries its first failing function, re-verified by a
-    reversed-order search. Work stops at budget_qmax (CLASSIFY_LONG_QMAX by
-    default) with an explicit high-water mark when q_max exceeds it.
+    Candidates failing the certification criteria for degree n1 + n2 are
+    verified exhaustively; progress, if given, is called with (q, member)
+    after each, in ascending q. Each true exception carries its first
+    failing function, re-verified by a reversed-order search. Work stops at
+    CLASSIFY_LONG_QMAX with an explicit high-water mark when q_max exceeds
+    it.
 
     For the (2, 0) family the default scope counts only irreducible failing
     quadratics, matching the established classification; pass
     quadratic_scope="all" for the full-family superset (see q_in_Q).
     """
-    if family not in ((1, 1), (2, 0)):
+    if family not in ENGINE_FAMILIES:
         raise ValueError(f"classification supports families (1,1) and (2,0), got {family}")
-    effective = min(q_max, budget_qmax)
+    high_water = min(q_max, CLASSIFY_LONG_QMAX)
     exceptions: list[ClassifiedException] = []
     entries = []
-    high_water = effective
-    if effective >= SCAN_FLOOR:
-        for rec in exception_scan(SCAN_FLOOR, effective, 2):
-            if rec.verdict != "candidate":
-                continue
-            ctx = field_make(rec.p, rec.k)
-            res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
-            if progress:
-                progress(rec.q, res.member)
-            if res.member:
-                continue
-            f = res.failing
-            confirm = _pair_walk(ctx, f, order="desc")
-            if confirm.found:
-                raise AssertionError(f"witness disagreement at q={rec.q}")
-            exceptions.append(ClassifiedException(
-                rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))
-            entries.append(witness_entry(ctx, f, family, confirm))
+    for rec in exception_scan(SCAN_FLOOR, high_water, sum(family)):
+        ctx = field_make(rec.p, rec.k)
+        res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
+        if progress:
+            progress(rec.q, res.member)
+        if res.member:
+            continue
+        f = res.failing
+        confirm = _pair_walk(ctx, f, order="desc")
+        if confirm.found:
+            raise AssertionError(f"witness disagreement at q={rec.q}")
+        exceptions.append(ClassifiedException(
+            rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))
+        entries.append(witness_entry(ctx, f, family, confirm))
     if jsonl_path:
         write_witness_jsonl(jsonl_path, entries)
     return ClassificationResult(family, q_max, exceptions, high_water,
-                                complete=q_max <= budget_qmax)
+                                complete=q_max <= CLASSIFY_LONG_QMAX)
 
 
 def write_witness_jsonl(path: str, entries: list[dict]):

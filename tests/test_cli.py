@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from primpair import ffcore, polyrat, search
+from primpair import bounds, ffcore, polyrat, search
 from primpair.cli import main
 
 
@@ -45,6 +45,22 @@ class TestCheckBound:
         assert code == 2
         assert out == ""
         assert "n must be >= 2" in err
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_kernel_values_match_fraction_oracle(self, capsys, prime_powers, n):
+        # delta, Delta and the margin come from the kernel's integers; the
+        # Fraction oracle rebuilds them from the reported core
+        qs = [q for _, _, q in prime_powers(3, 3000)] + [65537, 33093061, 2**31 - 1]
+        for q in qs:
+            _, out, _ = run(capsys, "--format", "json", "check-bound",
+                            "--q", str(q), "--n", str(n))
+            payload = json.loads(out)
+            params = bounds.SieveParams.from_core(q, ffcore.factorize(q - 1),
+                                                  payload["best_core"])
+            delta, big_delta = params.delta, params.big_delta
+            assert payload["delta"] == [delta.numerator, delta.denominator], q
+            assert payload["big_delta"] == [big_delta.numerator, big_delta.denominator], q
+            assert payload["margin"] == q**0.5 - float(params.threshold(n)), q
 
 
 class TestTables:
@@ -158,8 +174,16 @@ class TestClassify:
         assert "q * rad(q-1)^2 * omega(q-1)" in err
 
     def test_bad_family(self, capsys):
-        code, _, _ = run(capsys, "classify", "--family", "3,3", "--qmax", "10")
+        code, out, err = run(capsys, "classify", "--family", "3,3", "--qmax", "10")
         assert code == 2
+        assert out == ""
+        assert err == "error: classification supports families 1,1 and 2,0\n"
+        # a usage error comes before the budget refusal
+        code, _, _ = run(capsys, "classify", "--family", "3,3", "--qmax", "5000")
+        assert code == 2
+        code, _, err = run(capsys, "classify", "--family", "one,one", "--qmax", "10")
+        assert code == 2
+        assert err == "error: cannot parse family 'one,one'\n"
 
     def test_witness_file(self, capsys, tmp_path):
         out_path = tmp_path / "w.jsonl"

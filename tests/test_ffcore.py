@@ -18,6 +18,7 @@ from primpair.ffcore import (
     is_prime,
     multiplicative_order,
     prime_power_iter,
+    prime_power_segments,
     segment_prime_powers,
     sieve_primes,
 )
@@ -317,7 +318,7 @@ class TestPrimePowerIter:
 
     def test_segment_size_below_one_refused(self):
         with pytest.raises(ValueError, match="segment_size must be >= 1"):
-            list(prime_power_iter(3, 100, segment_size=0))
+            prime_power_segments(3, 100, 0)
 
     def test_count_against_prime_counting_oracle(self):
         import sympy

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import multiprocessing
 from math import gcd, isqrt
 
 import numpy as np
@@ -57,7 +58,7 @@ class TestPairExists:
         w = pair_exists(ctx, res.failing)
         assert not w.found
         assert w.examined == ctx.qm1.euler_phi
-        back = pair_exists(ctx, res.failing, order="desc")
+        back = search._pair_walk(ctx, res.failing, "desc")
         assert not back.found and back.examined == ctx.qm1.euler_phi
 
     def test_exceptional_rejected(self, field):
@@ -630,6 +631,33 @@ class TestRunScan:
         with pytest.raises(ValueError, match="segment_size must be >= 1"):
             list(exception_scan(3, 1000, 2, segment_size=size))
 
+    @pytest.mark.parametrize("mode", ["exact", "faithful"])
+    @pytest.mark.parametrize("emit", ["candidates", "all"])
+    @pytest.mark.parametrize("lo, hi, segment", [
+        (3, 2, 1 << 20), (3, 3, 1 << 20), (65537, 65537, 1 << 20), (3, 40_000, 7_001)])
+    def test_exception_scan_matches_run_scan(self, lo, hi, segment, mode, emit):
+        # one driver: the streamed records are the ones run_scan collects,
+        # the q = 2 record of a faithful scan from 3 included
+        streamed = list(exception_scan(lo, hi, 2, mode=mode, emit=emit,
+                                       segment_size=segment))
+        _, collected = run_scan(lo, hi, 2, mode=mode, emit=emit, segment_size=segment)
+        assert streamed == collected
+        assert [r.q for r in streamed if r.q == 2] == (
+            [2] if mode == "faithful" and lo == 3 else [])
+
+    def test_stopped_pool_is_terminated(self):
+        class Stop(Exception):
+            pass
+
+        def bail(seg_end, hi, emitted):
+            if seg_end > 3:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_scan(3, 200_000, 2, mode="faithful", workers=2, segment_size=1 << 14,
+                     progress=bail)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_refused(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -705,8 +733,9 @@ class TestClassify:
     def test_scan_floor(self):
         assert classify_true_exceptions(2, (1, 1)).q_list == []
 
-    def test_budget_high_water(self):
-        res = classify_true_exceptions(200, (1, 1), budget_qmax=50)
+    def test_budget_high_water(self, monkeypatch):
+        monkeypatch.setattr(search, "CLASSIFY_LONG_QMAX", 50)
+        res = classify_true_exceptions(200, (1, 1))
         assert not res.complete
         assert res.high_water == 50
         assert res.q_list == [q for q in CASE_1_1 if q <= 50]
@@ -728,6 +757,15 @@ class TestClassify:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             classify_true_exceptions(100, (3, 1))
+
+    @pytest.mark.parametrize("family", [(1, 1), (2, 0)])
+    def test_progress_once_per_candidate(self, family):
+        seen = []
+        res = classify_true_exceptions(
+            120, family, progress=lambda q, member: seen.append((q, member)))
+        candidates = [r.q for r in exception_scan(3, 120, 2)]
+        assert [q for q, _ in seen] == candidates == sorted(candidates)
+        assert [q for q, member in seen if not member] == res.q_list
 
     def test_witness_report(self, tmp_path):
         out = tmp_path / "w.jsonl"
