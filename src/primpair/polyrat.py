@@ -378,8 +378,8 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
     also need both constant terms nonzero so the reciprocal reduction
     applies).
     """
-    if n1 < n2:
-        raise ValueError(f"family needs n1 >= n2, got ({n1}, {n2})")
+    if not n1 >= n2 >= 0:
+        raise ValueError(f"family needs n1 >= n2 >= 0, got ({n1}, {n2})")
     if (n1, n2) == (1, 1):
         yield from _family_1_1(ctx)
         return

@@ -573,15 +573,35 @@ def _scan_segment(cfg: ScanConfig, segment: tuple) -> list[ScanRecord]:
     return records
 
 
-def checkpoint_dir() -> str | None:
-    return os.environ.get("PRIMPAIR_CHECKPOINT_DIR")
-
-
 def _checkpoint_write(path: str, payload: dict):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh)
     os.replace(tmp, path)
+
+
+def _checkpoint_read(path: str | None, fresh: dict, csv_path: str) -> dict:
+    """The state a resume continues from: the checkpoint at path, refused
+    unless it belongs to the scan of fresh (its config hash), holds every key
+    of fresh with an integer csv_offset, and bookmarks a byte of the CSV at
+    csv_path that the file still holds. Keys outside fresh are dropped."""
+    if not path or not os.path.exists(path):
+        raise FileNotFoundError("resume requested but no checkpoint found")
+    with open(path) as fh:
+        ck = json.load(fh)
+    if not isinstance(ck, dict) or ck.get("config_hash") != fresh["config_hash"]:
+        raise ValueError(f"checkpoint {path} belongs to another scan configuration")
+    bad = [key for key in fresh if key not in ck
+           or key == "csv_offset" and type(ck[key]) is not int]
+    if bad:
+        raise ValueError(f"checkpoint {path} cannot resume a scan: missing or invalid "
+                         f"{', '.join(bad)}; rerun the scan without resume")
+    size = os.path.getsize(csv_path)
+    if not 0 <= ck["csv_offset"] <= size:
+        raise ValueError(
+            f"checkpoint {path} bookmarks byte {ck['csv_offset']} of {csv_path}, "
+            f"which holds {size} bytes; rerun the scan without resume")
+    return {key: ck[key] for key in fresh}
 
 
 @dataclass
@@ -634,97 +654,68 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     """Run a scan with optional parallelism, CSV output, and checkpoints.
 
     Output is byte-identical for any worker count: segments are disjoint,
-    processed independently, and written in range order. Checkpoints land
-    after every completed segment, the atomic unit of resumable work, the
-    q = 2 record of a faithful scan included; resuming continues at the
-    checkpoint's next q, in segments of this call's size (which may
-    differ from the interrupted run's), with the candidate count and maximum
-    restored from the checkpoint. A resume needs the CSV of the interrupted
-    scan: the earlier records live only there. It cuts the CSV back to the
-    byte offset the checkpoint stored, so lines written after the last
-    checkpoint are not written twice. The range must lie within
+    processed independently, and written in range order. A checkpoint is a
+    bookmark in the scan's CSV, so it needs csv_path: after every completed
+    segment, the atomic unit of resumable work, the q = 2 record of a
+    faithful scan included, it stores the scan's state (the next q, the
+    records and candidates so far, the largest candidate, the CSV's byte
+    offset and the config hash). A resume continues at the checkpoint's next
+    q, in segments of this call's size (which may differ from the
+    interrupted run's), from the checkpoint's counters. It cuts the CSV back
+    to the stored byte offset, so lines written after the last checkpoint
+    are not written twice. The range must lie within
     [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if checkpoint_path is None and checkpoint_dir():
-        checkpoint_path = os.path.join(
-            checkpoint_dir(), f"scan_{cfg.config_hash()}.json")
-
-    start = lo
-    emitted = 0
-    num_cand = 0
-    max_cand = None
+    if (checkpoint_path or resume) and not csv_path:
+        raise ValueError(
+            "a checkpoint needs the CSV of its scan (CLI: --out): it records the "
+            "CSV's byte offset, and a resume continues that file")
+    state = {"next_q": lo, "records_emitted": 0, "num_candidates": 0,
+             "max_candidate": None, "csv_offset": 0, "config_hash": cfg.config_hash()}
     if resume:
-        if not checkpoint_path or not os.path.exists(checkpoint_path):
-            raise FileNotFoundError("resume requested but no checkpoint found")
-        with open(checkpoint_path) as fh:
-            ck = json.load(fh)
-        if ck["config_hash"] != cfg.config_hash():
-            raise ValueError("checkpoint belongs to a different scan configuration")
-        if "num_candidates" not in ck or "max_candidate" not in ck:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} has no candidate summary, so a resumed "
-                "scan could not report its candidates; rerun the scan without resume")
-        if not csv_path:
-            raise ValueError(
-                "resume needs the CSV of the interrupted scan (CLI: --out), which "
-                "holds the records before the checkpoint")
-        if ck.get("csv_offset") is None:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} has no CSV byte offset, so the CSV "
-                "could not be cut back to it; rerun the scan without resume")
-        start = ck["next_q"]
-        emitted = ck["records_emitted"]
-        num_cand = ck["num_candidates"]
-        max_cand = ck["max_candidate"]
-
+        state = _checkpoint_read(checkpoint_path, state, csv_path)
     # segments start at the resume point, so their size never changes output
-    plan = prime_power_segments(start, hi, segment_size)
-
-    out = None
-    if csv_path:
-        if resume:
-            out = open(csv_path, "r+")
-            out.seek(ck["csv_offset"])
-            out.truncate()
-        else:
-            out = open(csv_path, "w")
-            out.write(CSV_HEADER + "\n")
+    plan = prime_power_segments(state["next_q"], hi, segment_size)
 
     all_records: list[ScanRecord] = []
+    saved = resume  # a checkpoint exists to resume from
+    out = open(csv_path, "r+" if resume else "w") if csv_path else None
     segments = _scan_segments(cfg, plan, workers, resume)
     try:
+        if resume:
+            out.seek(state["csv_offset"])
+            out.truncate()
+        elif out:
+            out.write(CSV_HEADER + "\n")
         for seg_end, seg_records in segments:
             try:
                 for rec in seg_records:
                     if out:
                         out.write(rec.csv_line() + "\n")
-                    else:
-                        all_records.append(rec)
-                    emitted += 1
                     if rec.verdict == "candidate":
-                        num_cand += 1
-                        max_cand = rec.q if max_cand is None or rec.q > max_cand else max_cand
+                        state["num_candidates"] += 1
+                        state["max_candidate"] = rec.q  # records ascend
+                state["records_emitted"] += len(seg_records)
                 if out:
                     out.flush()
+                else:
+                    all_records.extend(seg_records)
                 if checkpoint_path:
                     _checkpoint_write(checkpoint_path, {
-                        "lo": lo, "hi": hi, "next_q": seg_end,
-                        "records_emitted": emitted, "num_candidates": num_cand,
-                        "max_candidate": max_cand,
-                        "csv_offset": out.tell() if out else None,
-                        "config_hash": cfg.config_hash()})
+                        **state, "next_q": seg_end, "csv_offset": out.tell()})
+                    saved = True
             except OSError as e:
                 raise OSError(
                     f"{e}; scan interrupted before q={seg_end}. Completed segments are "
                     + (f"checkpointed at {checkpoint_path}; rerun with resume=True "
-                       f"(CLI: --resume) to continue." if checkpoint_path else
-                       "not checkpointed; rerun with a checkpoint path to make the "
-                       "scan resumable.")) from e
+                       f"(CLI: --resume) to continue." if saved else
+                       "not checkpointed; rerun the scan, with a writable checkpoint "
+                       "path to make it resumable.")) from e
             if progress:
-                progress(seg_end, hi, emitted)
+                progress(seg_end, hi, state["records_emitted"])
     finally:
         # closing the driver terminates its worker pool; lines past the last
         # checkpoint may reach the file here, and a resume cuts them off at
@@ -732,7 +723,8 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
         segments.close()
         if out:
             out.close()
-    result = ScanResult(cfg, num_cand, max_cand, emitted, csv_path)
+    result = ScanResult(cfg, state["num_candidates"], state["max_candidate"],
+                        state["records_emitted"], csv_path)
     return result, all_records
 
 

@@ -16,6 +16,7 @@ from primpair.bounds import (
     c_m_supremum,
     check_all_pass_targets,
     generic_cn,
+    generic_cn_ok,
     sieve_check,
     sieve_pass_prefix,
     direct_criterion_check,
@@ -234,6 +235,7 @@ class TestGenericCn:
             ulp4 = 10.0 ** (np.floor(np.log10(value)) - 3)
             assert abs(value - pinned) <= ulp4, (n, value, pinned)
             assert pinned >= value  # published values round upward
+            assert generic_cn_ok(n)
 
     def test_domain(self):
         with pytest.raises(ValueError):

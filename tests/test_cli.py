@@ -142,6 +142,27 @@ class TestScan:
         assert out == ""
         assert "needs the CSV" in err
 
+    def test_checkpoint_without_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "scan", "--hi", "100",
+                             "--checkpoint", str(tmp_path / "ck.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "needs the CSV" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_in_missing_directory_is_usage_error(self, capsys, tmp_path):
+        # the first checkpoint write fails, so no checkpoint exists to resume
+        code, out, err = run(capsys, "scan", "--hi", "100000", "--out",
+                             str(tmp_path / "scan.csv"), "--checkpoint",
+                             str(tmp_path / "nodir" / "ck.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "No such file or directory" in err
+        assert "not checkpointed" in err
+        assert "--resume" not in err
+
 
 class TestClassify:
     def test_case1_prefix(self, capsys):
@@ -311,6 +332,14 @@ class TestQMember:
                              "--n1", "1", "--n2", "1")
         assert code == 2 and out == ""
         assert "limit of 16777216" in err
+
+    @pytest.mark.parametrize("n1", ["-1", "2"])
+    def test_negative_degree_is_usage_error(self, capsys, n1):
+        code, out, err = run(capsys, "qmember", "--q", "3", "--n1", n1, "--n2", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "n1 >= n2 >= 0" in err
 
     def test_general_family_naive(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "qmember", "--q", "7",

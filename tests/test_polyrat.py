@@ -314,6 +314,10 @@ class TestEnumerateFamily:
     def test_order_error(self, field):
         with pytest.raises(ValueError):
             list(enumerate_family(field(5, 1), 0, 1))
+        # a negative degree is refused, not walked as a tuple of negative length
+        for n1, n2 in [(-1, -1), (2, -1)]:
+            with pytest.raises(ValueError, match="n1 >= n2 >= 0"):
+                list(enumerate_family(field(3, 1), n1, n2))
 
     def test_1_1_verdicts_cover_orbits(self, field):
         # pair verdicts agree across each orbit, so one representative suffices

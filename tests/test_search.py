@@ -539,35 +539,84 @@ class TestRunScan:
         # the summary covers the segments before the checkpoint too
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
 
-    def test_resume_refuses_checkpoint_without_summary(self, tmp_path):
+    def test_resume_from_checkpoint_with_lo_hi(self, tmp_path):
+        # checkpoints of the earlier format, which also stored lo and hi,
+        # still resume; the state written after the resume drops those keys
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 150_000, 2, csv_path=str(full), segment_size=1 << 15)
+        part = tmp_path / "part.csv"
         ck = tmp_path / "ck.json"
-        run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12)
-        state = json.loads(ck.read_text())
-        del state["num_candidates"], state["max_candidate"]
-        ck.write_text(json.dumps(state))
-        with pytest.raises(ValueError, match="no candidate summary"):
-            run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12,
-                     resume=True)
 
-    def test_resume_refuses_checkpoint_without_csv_offset(self, tmp_path):
+        class Stop(Exception):
+            pass
+
+        def bail(seg_end, hi, emitted):
+            raise Stop
+
+        with pytest.raises(Stop):
+            run_scan(3, 150_000, 2, csv_path=str(part), segment_size=1 << 15,
+                     checkpoint_path=str(ck), progress=bail)
+        state = json.loads(ck.read_text())
+        assert isinstance(state["csv_offset"], int)
+        ck.write_text(json.dumps({"lo": 3, "hi": 150_000, **state}))
+        resumed, _ = run_scan(3, 150_000, 2, csv_path=str(part), segment_size=1 << 15,
+                              checkpoint_path=str(ck), resume=True)
+        assert part.read_bytes() == full.read_bytes()
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
+        assert json.loads(ck.read_text()).keys() == state.keys()
+
+    def _checkpointed_scan(self, tmp_path):
         csv = tmp_path / "scan.csv"
         ck = tmp_path / "ck.json"
         run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
                  segment_size=1 << 12)
+        return csv, ck
+
+    def test_resume_refuses_checkpoint_without_summary(self, tmp_path):
+        csv, ck = self._checkpointed_scan(tmp_path)
         state = json.loads(ck.read_text())
-        del state["csv_offset"]
+        del state["num_candidates"], state["max_candidate"]
         ck.write_text(json.dumps(state))
-        with pytest.raises(ValueError, match="no CSV byte offset"):
+        with pytest.raises(ValueError,
+                           match="missing or invalid num_candidates, max_candidate"):
             run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
                      segment_size=1 << 12, resume=True)
 
+    def test_resume_refuses_checkpoint_without_csv_offset(self, tmp_path):
+        csv, ck = self._checkpointed_scan(tmp_path)
+        state = json.loads(ck.read_text())
+        del state["csv_offset"]
+        # no key, and the null that checkpoints written without a CSV held
+        for broken in (state, {**state, "csv_offset": None}):
+            ck.write_text(json.dumps(broken))
+            with pytest.raises(ValueError, match="missing or invalid csv_offset"):
+                run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                         segment_size=1 << 12, resume=True)
+
+    def test_resume_refuses_short_csv(self, tmp_path):
+        # a CSV cut below the checkpoint's offset would be padded with NUL
+        # bytes up to it and the records in the gap lost
+        csv, ck = self._checkpointed_scan(tmp_path)
+        offset = json.loads(ck.read_text())["csv_offset"]
+        assert offset > 100
+        csv.write_bytes(csv.read_bytes()[:100])
+        with pytest.raises(ValueError, match=f"bookmarks byte {offset} of .*100 bytes"):
+            run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                     segment_size=1 << 12, resume=True)
+        assert csv.stat().st_size == 100
+
     def test_resume_refuses_missing_csv(self, tmp_path):
-        # without the CSV the records before the checkpoint would be lost
+        # a checkpoint is a bookmark in the CSV: without one, the records
+        # before it would be lost, so the scan is refused before any file
+        # is written
         ck = tmp_path / "ck.json"
-        run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12)
+        for resume in (False, True):
+            with pytest.raises(ValueError, match="needs the CSV"):
+                run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12,
+                         resume=resume)
         with pytest.raises(ValueError, match="needs the CSV"):
-            run_scan(3, 10_000, 2, checkpoint_path=str(ck), segment_size=1 << 12,
-                     resume=True)
+            run_scan(3, 10_000, 2, resume=True)
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_after_fault_between_csv_and_checkpoint(self, tmp_path, monkeypatch):
         # segment 3's lines reach the CSV but its checkpoint write fails; the
@@ -587,7 +636,7 @@ class TestRunScan:
             real_write(path, payload)
 
         monkeypatch.setattr(search, "_checkpoint_write", write_then_fail)
-        with pytest.raises(OSError, match="injected fault"):
+        with pytest.raises(OSError, match="injected fault.*checkpointed at"):
             run_scan(3, 400_000, 2, csv_path=str(part), checkpoint_path=str(ck),
                      segment_size=100_000)
         monkeypatch.undo()
@@ -688,18 +737,16 @@ class TestRunScan:
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
 
     def test_resume_rejects_other_config(self, tmp_path):
+        csv = tmp_path / "scan.csv"
         ck = tmp_path / "ck.json"
-        run_scan(3, 10_000, 2, checkpoint_path=str(ck))
+        run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck))
         with pytest.raises(ValueError, match="configuration"):
-            run_scan(3, 20_000, 2, checkpoint_path=str(ck), resume=True)
-
-    def test_checkpoint_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PRIMPAIR_CHECKPOINT_DIR", str(tmp_path))
-        result, _ = run_scan(3, 5_000, 2)
-        files = list(tmp_path.glob("scan_*.json"))
-        assert len(files) == 1
-        state = json.loads(files[0].read_text())
-        assert state["config_hash"] == result.config.config_hash()
+            run_scan(3, 20_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                     resume=True)
+        ck.write_text("[]")  # JSON, but not a checkpoint
+        with pytest.raises(ValueError, match="configuration"):
+            run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                     resume=True)
 
     def test_config_validates_mode_and_emit(self):
         with pytest.raises(ValueError, match="unknown scan mode"):
