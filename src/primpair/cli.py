@@ -12,6 +12,10 @@ refusals), a ZeroDivisionError (a zero denominator) or an OSError (a
 missing checkpoint, or a file that cannot be read or written, such as one
 in a missing directory) from any subcommand into an `error:` line on stderr
 and exit code 2.
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later call; parsing makes a fresh namespace each time,
+so no call sees another's options.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from math import gcd, prod
 
-from . import bounds, charsums, ffcore, polyrat, search
+from . import bounds, ffcore, polyrat, search
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -311,6 +316,7 @@ def cmd_weil_audit(args) -> int:
         raise ValueError(f"--qmax must be >= 3, the smallest field audited; got {args.qmax}")
     if args.degmax < 1:
         raise ValueError(f"--degmax must be >= 1, got {args.degmax}")
+    from . import charsums  # only this subcommand needs it
     rng = random.Random(args.seed)
     fields = [(p, kk) for p, kk, q in ffcore.prime_power_iter(3, args.qmax)]
     ctxs = {}
@@ -351,7 +357,9 @@ def cmd_weil_audit(args) -> int:
     return EXIT_OK if not failures else EXIT_NEGATIVE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first `main` call."""
     ap = argparse.ArgumentParser(
         prog="primpair",
         description="Primitive pairs (alpha, f(alpha)) in finite fields: "

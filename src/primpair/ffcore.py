@@ -7,9 +7,12 @@ sits on two primitives built here:
    functions (number of distinct primes, square-free divisor count, Euler phi,
    Moebius, radical).
  - ``FieldCtx``: a fully materialized field F_{p^k} with a deterministic
-   primitive root and complete exp/dlog tables, built by doubling in
-   ceil(log2(q-1)) numpy steps, so primitivity and u-freeness reduce to gcd
-   tests on exponents.
+   primitive root and complete exp/dlog tables, so primitivity and
+   u-freeness reduce to gcd tests on exponents. The build is numpy
+   throughout: the generator candidates are tested a block at a time, each
+   as its k x k multiplication matrix raised to every cofactor (q-1)/l at
+   once, and the tables are filled from [1, g] by doubling, with the matrix
+   of g^t carried from step to step and squared mod p.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -33,6 +36,7 @@ import numpy as np
 # q^2 <= 2^52 keeps field_make's float64 build exact.
 DEFAULT_TABLE_CAP = 1 << 24
 _BUILD_CELLS = 1 << 14  # digit cells per step product in field_make
+_GEN_BLOCK = 16  # generator candidates in field_make's first block
 
 DEFAULT_SEGMENT = 1 << 20  # integers per segment of a prime-power walk
 
@@ -289,7 +293,7 @@ def prime_power_iter(lo: int, hi: int):
 
 # ---------------------------------------------------------------------------
 # Raw polynomial arithmetic over Z_p (coefficient lists, low degree first).
-# Only used while constructing extension fields, before tables exist.
+# Only used to find an extension field's modulus, before tables exist.
 # ---------------------------------------------------------------------------
 
 
@@ -519,15 +523,64 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
-def _step_matrix(c: list[int], mod_list: list[int], p: int, k: int) -> np.ndarray:
-    """A with A @ [floor(v / p^i) for i = 0..k] = the digits of v*c before
-    reduction mod p. Column i of M, the matrix of v -> v*c, holds x^i*c and
-    digit i of v is floor(v / p^i) - p*floor(v / p^(i+1)): A = [M|0] - p[0|M]."""
-    cols = [_rmod(_rmul([0] * i + [1], c, p), mod_list, p) for i in range(k)]
-    mat = np.array([col + [0] * (k - len(col)) for col in cols] + [[0] * k],
-                   dtype=np.float64).T
-    mat[:, 1:] -= p * mat[:, :-1]
-    return mat
+def _least_generator(p: int, k: int, mod_list: list[int],
+                     cofactors: list[int]) -> tuple[int, np.ndarray]:
+    """The least packed value g with g^e != 1 for every e in cofactors, and
+    the k x k matrix of v -> v*g, whose column i holds the digits of x^i*g.
+
+    Candidates are tested in blocks of _GEN_BLOCK, 2*_GEN_BLOCK, ... values.
+    Each candidate c becomes its matrix, sum_i c_i*X^i with X the companion
+    matrix of the modulus. One stack holds, for every candidate of a block,
+    c^(2^j) and the partial power c^(e mod 2^j) of every cofactor e; all are
+    polynomials in X, so they commute, and one product of the stack with
+    c^(2^j) per bit j squares the first and multiplies the others in where
+    bit j of e is set. Entries stay below p, so every sum of products is
+    below k*p^2 and exact in int64.
+    """
+    comp = np.eye(k, k, -1, dtype=np.int64)  # x * x^i = x^(i+1) for i < k-1
+    comp[:, -1] = [-c % p for c in mod_list[:-1]]
+    xpow = np.empty((k, k, k), dtype=np.int64)  # xpow[i]: the matrix of x^i
+    xpow[0] = np.eye(k)
+    for i in range(1, k):
+        xpow[i] = xpow[i - 1] @ comp % p
+    xpow = xpow.reshape(k, k * k)
+    pow_p = p ** np.arange(k, dtype=np.int64)
+    # bit j of the exponents: row 0 of the stack squares, row 1 + i multiplies
+    exps = np.array(cofactors, dtype=np.int64)
+    bits = np.ones((max(cofactors, default=0).bit_length(), len(exps) + 1, 1, 1, 1), dtype=bool)
+    bits[:, 1:, 0, 0, 0] = exps >> np.arange(len(bits))[:, None] & 1
+    lo, size = 1, _GEN_BLOCK
+    while lo < p**k:
+        cand = np.arange(lo, min(lo + size, p**k), dtype=np.int64)
+        mats = (cand[:, None] // pow_p % p @ xpow).reshape(-1, k, k) % p
+        stack = np.empty((len(cofactors) + 1, *mats.shape), dtype=np.int64)
+        stack[0], stack[1:] = mats, xpow[0].reshape(k, k)
+        for row in bits:
+            np.remainder(stack @ stack[0], p, out=stack, where=row)
+        hit = np.flatnonzero((stack[1:, :, :, 0] @ pow_p != 1).all(axis=0))
+        if hit.size:
+            return int(cand[hit[0]]), mats[hit[0]].astype(np.float64)
+        lo, size = lo + size, 2 * size
+    raise ArithmeticError(f"no generator found for F_{p**k}")  # unreachable
+
+
+def _doubling_steps(mat: np.ndarray, p: int, m: int):
+    """Yield (t, s, A) for each doubling step exp[t:t+s] = exp[:s] * g^t of
+    field_make, t = 2, 4, 8, ... < m and s = min(t, m - t); exp[:2] = [1, g]
+    needs no step. mat is the matrix of v -> v*g, and the matrix of g^t is
+    carried from step to step, squared mod p.
+
+    A @ [floor(v / p^i) for i = 0..k] is the digits of v*g^t before reduction
+    mod p: with M the matrix of g^t, digit i of v is floor(v / p^i) -
+    p*floor(v / p^(i+1)), so A = [M|0] - p[0|M].
+    """
+    k = len(mat)
+    digits = np.eye(k, k + 1) - p * np.eye(k, k + 1, 1)  # [I|0] - p[0|I]
+    t = 2
+    while t < m:
+        mat = mat @ mat % p
+        yield t, min(t, m - t), mat @ digits
+        t *= 2
 
 
 def field_make(p: int, k: int) -> FieldCtx:
@@ -535,10 +588,13 @@ def field_make(p: int, k: int) -> FieldCtx:
 
     The primitive root is the least element (packed order) of order q - 1 and
     the modulus is the first monic irreducible of degree k, so two runs always
-    build the identical field. exp is built by doubling in ceil(log2(q-1))
-    steps, exp[t:t+s] = exp[:s] * g^t with s = min(t, q-1-t). Multiplying by
-    g^t is F_p-linear: a k x k matrix product on the base-p digits (1 x 1 for
-    k == 1, where F_p = F_p[x]/(x)).
+    build the identical field. `_least_generator` finds g by testing a block
+    of candidates at a time in numpy. exp = [1, g, ...] is filled by doubling,
+    exp[t:t+s] = exp[:s] * g^t for t = 2, 4, 8, ... < q-1 and s =
+    min(t, q-1-t). Multiplying by g^t is F_p-linear: a k x k matrix product
+    on the base-p digits (1 x 1 for k == 1, where F_p = F_p[x]/(x)), and the
+    matrix of g^t is carried from step to step and squared mod p. No step
+    loops over polynomials in Python.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -555,37 +611,23 @@ def field_make(p: int, k: int) -> FieldCtx:
     m = q - 1
     modulus = _find_modulus(p, k) if k > 1 else None
     mod_list = list(modulus) if k > 1 else [0, 1]
-
-    def unpack(v: int) -> list[int]:
-        return _rtrim([v // p**i % p for i in range(k)])
-
-    def is_one(v: int, e: int) -> bool:  # v^e == 1
-        return (pow(v, e, p) == 1 if k == 1
-                else _rpowmod(unpack(v), e, mod_list, p) == [1])
-
-    cofactors = [m // r for r in qm1.primes]
-    g = next((cand for cand in range(1, q)
-              if not any(is_one(cand, e) for e in cofactors)), None)
-    if g is None:
-        raise ArithmeticError(f"no generator found for F_{q}")  # unreachable
+    g, mat = _least_generator(p, k, mod_list, [m // r for r in qm1.primes])
 
     # Every step is exact in float64: floor(a / b) is exact for integers with
-    # a + b < 2^53, and each partial sum of a product is below k*(p-1)*q <=
-    # q^2 <= 2^52 in size. Blocks of _BUILD_CELLS cells stay in cache and
+    # a + b < 2^53, each partial sum of a product is below k*(p-1)*q <=
+    # q^2 <= 2^52 in size, and squaring the carried matrix sums k products
+    # below p^2 each. Blocks of _BUILD_CELLS cells stay in cache and
     # below the size at which BLAS starts threads.
     exp = np.ones(m, dtype=np.int64)
+    exp[1:2] = g  # exp[1] = g^1, absent when q = 2
     pow_p = np.array([p**i for i in range(k + 1)], dtype=np.float64)[:, None]
     width, pack = _BUILD_CELLS // k, pow_p[:-1, 0]
-    c, t = unpack(g), 1
-    while t < m:
-        s = min(t, m - t)
-        mat = _step_matrix(c, mod_list, p, k)
+    for t, s, step in _doubling_steps(mat, p, m):
         for lo in range(0, s, width):
             hi = min(lo + width, s)
-            sums = mat @ np.floor(exp[lo:hi] / pow_p)
+            sums = step @ np.floor(exp[lo:hi] / pow_p)
             sums -= p * np.floor(sums / p)
             exp[t + lo:t + hi] = pack @ sums
-        c, t = _rmod(_rmul(c, c, p), mod_list, p), 2 * t
 
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[exp] = np.arange(m, dtype=np.int64)

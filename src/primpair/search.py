@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from math import gcd, isqrt
-from multiprocessing import Pool
 from operator import mul
 
 import numpy as np
@@ -626,6 +625,8 @@ def _scan_segments(cfg: ScanConfig, plan: list[tuple], workers: int = 1,
     """
     if cfg.mode == "faithful" and cfg.lo == SCAN_FLOOR and not resumed:
         yield cfg.lo, [ScanRecord(2, 2, 1, 0, (), "candidate", ())]
+    if workers > 1:
+        from multiprocessing import Pool  # imported only by a parallel scan
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         decided = (pool.imap if pool else map)(partial(_scan_segment, cfg), plan)
         for segment, records in zip(plan, decided):

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import primpair
 from primpair import bounds, ffcore, polyrat, search
-from primpair.cli import main
+from primpair.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -387,3 +391,51 @@ def test_timestamp_suppression(capsys):
     assert not out.startswith("#")
     _, out, _ = run(capsys, "tables")
     assert out.startswith("#")
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process; no call may see
+    another's options."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_out_is_not_carried_over(self, capsys, tmp_path):
+        out_path = tmp_path / "w.jsonl"
+        code, out, _ = run(capsys, "--no-timestamp", "pair", "--q", "13",
+                           "--num", "1,1", "--den", "2,1", "--out", str(out_path))
+        assert code == 0
+        assert "witness line written" in out
+        out_path.unlink()
+        code, out, _ = run(capsys, "--no-timestamp", "pair", "--q", "13",
+                           "--num", "1,1", "--den", "2,1")
+        assert code == 0
+        assert "witness line written" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_format_is_not_carried_over(self, capsys):
+        _, out, _ = run(capsys, "--format", "json", "check-bound", "--q", "331")
+        assert json.loads(out)["verdict"] == "candidate"
+        _, out, _ = run(capsys, "check-bound", "--q", "331")
+        assert out.startswith("# ")
+        assert "verdict: candidate" in out
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--q", "13"])  # --num is required
+        assert exc.value.code == 2
+        assert "--num" in capsys.readouterr().err
+        code, out, _ = run(capsys, "--no-timestamp", "check-bound", "--q", "65537")
+        assert code == 0
+        assert "verdict: pass" in out
+
+
+def test_import_is_lean():
+    # a query process imports neither the worker pool nor the character sums
+    src = os.path.dirname(os.path.dirname(primpair.__file__))
+    probe = ("import sys, primpair.cli; "
+             "print(sorted({'multiprocessing', 'primpair.charsums'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

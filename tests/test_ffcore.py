@@ -158,10 +158,13 @@ class TestFieldMake:
 
     def test_tables_match_per_element_oracle(self, prime_powers):
         # the fields include q = 2, 3 and 4, and many q with q - 1 not a power
-        # of two, whose last doubling step fills only part of exp
+        # of two, whose last doubling step fills only part of exp; in F_137^2,
+        # F_139^2 and F_23209 the least generator (145, 143, 31) lies beyond
+        # the first block of candidates
         fields = [(2, 1)] + [(p, k) for p, k, _ in prime_powers(3, 2000)] + [
-            (2, 14), (3, 8), (5, 6), (7, 5), (11, 4), (23, 3),
-            (999_983, 1), (1_000_003, 1)]
+            (2, 14), (3, 8), (5, 6), (7, 5), (11, 4), (23, 3), (137, 2), (139, 2),
+            (23_209, 1), (999_983, 1), (1_000_003, 1)]
+        generators = {}
         for p, k in fields:
             ctx = field_make(p, k)
             modulus, g, exp, dlog = per_element_tables(p, k)
@@ -169,6 +172,9 @@ class TestFieldMake:
             assert ctx.exp.dtype == np.int64 and ctx.dlog.dtype == np.int64
             assert np.array_equal(ctx.exp, exp), (p, k)
             assert np.array_equal(ctx.dlog, dlog), (p, k)
+            generators[p, k] = g
+        assert generators[137, 2] == 145 and generators[139, 2] == 143
+        assert generators[23_209, 1] == 31 > ffcore._GEN_BLOCK
 
     def test_2_20_table_is_a_bijection(self):
         ctx = field_make(2, 20)
@@ -182,19 +188,18 @@ class TestFieldMake:
             assert int(ctx.exp[t]) == sum(c << i for i, c in enumerate(power))
 
     def test_corrupted_step_trips_self_check(self, monkeypatch):
-        # Zeroing every step after the first leaves exp = [1, g, 0, 0, ...], so
-        # dlog[1] == 0 and dlog[g] == 1 still hold; only the check that every
-        # nonzero element received a log can catch it.
-        real = ffcore._step_matrix
-        calls = []
+        # Zeroing every step after the first (t = 2) leaves exp = [1, g, g^2,
+        # g^3, 0, 0, ...], so dlog[1] == 0 and dlog[g] == 1 still hold; only the
+        # check that every nonzero element received a log can catch it. The
+        # steps come from _doubling_steps, which carries the matrix of g^t.
+        real = ffcore._doubling_steps
 
         def corrupted(*args):
-            calls.append(None)
-            return real(*args) * (len(calls) == 1)
+            for i, (t, s, step) in enumerate(real(*args)):
+                yield t, s, step * (i == 0)
 
-        monkeypatch.setattr(ffcore, "_step_matrix", corrupted)
+        monkeypatch.setattr(ffcore, "_doubling_steps", corrupted)
         for p, k in ((2, 4), (13, 1)):
-            calls.clear()
             with pytest.raises(ArithmeticError, match="self-check"):
                 field_make(p, k)
 
