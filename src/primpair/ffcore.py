@@ -531,11 +531,11 @@ def _least_generator(p: int, k: int, mod_list: list[int],
     Candidates are tested in blocks of _GEN_BLOCK, 2*_GEN_BLOCK, ... values.
     Each candidate c becomes its matrix, sum_i c_i*X^i with X the companion
     matrix of the modulus. One stack holds, for every candidate of a block,
-    c^(2^j) and the partial power c^(e mod 2^j) of every cofactor e; all are
-    polynomials in X, so they commute, and one product of the stack with
-    c^(2^j) per bit j squares the first and multiplies the others in where
-    bit j of e is set. Entries stay below p, so every sum of products is
-    below k*p^2 and exact in int64.
+    the k columns of the matrix of c^(2^j) and, for every cofactor e, the
+    digits of c^(e mod 2^j). One product of the matrix with the whole stack
+    per bit j squares the matrix and multiplies c^(2^j) into the columns of
+    the cofactors that have bit j set. Entries stay below p, so every sum of
+    products is below k*p^2 and exact in int64.
     """
     comp = np.eye(k, k, -1, dtype=np.int64)  # x * x^i = x^(i+1) for i < k-1
     comp[:, -1] = [-c % p for c in mod_list[:-1]]
@@ -545,19 +545,20 @@ def _least_generator(p: int, k: int, mod_list: list[int],
         xpow[i] = xpow[i - 1] @ comp % p
     xpow = xpow.reshape(k, k * k)
     pow_p = p ** np.arange(k, dtype=np.int64)
-    # bit j of the exponents: row 0 of the stack squares, row 1 + i multiplies
+    # bit j: the k matrix columns square, cofactor column k + i multiplies
     exps = np.array(cofactors, dtype=np.int64)
-    bits = np.ones((max(cofactors, default=0).bit_length(), len(exps) + 1, 1, 1, 1), dtype=bool)
-    bits[:, 1:, 0, 0, 0] = exps >> np.arange(len(bits))[:, None] & 1
+    bits = np.ones((max(cofactors, default=0).bit_length(), 1, k + len(exps)), dtype=bool)
+    bits[:, 0, k:] = exps >> np.arange(len(bits))[:, None] & 1
     lo, size = 1, _GEN_BLOCK
     while lo < p**k:
         cand = np.arange(lo, min(lo + size, p**k), dtype=np.int64)
         mats = (cand[:, None] // pow_p % p @ xpow).reshape(-1, k, k) % p
-        stack = np.empty((len(cofactors) + 1, *mats.shape), dtype=np.int64)
-        stack[0], stack[1:] = mats, xpow[0].reshape(k, k)
+        stack = np.zeros((len(cand), k, k + len(exps)), dtype=np.int64)
+        stack[:, :, :k] = mats
+        stack[:, 0, k:] = 1  # the digits of c^0 = 1
         for row in bits:
-            np.remainder(stack @ stack[0], p, out=stack, where=row)
-        hit = np.flatnonzero((stack[1:, :, :, 0] @ pow_p != 1).all(axis=0))
+            np.remainder(stack[:, :, :k] @ stack, p, out=stack, where=row)
+        hit = np.flatnonzero((pow_p @ stack[:, :, k:] != 1).all(axis=1))
         if hit.size:
             return int(cand[hit[0]]), mats[hit[0]].astype(np.float64)
         lo, size = lo + size, 2 * size
