@@ -1,7 +1,7 @@
 """Finite fields F_q with discrete-log tables, plus exact integer arithmetic.
 
 Everything downstream (character sums, sieve criteria, exhaustive searches)
-sits on two primitives built here:
+sits on three primitives built here:
 
  - ``Factorization``: exact prime factorizations with the derived arithmetic
    functions (number of distinct primes, square-free divisor count, Euler phi,
@@ -13,6 +13,11 @@ sits on two primitives built here:
    as its k x k multiplication matrix raised to every cofactor (q-1)/l at
    once, and the tables are filled from [1, g] by doubling, with the matrix
    of g^t carried from step to step and squared mod p.
+ - ``SegmentKernel``: the walk over the prime powers of a range, one segment
+   at a time, that `prime_power_segments` plans. One call per segment sieves
+   the prime powers q and lists the distinct primes of every q - 1, all in
+   numpy with no Python loop over the base primes above ``_SMALL_CUT``, in
+   arrays allocated once per walk and reused for every segment.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -26,8 +31,9 @@ Ascending packed value is the fixed enumeration order used everywhere a
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -38,7 +44,22 @@ DEFAULT_TABLE_CAP = 1 << 24
 _BUILD_CELLS = 1 << 14  # digit cells per step product in field_make
 _GEN_BLOCK = 16  # generator candidates in field_make's first block
 
-DEFAULT_SEGMENT = 1 << 20  # integers per segment of a prime-power walk
+# Integers per segment of a prime-power walk. The full n = 2 scan runs
+# fastest at this size of 2^15..2^20, and in the least memory.
+DEFAULT_SEGMENT = 1 << 16
+# The most integers one segment may hold. A segment's workspace takes about
+# 25 bytes per integer for the multiples of the base primes above
+# _SMALL_CUT near the scan ceiling, beside the flags, the row map and the
+# factor rows: one segment at this limit peaks near 280 MB there.
+MAX_SEGMENT = 1 << 22
+# Base primes below this divide most factor rows, and their multiples would
+# be most of a segment's index array: they are marked by strided slices and
+# tested on the rows by one float64 division instead.
+_SMALL_CUT = 32
+# Primorials 2, 2*3, 2*3*5, ... below 2^63: an m <= n has at most
+# bisect_right(_PRIMORIALS, n) distinct prime factors.
+_PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47),
+                               operator.mul))
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24;
 # everything in range here is far below 2^63.
@@ -242,52 +263,179 @@ def higher_prime_powers(lo: int, hi: int, base: np.ndarray) -> list[tuple[int, i
     return out
 
 
-def segment_prime_powers(lo: int, hi: int, base: np.ndarray, higher):
-    """Every prime power q = p^k in [lo, hi), ascending, as int64 arrays (q, p, k).
+@dataclass(frozen=True, eq=False)
+class SegmentPlan:
+    """A walk over the prime powers in [lo, hi], ascending, in segments
+    [seg_lo, seg_hi) of `size` integers, the last one shorter; iterating it
+    gives the (seg_lo, seg_hi) of each. `base` holds the primes up to
+    isqrt(hi) and `higher` is the `higher_prime_powers` list of [lo, hi];
+    every segment shares both. size is the largest actual segment, 0 for an
+    empty walk."""
 
-    A segmented sieve of Eratosthenes marks the primes with one strided slice
-    per base prime; `base` holds at least the primes up to isqrt(hi - 1) and
-    `higher` is a `higher_prime_powers` list covering the segment, whose
-    entries in [lo, hi) are merged in. Needs lo >= 2.
-    """
-    flags = np.ones(max(hi - lo, 0), dtype=bool)
-    base = base[:np.searchsorted(base, isqrt(max(hi - 1, 0)), side="right")]
-    starts = np.maximum(base * base, (lo + base - 1) // base * base) - lo
-    for start, p in zip(starts.tolist(), base.tolist()):
-        flags[start::p] = False
-    primes = np.flatnonzero(flags) + lo
-    powers = higher[bisect_left(higher, (lo,)):bisect_left(higher, (hi,))]
-    pw = np.array(powers, dtype=np.int64).reshape(-1, 3)
-    q = np.concatenate((primes, pw[:, 0]))
-    order = np.argsort(q, kind="stable")
-    return (q[order], np.concatenate((primes, pw[:, 1]))[order],
-            np.concatenate((np.ones_like(primes), pw[:, 2]))[order])
+    lo: int
+    hi: int
+    size: int
+    base: np.ndarray
+    higher: list
+
+    def __iter__(self):
+        for seg_lo in range(self.lo, self.hi + 1, max(self.size, 1)):
+            yield seg_lo, min(seg_lo + self.size, self.hi + 1)
 
 
-def prime_power_segments(lo: int, hi: int, segment_size: int) -> list[tuple]:
-    """The segments of a walk over the prime powers in [lo, hi], ascending.
-
-    One (seg_lo, seg_hi, base, higher) per segment [seg_lo, seg_hi) of at
-    most segment_size integers, ready for `segment_prime_powers`; every
-    segment shares one sieve of the base primes up to isqrt(hi) and one
-    `higher_prime_powers` list. Empty when hi < lo.
-    """
+def prime_power_segments(lo: int, hi: int, segment_size: int) -> SegmentPlan:
+    """The plan of a walk over the prime powers in [lo, hi] in segments of
+    at most segment_size integers. Refused when lo < 3, segment_size < 1,
+    or the largest actual segment, min(segment_size, hi - lo + 1), is above
+    MAX_SEGMENT; a larger segment_size over a shorter range is fine."""
     if lo < 3:
         raise ValueError(f"prime power enumeration starts at 3, got lo={lo}")
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    if hi < lo:
-        return []
-    base = sieve_primes(isqrt(hi))
-    higher = higher_prime_powers(lo, hi, base)
-    return [(seg_lo, min(seg_lo + segment_size, hi + 1), base, higher)
-            for seg_lo in range(lo, hi + 1, segment_size)]
+    size = max(min(segment_size, hi - lo + 1), 0)
+    if size > MAX_SEGMENT:
+        raise ValueError(
+            f"a segment of {size} integers is above the limit of {MAX_SEGMENT} "
+            "(ffcore.MAX_SEGMENT), which keeps a segment's workspace in memory; "
+            "use a smaller segment size (CLI: --segment)")
+    base = sieve_primes(isqrt(hi) if size else 0)
+    return SegmentPlan(lo, hi, size, base, higher_prime_powers(lo, hi, base))
+
+
+class SegmentKernel:
+    """The prime powers q of a segment and the distinct primes of each q - 1,
+    in a workspace allocated once per plan and reused for every segment.
+
+    A segment [seg_lo, seg_hi) works on the window [seg_lo - 1, seg_hi), which
+    holds every q and every q - 1. The plan's base primes are split at
+    _SMALL_CUT:
+     - below it, the sieve marks multiples with one strided slice per prime,
+       and a row m = q - 1 is tested with one float64 division of the rows by
+       all of them at once, m / p == floor(m / p), exact for m < 2^53;
+     - above it, an index array holds the window offset of every multiple of
+       every such prime: a stride pattern of j*p, built once for the plan's
+       largest segment, plus the segment's first-multiple offsets. The same
+       array marks composites and, through a map from window offset to row,
+       gathers the rows each prime divides. Offsets past the window land in
+       padding that is never read, so no entry is dropped.
+    Marking multiples >= 2p is correct with any base prime, so the plan's
+    primes up to isqrt(hi) serve every segment; base primes inside the window
+    are set back to prime. One sort of the keys row * len(base) + prime index
+    lists each row's primes ascending. What is left of a row once the powers
+    of its base primes are divided out is 1 or one prime above them all.
+
+    The factor rows `segment` returns are a view of the workspace, valid
+    until its next call. Segments may come in any order and start at 2.
+    """
+
+    def __init__(self, plan: SegmentPlan):
+        base, size = plan.base, plan.size
+        self.base, self.higher, self.hi, self.size = base, plan.higher, plan.hi, size
+        self.cut = int(np.searchsorted(base, _SMALL_CUT))
+        self.small = base[:self.cut].astype(np.float64)
+        large = base[self.cut:]
+        self.large = large
+        reach = -(-(size + 1) // large)  # the most multiples of p a window holds
+        self.owner = np.repeat(np.arange(large.size), reach)  # intp, for take
+        self.index = np.empty(self.owner.size, dtype=np.int64)
+        # pattern[i] = j * p for the j-th multiple of p = large[owner[i]],
+        # built through index so that no other array of that length is made
+        self.pattern = np.arange(self.owner.size, dtype=np.int32)
+        self.pattern -= np.take(np.cumsum(reach) - reach, self.owner, out=self.index)
+        self.pattern *= np.take(large, self.owner, out=self.index)
+        self.first = np.empty(large.size, dtype=np.int64)
+        self.gathered = np.empty(self.owner.size, dtype=np.int32)
+        self.hit = np.empty(self.owner.size, dtype=bool)
+        window = size + 1 + (int(large[-1]) if large.size else 0)  # and padding
+        self.flags = np.empty(window, dtype=bool)
+        self.row_of = np.full(window, -1, dtype=np.int32)
+        # a segment of size integers holds at most (size + 1) // 2 odd ones
+        # and size.bit_length() + 1 powers of 2
+        rows = (size + 1) // 2 + size.bit_length() + 1
+        self.quot = np.empty((rows, self.cut))
+        self.floor = np.empty((rows, self.cut))
+        self.divides = np.empty((rows, self.cut), dtype=bool)
+        self.buf = np.empty((rows, bisect_right(_PRIMORIALS, max(plan.hi - 1, 1))),
+                            dtype=np.int64)
+
+    def prime_powers(self, seg_lo: int, seg_hi: int):
+        """Every prime power q = p^k in [seg_lo, seg_hi), ascending, as int64
+        arrays (q, p, k)."""
+        if seg_lo < 2 or seg_hi - seg_lo > self.size or seg_hi > self.hi + 1:
+            raise ValueError(f"segment [{seg_lo}, {seg_hi}) is outside the kernel's plan")
+        start, span = seg_lo - 1, seg_hi - seg_lo + 1
+        flags, base = self.flags, self.base
+        flags[:span] = True
+        window = flags[:span]
+        for p in base[:self.cut].tolist():
+            window[-start % p::p] = False
+        np.remainder(-start, self.large, out=self.first)
+        np.take(self.first, self.owner, out=self.index, mode="clip")
+        np.add(self.index, self.pattern, out=self.index)
+        flags[self.index] = False
+        inside = base[np.searchsorted(base, seg_lo):np.searchsorted(base, seg_hi)]
+        flags[inside - start] = True
+        q = np.flatnonzero(window[1:]) + seg_lo
+        p, k = q.copy(), np.ones_like(q)
+        powers = self.higher[bisect_left(self.higher, (seg_lo,)):
+                             bisect_left(self.higher, (seg_hi,))]
+        if powers:
+            hq, hp, hk = np.array(powers, dtype=np.int64).T
+            at = np.searchsorted(q, hq)
+            q, p, k = np.insert(q, at, hq), np.insert(p, at, hp), np.insert(k, at, hk)
+        return q, p, k
+
+    def segment(self, seg_lo: int, seg_hi: int):
+        """(q, p, k, primes, omega) for the segment [seg_lo, seg_hi): the
+        prime powers as in `prime_powers`, and primes[i, :omega[i]] the
+        distinct primes of q[i] - 1, ascending, 0 past them. primes has one
+        column per prime the largest omega below seg_hi - 1 allows. Needs
+        hi < 2^42, so that each p times a power of p dividing m stays
+        below 2^63."""
+        q, p, k = self.prime_powers(seg_lo, seg_hi)
+        m, n, base = q - 1, q.size, self.base
+        offsets = q - seg_lo  # of m = q - 1 in the window from seg_lo - 1
+        self.row_of[offsets] = np.arange(n, dtype=np.int32)
+        np.take(self.row_of, self.index, out=self.gathered, mode="clip")
+        self.row_of[offsets] = -1
+        np.greater_equal(self.gathered, 0, out=self.hit)
+        hit = np.flatnonzero(self.hit)
+        quot = np.divide(m[:, None], self.small, out=self.quot[:n])
+        divides = np.equal(quot, np.floor(quot, out=self.floor[:n]), out=self.divides[:n])
+        flat = np.flatnonzero(divides)  # row * cut + index of a small prime
+        keys = np.concatenate((flat + flat // self.cut * (base.size - self.cut),
+                               self.gathered[hit].astype(np.int64) * base.size
+                               + (self.owner[hit] + self.cut)))
+        keys.sort()
+        rows = keys // base.size
+        ps = base[keys - rows * base.size]
+        buf = self.buf[:n]
+        buf.fill(0)
+        cnt = np.bincount(rows, minlength=n)
+        row_start = np.cumsum(cnt) - cnt
+        buf[rows, np.arange(rows.size) - row_start[rows]] = ps
+        power = ps.copy()  # grows to the largest power of p dividing the row's m
+        mult = m[rows]
+        sub = np.flatnonzero(mult % (power * ps) == 0)
+        while sub.size:
+            power[sub] *= ps[sub]
+            sub = sub[mult[sub] % (power[sub] * ps[sub]) == 0]
+        rem = m.copy()
+        factored = np.flatnonzero(cnt)
+        if factored.size:
+            rem[factored] //= np.multiply.reduceat(power, row_start[factored])
+        left = np.flatnonzero(rem > 1)
+        buf[left, cnt[left]] = rem[left]
+        cnt[left] += 1
+        return q, p, k, buf[:, :bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))], cnt
 
 
 def prime_power_iter(lo: int, hi: int):
     """Yield every prime power q = p^k in [lo, hi], ascending, as (p, k, q)."""
-    for segment in prime_power_segments(lo, hi, DEFAULT_SEGMENT):
-        q, p, k = segment_prime_powers(*segment)
+    plan = prime_power_segments(lo, hi, DEFAULT_SEGMENT)
+    kernel = SegmentKernel(plan)
+    for segment in plan:
+        q, p, k = kernel.prime_powers(*segment)
         yield from zip(p.tolist(), k.tolist(), q.tolist())
 
 

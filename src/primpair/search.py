@@ -20,14 +20,15 @@ Three layers:
    orbit of each pair is decided. `naive_membership` walks any other family
    one function at a time and is the engine's test oracle.
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
-   of all prime powers in a range against the certification criteria (a
-   segment sieve marks the prime powers, a row factoriser sieves only their
-   q-1, and a float64 sweep spares the exact kernel the rows that pass by a
-   wide margin), then full exhaustive classification of the survivors. One
-   driver, `_scan_segments`, walks the segments that
+   of all prime powers in a range against the certification criteria (one
+   `ffcore.SegmentKernel` call per segment marks the prime powers and
+   factors only their q-1, and a float64 sweep spares the exact kernel the
+   rows that pass by a wide margin), then full exhaustive classification of
+   the survivors. One driver, `_scan_segments`, walks the segments that
    `ffcore.prime_power_segments` plans, for all three, in one process or a
-   worker pool. In faithful mode it yields the q = 2 record first, as its
-   own segment ending at the scan's lo.
+   worker pool, with one kernel workspace per scan and process. In faithful
+   mode it yields the q = 2 record first, as its own segment ending at the
+   scan's lo.
 
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and checkpoints allow byte-identical
@@ -39,31 +40,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
-from math import gcd, isqrt
-from operator import mul
+from math import gcd
 
 import numpy as np
 
 from .bounds import best_prefix, certain_prefix_pass
-from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, field_make,
-                     prime_power_segments, segment_prime_powers)
+from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, SegmentKernel,
+                     field_make, prime_power_segments)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
 SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
 
-# The row factoriser gives q - 1 one column per distinct prime. Every m below
+# The segment kernel gives q - 1 one column per distinct prime. Every m below
 # 2*3*5*...*31 = 200560490130 has at most 10, so the limit keeps q - 1 within
 # 10 columns. That primorial is no prime power, and the next prime power,
 # the prime 200560490131, is the first whose q - 1 would need an 11th.
 SCAN_HI_MAX = 200_560_490_129
-# Primorials 2, 2*3, 2*3*5, ...: an m <= n has at most
-# bisect_right(_PRIMORIALS, n) distinct prime factors.
-_PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), mul))
 
 # The largest q a classification decides, and the CLI's --long limit: one
 # field costs about q * rad(q-1)^2 * omega(q-1) per family, half that for
@@ -429,7 +424,7 @@ class ScanConfig:
     "exact" starts at the q = 3 floor and finds the 3936-element subset.
 
     Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
-    (where the row factoriser's 10 columns would not do), n < 2 and
+    (where the segment kernel's 10 columns would not do), n < 2 and
     unknown modes or emit values.
     """
 
@@ -475,59 +470,6 @@ class ScanRecord:
         return f"{self.q},{self.p},{self.k},{self.omega},{facs},{self.verdict},{core}"
 
 
-def _factor_rows(m: np.ndarray, base: np.ndarray):
-    """Distinct prime factors of each m[i], for an ascending int64 array m >= 1
-    that spans about a segment.
-
-    An offset-to-row map `pos` over the window [m[0], m[-1]] finds the rows
-    each base prime p divides at the offsets (-m[0]) % p + j*p: a strided view
-    pos[(-m[0]) % p :: p] for p below the window's span, one gather for the
-    larger p, which have at most one multiple there. Each multiple costs one
-    int32 entry of `rows` and no further temporary, so a segment allocates
-    little fresh memory. `base` holds at least the primes up to isqrt(m[-1]).
-    What is left of m[i] once their powers are divided out is 1 or one more
-    prime, above every base prime used. Returns (buf, cnt): buf[i, :cnt[i]]
-    lists the primes of m[i] ascending; buf has one column per prime the
-    largest omega up to m[-1] allows.
-    """
-    size = m.size
-    if not size:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    m0, top = int(m[0]), int(m[-1])
-    buf = np.zeros((size, bisect_right(_PRIMORIALS, top)), dtype=np.int64)
-    span = top - m0 + 1
-    pos = np.full(span, -1, dtype=np.int32)
-    pos[m - m0] = np.arange(size, dtype=np.int32)
-    base = base[:np.searchsorted(base, isqrt(top), side="right")]
-    first = (-m0) % base
-    # rows[ends[i-1]:ends[i]] are the rows at the multiples of base[i]
-    ends = np.cumsum((span - 1 - first) // base + 1)
-    few = np.searchsorted(base, span)
-    views = [pos[f::p] for f, p in zip(first[:few].tolist(), base[:few].tolist())]
-    once = first[few:]
-    rows = np.concatenate(views + [pos[once[once < span]]])
-    hit = np.flatnonzero(rows >= 0)
-    hit = hit[np.argsort(rows[hit], kind="stable")]  # keeps p ascending in a row
-    rows, ps = rows[hit], base[np.searchsorted(ends, hit, side="right")]
-    cnt = np.bincount(rows, minlength=size)
-    row_start = np.cumsum(cnt) - cnt
-    buf[rows, np.arange(rows.size) - row_start[rows]] = ps
-    power = ps.copy()  # grows to the largest power of p dividing the row's m
-    mult = m[rows]
-    sub = np.flatnonzero(mult % (power * ps) == 0)
-    while sub.size:
-        power[sub] *= ps[sub]
-        sub = sub[mult[sub] % (power[sub] * ps[sub]) == 0]
-    rem = m.copy()
-    factored = np.flatnonzero(cnt)
-    if factored.size:
-        rem[factored] //= np.multiply.reduceat(power, row_start[factored])
-    left = np.flatnonzero(rem > 1)
-    buf[left, cnt[left]] = rem[left]
-    cnt[left] += 1
-    return buf, cnt
-
-
 def _exponents_of(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
     out = []
     for p in primes:
@@ -539,9 +481,10 @@ def _exponents_of(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _scan_segment(cfg: ScanConfig, segment: tuple) -> list[ScanRecord]:
-    """The records of the prime powers q in one `prime_power_segments`
-    segment [seg_lo, seg_hi), ascending.
+def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
+                  segment: tuple[int, int]) -> list[ScanRecord]:
+    """The records of the prime powers q in one segment [seg_lo, seg_hi)
+    of the kernel's plan, ascending.
 
     Only the q - 1 of prime powers are factored. With emit="candidates" a row
     is dropped, as a certain pass, when q is above the direct bound
@@ -549,8 +492,7 @@ def _scan_segment(cfg: ScanConfig, segment: tuple) -> list[ScanRecord]:
     it by SWEEP_MARGIN; every other row, and every row under emit="all",
     gets its verdict from the exact kernel `best_prefix`.
     """
-    q, p, k = segment_prime_powers(*segment)
-    buf, cnt = _factor_rows(q - 1, segment[2])  # the segment's base primes
+    q, p, k, buf, cnt = kernel.segment(*segment)
     n = cfg.n
     if cfg.emit == "candidates":
         # clipped above every q a scan reaches, so no entry overflows
@@ -612,25 +554,41 @@ class ScanResult:
     csv_path: str | None
 
 
-def _scan_segments(cfg: ScanConfig, plan: list[tuple], workers: int = 1,
-                   resumed: bool = False):
+# The config and segment kernel of a scan's worker process, set when the
+# pool starts it, so that a task carries only its segment's bounds.
+_WORKER: tuple[ScanConfig, SegmentKernel] | None = None
+
+
+def _worker_start(cfg: ScanConfig, plan):
+    global _WORKER
+    _WORKER = cfg, SegmentKernel(plan)
+
+
+def _worker_segment(segment: tuple[int, int]) -> list[ScanRecord]:
+    return _scan_segment(*_WORKER, segment)
+
+
+def _scan_segments(cfg: ScanConfig, plan, workers: int = 1, resumed: bool = False):
     """The one scan driver: yield (end, records) per segment, in range order,
     where records are those of every q below end not yielded before.
 
     The q = 2 record of a faithful scan from SCAN_FLOOR comes first, as its
     own segment ending at cfg.lo; a resumed scan is past it. Then one segment
-    per `prime_power_segments` entry of plan, decided by `_scan_segment`
-    through map, or through the imap of a pool of workers processes, which
-    is terminated when the generator finishes or is closed.
+    per (seg_lo, seg_hi) of the `prime_power_segments` plan, decided by
+    `_scan_segment` through map, with one segment kernel for the whole scan,
+    or through the imap of a pool of workers processes, each with its own
+    kernel. The pool is terminated when the generator finishes or is closed.
     """
     if cfg.mode == "faithful" and cfg.lo == SCAN_FLOOR and not resumed:
         yield cfg.lo, [ScanRecord(2, 2, 1, 0, (), "candidate", ())]
     if workers > 1:
         from multiprocessing import Pool  # imported only by a parallel scan
-    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
-        decided = (pool.imap if pool else map)(partial(_scan_segment, cfg), plan)
-        for segment, records in zip(plan, decided):
-            yield segment[1], records
+    with (Pool(workers, _worker_start, (cfg, plan)) if workers > 1
+          else nullcontext()) as pool:
+        decided = (pool.imap(_worker_segment, plan) if pool else
+                   map(partial(_scan_segment, cfg, SegmentKernel(plan)), plan))
+        for (_, seg_end), records in zip(plan, decided):
+            yield seg_end, records
 
 
 def exception_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",

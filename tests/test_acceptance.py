@@ -2,6 +2,7 @@
 tolerance, one test per criterion. Run with `pytest tests/test_acceptance.py -v`
 (add -s to see the per-criterion summary lines)."""
 
+import hashlib
 import os
 import random
 import time
@@ -27,6 +28,7 @@ from primpair.polyrat import (
     squarefree_decomp,
 )
 from primpair.search import (
+    CSV_HEADER,
     classify_true_exceptions,
     exception_scan,
     pair_exists,
@@ -122,6 +124,12 @@ def test_criterion_4_full_range_scan():
     assert faithful.max_candidate == 33093061, diff_report
     assert e_set < f_set, diff_report
     assert sorted(f_set - e_set) == [2], diff_report
+    # the bytes of each scan's CSV, header included
+    for records, digest in (
+            (e_records, "2ac0aadad71a88ffde31a5c3d90e3b4bdd3721e9eb004ab28ede37bd8bdb038c"),
+            (f_records, "0a17d6fbd38a6ea6557e2242c38bb46423ff1e7883da53d29b58f1db84107f1f")):
+        text = CSV_HEADER + "\n" + "".join(r.csv_line() + "\n" for r in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
     print(f"criterion 4 PASS ({_elapsed(t0)}): faithful scan of [3, {hi}] has "
           f"3937 survivors, max 33093061; exact mode is the strict subset "
           f"without the degenerate q=2")

@@ -135,6 +135,18 @@ class TestScan:
         assert out == ""
         assert message in err
 
+    def test_segment_above_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--lo", "3", "--hi", "200000000000",
+                             "--segment", "200000000000")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert f"above the limit of {ffcore.MAX_SEGMENT}" in err
+        # a segment size past the limit over a shorter range runs
+        code, out, _ = run(capsys, "--format", "json", "scan", "--hi", "1000",
+                           "--segment", "200000000000")
+        assert code == 0 and json.loads(out)["candidates"] > 0
+
     def test_resume_without_out_is_usage_error(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"
         code, _, _ = run(capsys, "scan", "--hi", "10000", "--segment", "4096",

@@ -6,7 +6,9 @@ import pytest
 
 from primpair import ffcore
 from primpair.ffcore import (
+    MAX_SEGMENT,
     Factorization,
+    SegmentKernel,
     _find_modulus,
     _rmod,
     _rmul,
@@ -14,12 +16,10 @@ from primpair.ffcore import (
     _rtrim,
     factorize,
     field_make,
-    higher_prime_powers,
     is_prime,
     multiplicative_order,
     prime_power_iter,
     prime_power_segments,
-    segment_prime_powers,
     sieve_primes,
 )
 
@@ -305,15 +305,20 @@ class TestPrimePowerIter:
 
     @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000])
     def test_segment_marker_matches_trial_division(self, size):
-        # segment edges on, before and after primes and higher prime powers
+        # segment edges on, before and after primes and higher prime powers;
+        # the kernel takes segments from lo = 2, below a plan's floor
         hi = 5000
-        base = sieve_primes(isqrt(hi))
-        higher = higher_prime_powers(2, hi, base)
+        kernel = SegmentKernel(prime_power_segments(3, hi, size))
         got = []
         for lo in range(2, hi + 1, size):
-            q, p, k = segment_prime_powers(lo, min(lo + size, hi + 1), base, higher)
+            segment = lo, min(lo + size, hi + 1)
+            q, p, k, primes, omega = kernel.segment(*segment)
             assert q.dtype == p.dtype == k.dtype == np.int64
+            assert all((a == b).all() for a, b in zip((q, p, k), kernel.prime_powers(*segment)))
             got += zip(q.tolist(), p.tolist(), k.tolist())
+            for qi, row, w in zip(q.tolist(), primes.tolist(), omega.tolist()):
+                assert row[:w] == [ell for ell, _ in trial_division(qi - 1)], qi
+                assert not any(row[w:]), qi
         expected = []
         for q in range(2, hi + 1):
             fac = trial_division(q)
@@ -321,9 +326,43 @@ class TestPrimePowerIter:
                 expected.append((q, fac[0][0], fac[0][1]))
         assert got == expected
 
+    def test_workspace_keeps_nothing_between_segments(self):
+        # shuffled segments of one plan, its short last one and segments of
+        # one integer (on 2^16, the prime 65537, 257^2 and a composite) give
+        # the arrays of a fresh workspace per segment
+        lo, hi = 2**16 - 500, 257**2 + 500
+        plan = prime_power_segments(lo, hi, 97)
+        segments = list(plan)
+        assert segments[-1][1] - segments[-1][0] < 97
+        segments += [(65536, 65537), (65537, 65538), (66049, 66050), (66050, 66051)]
+        random.Random(7).shuffle(segments)
+        reused = SegmentKernel(plan)
+        for segment in segments:
+            got = reused.segment(*segment)
+            fresh = SegmentKernel(plan).segment(*segment)
+            for a, b in zip(got, fresh):
+                assert a.shape == b.shape and (a == b).all(), segment
+            q, p, k, primes, omega = got
+            assert q.tolist() == [v for v in range(*segment) if len(trial_division(v)) == 1]
+            for qi, pi, ki, row, w in zip(q.tolist(), p.tolist(), k.tolist(),
+                                          primes.tolist(), omega.tolist()):
+                assert trial_division(qi) == ((pi, ki),)
+                assert row[:w] == list(factorize(qi - 1).primes), qi
+
     def test_segment_size_below_one_refused(self):
         with pytest.raises(ValueError, match="segment_size must be >= 1"):
             prime_power_segments(3, 100, 0)
+
+    def test_segment_above_limit_refused(self):
+        # the largest actual segment decides, not the segment size asked for
+        with pytest.raises(ValueError, match=f"above the limit of {MAX_SEGMENT}"):
+            prime_power_segments(3, 200_000_000_000, 200_000_000_000)
+        with pytest.raises(ValueError, match="MAX_SEGMENT"):
+            prime_power_segments(3, MAX_SEGMENT + 3, MAX_SEGMENT + 1)
+        assert prime_power_segments(3, MAX_SEGMENT + 2, MAX_SEGMENT + 1).size == MAX_SEGMENT
+        plan = prime_power_segments(3, 100, 200_000_000_000)
+        assert plan.size == 98 and list(plan) == [(3, 101)]
+        assert list(prime_power_segments(5, 4, 200_000_000_000)) == []
 
     def test_count_against_prime_counting_oracle(self):
         import sympy

@@ -2,15 +2,14 @@ import dataclasses
 import functools
 import json
 import multiprocessing
-from math import gcd, isqrt
+from itertools import zip_longest
+from math import gcd
 
-import numpy as np
 import pytest
 
 from primpair import bounds, polyrat, search
 from primpair.bounds import best_prefix, certain_prefix_pass
-from primpair.ffcore import (factorize, field_make, higher_prime_powers,
-                             segment_prime_powers, sieve_primes)
+from primpair.ffcore import SegmentKernel, factorize, field_make, prime_power_segments
 from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 from primpair.search import (
     CSV_HEADER,
@@ -381,28 +380,33 @@ class TestExceptionScan:
         assert list(exception_scan(SCAN_HI_MAX, SCAN_HI_MAX, emit="all")) == []
 
     def test_segment_just_below_ceiling(self):
-        # the factor buffer is as wide as the largest omega below hi: 10
-        # columns at the ceiling, 9 just below the first 10-prime value
+        # the factor buffer is as wide as the largest omega below the
+        # segment's top: 10 columns at the ceiling, 9 just below the first
+        # 10-prime value
         records = list(exception_scan(SCAN_HI_MAX - 3000, SCAN_HI_MAX, emit="all"))
         assert records and all(r.q <= SCAN_HI_MAX for r in records)
         for r in records:
             assert r.factors == factorize(r.q - 1).factors
             assert r.omega == len(r.factors)
-        base = sieve_primes(isqrt(SCAN_HI_MAX))
-        qm1 = np.array([r.q - 1 for r in records], dtype=np.int64)
-        buf, _ = search._factor_rows(qm1, base)
+        segment = SCAN_HI_MAX - 3000, SCAN_HI_MAX + 1
+        plan = prime_power_segments(segment[0], SCAN_HI_MAX, 3001)
+        q, _, _, buf, _ = SegmentKernel(plan).segment(*segment)
+        assert q.tolist() == [r.q for r in records]
         assert buf.shape == (len(records), 10)
-        # no q - 1 lies near 2 * 3 * ... * 29, so these rows go in directly
+        # the prime q = 11 * (2 * 3 * ... * 29) + 1 has omega(q - 1) = 10
+        q10 = 71166625531
+        segment = q10 - 5, q10 + 1
+        q, _, _, buf, cnt = SegmentKernel(prime_power_segments(q10 - 5, q10, 6)).segment(*segment)
+        assert q[-1] == q10 and buf.shape[1] == 10 and cnt[-1] == 10
+        assert buf[-1].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        # every q - 1 below 2 * 3 * ... * 29 fits 9 columns
         primorial_10 = 6469693230
-        buf, cnt = search._factor_rows(
-            np.arange(primorial_10 - 5, primorial_10 + 1, dtype=np.int64), base)
-        assert buf.shape == (6, 10)
-        assert buf[5].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        buf, cnt = search._factor_rows(
-            np.arange(primorial_10 - 5, primorial_10, dtype=np.int64), base)
-        assert buf.shape == (5, 9)
-        for i, m in enumerate(range(primorial_10 - 5, primorial_10)):
-            assert buf[i, :cnt[i]].tolist() == list(factorize(m).primes)
+        segment = primorial_10 - 3000, primorial_10 + 1
+        plan = prime_power_segments(segment[0], primorial_10, 3001)
+        q, _, _, buf, cnt = SegmentKernel(plan).segment(*segment)
+        assert q.size and buf.shape == (q.size, 9)
+        for i, v in enumerate(q.tolist()):
+            assert buf[i, :cnt[i]].tolist() == list(factorize(v - 1).primes)
 
     def test_huge_degree_keeps_direct_bound_exact(self, prime_powers):
         # n^2 * 16^omega passes 2^63 for n = 10^6; no q <= 10^5 can pass, so
@@ -436,21 +440,25 @@ def _oracle_record(q: int, p: int, k: int, n: int) -> search.ScanRecord:
 
 
 class TestScanSieve:
-    """The segment marker, the row factoriser and the float64 prefix sweep."""
+    """The segment kernel and the float64 prefix sweep."""
 
     @pytest.mark.parametrize("lo", [2**16 - 300, 2**31 - 300, 2**33 - 300,
                                     251**2 - 300, 257**2 - 300, 7919**2 - 300,
                                     65521**2 - 300])
     def test_factor_rows_match_factorize(self, lo):
-        # windows around 2^k and p^2, for p on both sides of the window span
-        # (strided views and the gather), whole and as the sparse rows of
-        # every fifth m
-        base = sieve_primes(isqrt(lo + 600))
-        whole = np.arange(lo, lo + 600, dtype=np.int64)
-        for m in (whole, whole[3::5]):
-            buf, cnt = search._factor_rows(m, base)
-            for i, v in enumerate(m.tolist()):
-                assert buf[i, :cnt[i]].tolist() == list(factorize(v).primes), v
+        # segments whose q - 1 lie in windows around 2^k and p^2, for p on
+        # both sides of the segment's span (several multiples in a segment,
+        # or at most one), as one segment and as segments of 7
+        for size in (600, 7):
+            plan = prime_power_segments(lo + 1, lo + 600, size)
+            kernel = SegmentKernel(plan)
+            rows = 0
+            for segment in plan:
+                q, _, _, buf, cnt = kernel.segment(*segment)
+                rows += q.size
+                for i, v in enumerate(q.tolist()):
+                    assert buf[i, :cnt[i]].tolist() == list(factorize(v - 1).primes), v
+            assert rows
 
     @pytest.mark.parametrize("segment", [1, 97, 1000])
     def test_rows_across_segment_edges(self, segment, prime_powers):
@@ -467,9 +475,7 @@ class TestScanSieve:
         # every prime power q <= 10^6 the sweep lets skip the exact kernel
         # really passes
         hi = 10**6
-        base = sieve_primes(isqrt(hi))
-        q, _, _ = segment_prime_powers(3, hi + 1, base, higher_prime_powers(3, hi, base))
-        buf, cnt = search._factor_rows(q - 1, base)
+        q, _, _, buf, cnt = SegmentKernel(prime_power_segments(3, hi, hi)).segment(3, hi + 1)
         sure = certain_prefix_pass(q, buf, cnt, n)
         assert 0 < sure.sum() < q.size
         for qi, omega, row in zip(q[sure].tolist(), cnt[sure].tolist(), buf[sure].tolist()):
@@ -693,6 +699,18 @@ class TestRunScan:
         assert streamed == collected
         assert [r.q for r in streamed if r.q == 2] == (
             [2] if mode == "faithful" and lo == 3 else [])
+
+    def test_interleaved_scans_keep_their_own_workspace(self):
+        # two scans with other plans, advanced item by item in one thread
+        first = dict(lo=3, hi=200_000, n=2, emit="all", segment_size=1 << 12)
+        second = dict(lo=10**6, hi=1_100_000, n=3, mode="faithful", segment_size=3001)
+        alone = [list(exception_scan(**first)), list(exception_scan(**second))]
+        together = [[], []]
+        for pair in zip_longest(exception_scan(**first), exception_scan(**second)):
+            for got, rec in zip(together, pair):
+                if rec is not None:
+                    got.append(rec)
+        assert together == alone
 
     def test_stopped_pool_is_terminated(self):
         class Stop(Exception):
