@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import multiprocessing
 from itertools import zip_longest
@@ -229,6 +230,20 @@ class TestMembershipEngine:
             assert search._failing_triples_2_0(ctx) == every, q
             irreducible = [t for t in every if not _has_root(ctx, *t)]
             assert search._failing_triples_2_0(ctx, irreducible=True) == irreducible, q
+
+    def test_triple_lists_pinned_beyond_oracle(self, field, prime_powers):
+        # every failing triple past the oracle sweep, 128 <= q <= 256: the
+        # (1,1), (2,0) and irreducible (2,0) lists of each field, in order,
+        # as the engine gave them when this test was written
+        digest = hashlib.sha256()
+        for p, k, q in prime_powers(128, 256):
+            ctx = field(p, k)
+            for triples in (search._failing_triples_1_1(ctx),
+                            search._failing_triples_2_0(ctx),
+                            search._failing_triples_2_0(ctx, irreducible=True)):
+                digest.update(json.dumps([q, triples]).encode())
+        assert digest.hexdigest() == (
+            "63de7dd060e60e48a7b2c8dd34951b17bb0f338771fc41962e4508196fe38548")
 
     @pytest.mark.parametrize("cells", [1, 100])
     def test_small_blocks_match_one_block(self, field, monkeypatch, cells):
