@@ -216,9 +216,9 @@ def cmd_classify(args) -> int:
     if family not in search.ENGINE_FAMILIES:  # a usage error, before the budget
         raise ValueError("classification supports families 1,1 and 2,0")
     cost = ("the exhaustive step costs about q * rad(q-1)^2 * omega(q-1) per "
-            "surviving field q, half that for 1,1: up to 1000 about half a "
-            "minute for 1,1 and 1.5 minutes for 2,0, and for F_2003 alone "
-            "about 45 s and 1 minute, on one core")
+            "surviving field q, half that for 1,1: up to 1000 about 23 s for "
+            "1,1 and 66 s for 2,0, and for F_2003 alone about 25 s and 45 s, "
+            "on one core")
     if args.qmax > search.CLASSIFY_LONG_QMAX:
         print(f"refusing: qmax {args.qmax} exceeds the --long budget "
               f"{search.CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)

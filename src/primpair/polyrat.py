@@ -370,7 +370,11 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
       - (1,1): f = a(x+b)/(x+c) with a, b, c nonzero and b != c, one
         representative per orbit of the involution f <-> 1/f, i.e. of
         (a, b, c) ~ (a^-1, c, b).
-      - (2,0): f = a x^2 + b x + c with a != 0 and b^2 != 4ac.
+      - (2,0): f = a x^2 + b x + c with a != 0 and b^2 != 4ac. For even q
+        that reads b != 0, so it also drops a x^2 + c, c != 0, the square
+        (sqrt(a) x + sqrt(c))^2 that is_exceptional keeps (2 does not divide
+        q - 1). No verdict changes: to q = 1024 only two such f lack a
+        primitive pair, in F_4, which fails (2,0) anyway; all of them split.
 
     The general path walks coefficient tuples in ascending packed order
     (denominator monic, numerator leading coefficient nonzero, coprime,

@@ -6,19 +6,20 @@ Three layers:
    primitive alpha in ascending discrete-log order so witnesses are
    deterministic and absence comes with an exhaustion count.
  - `q_in_Q`: membership of a field in the good set for a whole (n1, n2)
-   family. For the (1,1) and (2,0) families a batched engine decides every
-   scale factor a of a block of shapes at once: for fixed shape h(x), the
-   failing a are the dlogs x with no shift d of h making x + d a unit mod
-   q-1, found by counting rescuing shifts in exact integers on the CRT grid
-   of rho = rad(q-1). Each shift is counted at the cell of -d, so every
-   per-prime pass is a sum minus the grid, with no reflection. Multiplying
-   by u in H = <g^rho> permutes the primitive elements, so the engine
-   decides one shape per orbit of H (rows of rho shapes, the (1,1) shifts
-   read from a table of translate dlogs) and expands the failing ones back
-   over H. In (1,1), alpha -> 1/alpha pairs each orbit (beta, d) with
-   (-beta-d mod rho, d), and failing scale class r with d - r, so only one
-   orbit of each pair is decided. `naive_membership` walks any other family
-   one function at a time and is the engine's test oracle.
+   family. The (1,1) and (2,0) families, listed in `ENGINE_FAMILIES` with
+   what their triples mean, share one engine per field, `_Engine`: for a
+   fixed shape h(x), the failing scale dlogs x are those with no shift d of
+   h making x + d a unit mod q-1, found for a block of shapes at once by
+   counting rescuing shifts in exact integers on the CRT grid of rho =
+   rad(q-1). Multiplying by u in H = <g^rho> permutes the primitive
+   elements, so each family generates one shape per orbit of H (the (1,1)
+   shifts read from a table of translate dlogs, the (2,0) ones from rows of
+   x^2 + b0*x + c0), the engine keeps the failing classes, and the family
+   expands them back over H. In (1,1), alpha -> 1/alpha pairs each orbit
+   (beta, d) with (-beta-d mod rho, d), and failing scale class r with
+   d - r, so only one orbit of each pair is decided. `naive_membership`
+   walks any other family one function at a time and is the engine's test
+   oracle.
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment marks the prime powers and
@@ -63,12 +64,9 @@ SCAN_HI_MAX = 200_560_490_129
 # The largest q a classification decides, and the CLI's --long limit: one
 # field costs about q * rad(q-1)^2 * omega(q-1) per family, half that for
 # (1,1), which decides one shape of each inversion pair. Up to 1000 that is
-# about 33 s for (1,1) and 89 s for (2,0) on one core.
+# about 23 s for (1,1) and 66 s for (2,0) on one core, and F_2003 alone takes
+# about 25 s for (1,1) and 45 s for irreducible quadratics.
 CLASSIFY_LONG_QMAX = 1_000
-
-# The families the batched engine decides, and so the ones a classification
-# covers; every other family goes through naive_membership.
-ENGINE_FAMILIES = ((1, 1), (2, 0))
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
 
@@ -141,8 +139,9 @@ def _pair_walk(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitnes
 _BLOCK_CELLS = 1 << 15
 
 
-class _UnitGrid:
-    """Finds, for a block of shapes, the scale dlogs that no shift rescues.
+class _Engine:
+    """The membership engine of one field: it decides blocks of shapes and
+    keeps their failing scale classes.
 
     Scale dlog x fails a shape when x + d is a non-unit mod m = q - 1 for
     every kept shift d of the shape. Unit-ness depends only on the residue
@@ -153,7 +152,9 @@ class _UnitGrid:
 
     factors into one pass per prime l. Each shift is counted at the cell of
     -d, so the pass along axis l is the sum along it minus the grid itself,
-    with no reflection. Every count is an exact integer.
+    with no reflection. Every count is an exact integer. A family supplies
+    the shifts of its shapes, from the dlogs in `dlog`, and
+    expands the kept classes over H = <g^rho> with `lift`.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -170,14 +171,22 @@ class _UnitGrid:
         # from the end for s < 0. A shift with m < |s| <= 2m marks a zero or
         # pole; it lands in cell rho, one past the grid, and is not counted.
         self.cell = np.concatenate((cell, np.full(2 * m, self.rho), cell))
+        # the dlog table with 2m in place of the -1 at zero, so that a zero
+        # or pole yields a shift the grid does not count
+        self.dlog = ctx.dlog.copy()
+        self.dlog[0] = 2 * m
+        self.lift = np.arange(0, m, self.rho)  # the dlogs of H
+        self.kept = [np.zeros((3, 0), dtype=np.int64)]  # (u, v, r) per block
 
-    def failing(self, shifts: np.ndarray):
-        """Every failing (row, x mod rho) of a block, as two int64 arrays.
+    def decide(self, u: np.ndarray, v: np.ndarray, shifts: np.ndarray):
+        """Keep (u[row], v[row], r) for every failing (row, x mod rho) of a
+        block.
 
         shifts is the shapes x points matrix of dlog shifts, in (-m, m) for
         the points counted and m < |s| <= 2m for the zeros and poles of a
-        shape. A failing class r stands for the scales x = r + j*rho, j < m /
-        rho. The grid keeps the rows as its last, contiguous axis.
+        shape; u and v name its rows. A failing class r stands for the scales
+        x = r + j*rho, j < m / rho. The grid keeps the rows as its last,
+        contiguous axis.
         """
         nrows = shifts.shape[0]
         cells = self.cell[shifts] * nrows + np.arange(nrows)[:, None]
@@ -186,7 +195,7 @@ class _UnitGrid:
         for axis in range(len(self.primes)):
             np.subtract(grid.sum(axis=axis, keepdims=True), grid, out=grid)
         cells, rows = np.divmod(np.flatnonzero(grid == 0), nrows)
-        return rows, self.residue[cells]
+        self.kept.append(np.stack((u[rows], v[rows], self.residue[cells])))
 
 
 def _blocks(count: int, width: int):
@@ -195,25 +204,6 @@ def _blocks(count: int, width: int):
     step = max(1, _BLOCK_CELLS // width)
     for lo in range(0, count, step):
         yield slice(lo, min(lo + step, count))
-
-
-def _shift_dlog(ctx: FieldCtx) -> np.ndarray:
-    """The dlog table with 2(q-1) in place of the -1 at zero, so that a zero
-    or pole yields a shift _UnitGrid does not count."""
-    dlog = ctx.dlog.copy()
-    dlog[0] = 2 * (ctx.q - 1)
-    return dlog
-
-
-def _translate_table(ctx: FieldCtx) -> np.ndarray:
-    """T[t, i] = dlog(g^t + prim[i]), with 2(q-1) where the sum is zero: the
-    dlogs of every nonzero translate of the primitive elements, m x phi(m).
-    It is filled in blocks, so the sums never take a second table's memory."""
-    dlog, exp, prim = _shift_dlog(ctx), ctx.exp, ctx.primitive_elements()
-    table = np.empty((exp.size, prim.size), dtype=np.int64)
-    for blk in _blocks(exp.size, prim.size):
-        table[blk] = dlog[ctx.add_vec(exp[blk, None], prim)]
-    return table
 
 
 def _sorted_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray
@@ -235,7 +225,9 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     alpha is, so the shape (b, c) fails at the same scales as (u*b, u*c).
     The orbits are the shapes b = g^beta, c = g^(beta+d) for beta < rho and
     d in [1, m/2]. Every unordered {b, c} has such an orientation, and both
-    orientations when d = m/2, which the final dedupe absorbs.
+    orientations when d = m/2, which the final dedupe absorbs. The shifts of
+    a shape are T[beta] - T[beta+d], from the table T[t, i] = dlog(g^t +
+    prim[i]) of every nonzero translate of the primitive elements.
 
     1/alpha is primitive exactly when alpha is, and f(1/alpha) is
     (ab/c)(alpha + 1/b)/(alpha + 1/c); taking 1/f of that, the shape
@@ -246,10 +238,12 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     expanded over H on both sides: a = g^(r + i*rho), b = g^(beta + j*rho),
     c = b*g^d.
     """
-    m = ctx.q - 1
-    grid = _UnitGrid(ctx)
-    rho = grid.rho
-    table = _translate_table(ctx)
+    m, engine = ctx.q - 1, _Engine(ctx)
+    rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
+    # filled in blocks, so the sums never take a second table's memory
+    table = np.empty((m, prim.size), dtype=np.int64)
+    for blk in _blocks(m, prim.size):
+        table[blk] = engine.dlog[ctx.add_vec(exp[blk, None], prim)]
     # The shapes kept for shift d, with s = -d mod rho, are beta in [0, s/2]
     # and then in (s, (s+rho)/2], numbered from start[d-1] on.
     shift = np.arange(1, m // 2 + 1)
@@ -257,24 +251,20 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     head = s // 2 + 1
     count = head + (s + rho) // 2 - s
     start = np.cumsum(count) - count
-    found = [np.zeros((3, 0), dtype=np.int64)]
     for blk in _blocks(int(count.sum()), m):
         i = np.arange(blk.start, blk.stop)
         k = np.searchsorted(start, i, side="right") - 1
         beta = i - start[k]
         beta += np.where(beta < head[k], 0, s[k] + 1 - head[k])
         d = shift[k]
-        rows, r = grid.failing(table[beta] - table[(beta + d) % m])
-        found.append(np.stack((beta[rows], d[rows], r)))
-    beta, d, r = np.concatenate(found, axis=1)
+        engine.decide(beta, d, table[beta] - table[(beta + d) % m])
+    beta, d, r = np.concatenate(engine.kept, axis=1)
     partner = (-beta - d) % rho
     other = partner != beta
     beta, d, r = (np.concatenate(v)[:, None, None] for v in (
         (beta, partner[other]), (d, d[other]), (r, (d - r)[other] % rho)))
-    lift = np.arange(0, m, rho)
-    ta = r + lift[:, None]  # (reps, i, 1)
-    tb = beta + lift  # (reps, 1, j)
-    exp = ctx.exp
+    ta = r + engine.lift[:, None]  # (reps, i, 1)
+    tb = beta + engine.lift  # (reps, 1, j)
     a, a_inv = exp[ta], exp[-ta]
     b, c = exp[tb], exp[(tb + d) % m]
     swap = (a_inv < a) | ((a_inv == a) & (c < b))
@@ -285,7 +275,8 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
 def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
                          ) -> list[tuple[int, int, int]]:
     """All (a, b, c) with a*x^2 + b*x + c (b^2 != 4ac) lacking a primitive pair;
-    with irreducible=True only those with no root in F_q.
+    with irreducible=True only those with no root in F_q. For even q the rule
+    reads b != 0, which also drops a*x^2 + c, c != 0 (see enumerate_family).
 
     A row b0 holds every shape x^2 + b0*x + c0 with b0^2 != 4*c0. The shape
     and a times it share their roots, and x^2 + b0*x + c0 has one iff c0 =
@@ -297,18 +288,14 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
     holds every c0 already, and its expansion only repeats triples, which
     the final dedupe drops.
     """
-    q, m = ctx.q, ctx.q - 1
-    grid = _UnitGrid(ctx)
-    rho = grid.rho
-    prim = ctx.primitive_elements()
-    dlog, exp = _shift_dlog(ctx), ctx.exp
+    q, engine = ctx.q, _Engine(ctx)
+    rho, m, exp, prim = engine.rho, q - 1, ctx.exp, ctx.primitive_elements()
     elems = np.arange(q, dtype=np.int64)
     squares = ctx.mul_vec(elems, elems)
     negated = ctx.mul_vec(elems, np.full_like(elems, ctx.neg(1)))
     four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
     four_c = ctx.mul_vec(np.full_like(elems, four), elems)
     row_b0 = np.concatenate(([0], exp[:rho]))
-    found = [np.zeros((3, 0), dtype=np.int64)]
     for grp in _blocks(rho + 1, q):
         b0, x = np.broadcast_arrays(row_b0[grp, None], elems)
         values = ctx.add_vec(squares, ctx.mul_vec(b0, x))  # x^2 + b0*x
@@ -320,14 +307,26 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
         for blk in _blocks(kept.size, m):
             row, c0 = np.divmod(kept[blk], q)
             vals = ctx.add_vec(base[row], c0[:, None])
-            rows, r = grid.failing(dlog[vals])
-            found.append(np.stack((row[rows] + grp.start, c0[rows], r)))
-    row, c0, r = (v[:, None, None] for v in np.concatenate(found, axis=1))
-    lift = np.arange(0, m, rho)
+            engine.decide(row + grp.start, c0, engine.dlog[vals])
+    row, c0, r = (v[:, None, None] for v in np.concatenate(engine.kept, axis=1))
+    lift = engine.lift
     ta = r + lift[:, None]  # (reps, i, 1)
     a, au, au2, b0, c0 = np.broadcast_arrays(exp[ta], exp[(ta + lift) % m],
                                              exp[(ta + 2 * lift) % m], row_b0[row], c0)
     return _sorted_triples(au2, ctx.mul_vec(au, b0), ctx.mul_vec(a, c0))
+
+
+# The families the engine decides, and so the ones a classification covers:
+# each with its failing-triple finder, called as find(ctx, irreducible), and
+# the function a triple (a, b, c) stands for. Every other family goes
+# through naive_membership.
+ENGINE_FAMILIES = {
+    (1, 1): (lambda ctx, irreducible: _failing_triples_1_1(ctx),
+             lambda ctx, a, b, c: RationalFunc(Poly(ctx, (ctx.mul(a, b), a)),
+                                               Poly(ctx, (c, 1)))),
+    (2, 0): (_failing_triples_2_0,
+             lambda ctx, a, b, c: RationalFunc(Poly(ctx, (c, b, a)), Poly(ctx, (1,)))),
+}
 
 
 @dataclass(frozen=True)
@@ -382,28 +381,20 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
         raise ValueError("membership is defined for q >= 3")
     if quadratic_scope not in ("all", "irreducible"):
         raise ValueError(f"unknown quadratic_scope {quadratic_scope!r}")
-    fam = (n1, n2)
-    if fam in ENGINE_FAMILIES:
-        cells = ctx.q * ctx.qm1.euler_phi
-        if cells > DEFAULT_TABLE_CAP:
-            raise ValueError(
-                f"the ({n1},{n2}) engine of F_{ctx.q} needs tables of q * phi(q-1) = "
-                f"{cells} entries, above the limit of {DEFAULT_TABLE_CAP} "
-                "(ffcore.DEFAULT_TABLE_CAP)")
-    if fam == (1, 1):
-        triples = _failing_triples_1_1(ctx)
-        make = lambda a, b, c: RationalFunc(
-            Poly(ctx, (ctx.mul(a, b), a)), Poly(ctx, (c, 1)))
-    elif fam == (2, 0):
-        triples = _failing_triples_2_0(ctx, quadratic_scope == "irreducible")
-        make = lambda a, b, c: RationalFunc(
-            Poly(ctx, (c, b, a)), Poly(ctx, (1,)))
-    else:
-        return naive_membership(ctx, n1, n2, quadratic_scope == "irreducible")
+    fam, irreducible = (n1, n2), quadratic_scope == "irreducible"
+    if fam not in ENGINE_FAMILIES:
+        return naive_membership(ctx, n1, n2, irreducible)
+    cells = ctx.q * ctx.qm1.euler_phi
+    if cells > DEFAULT_TABLE_CAP:
+        raise ValueError(
+            f"the ({n1},{n2}) engine of F_{ctx.q} needs tables of q * phi(q-1) = "
+            f"{cells} entries, above the limit of {DEFAULT_TABLE_CAP} "
+            "(ffcore.DEFAULT_TABLE_CAP)")
+    find, make = ENGINE_FAMILIES[fam]
+    triples = find(ctx, irreducible)
     if not triples:
         return QMembership(ctx.q, fam, True, None, 0)
-    a, b, c = triples[0]
-    return QMembership(ctx.q, fam, False, make(a, b, c), len(triples))
+    return QMembership(ctx.q, fam, False, make(ctx, *triples[0]), len(triples))
 
 
 # ---------------------------------------------------------------------------

@@ -327,19 +327,19 @@ class TestMembershipEngine:
         assert verdict(211, (2, 0), "irreducible") == (6, ((178, 64, 125), (1,)))
 
     def test_table_cap_refused_before_building(self, field, monkeypatch):
-        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap
-        def no_table(*args):
-            raise AssertionError("built a table past the cap")
+        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap;
+        # each family builds its engine before any other array
+        def no_engine(*args):
+            raise AssertionError("built an engine")
 
-        monkeypatch.setattr(search, "_translate_table", no_table)
-        monkeypatch.setattr(search, "_UnitGrid", no_table)
+        monkeypatch.setattr(search, "_Engine", no_engine)
         ctx = field(65537, 1)
         for fam in ((1, 1), (2, 0)):
             with pytest.raises(ValueError, match="limit of 16777216"):
                 q_in_Q(ctx, *fam)
-        # F_2003, with 2003 * 720 entries, is still decided
-        monkeypatch.setattr(search, "_failing_triples_1_1", lambda ctx: [])
-        assert q_in_Q(field(2003, 1), 1, 1).member
+        # F_2003, with 2003 * 720 entries, reaches the engine
+        with pytest.raises(AssertionError, match="built an engine"):
+            q_in_Q(field(2003, 1), 1, 1)
 
 
 class TestExceptionScan:
