@@ -152,9 +152,9 @@ class _Engine:
 
     factors into one pass per prime l. Each shift is counted at the cell of
     -d, so the pass along axis l is the sum along it minus the grid itself,
-    with no reflection. Every count is an exact integer. A family supplies
-    the shifts of its shapes, from the dlogs in `dlog`, and
-    expands the kept classes over H = <g^rho> with `lift`.
+    with no reflection. Every count is an exact integer. A family reads the
+    shifts of its shapes from `dlog` and expands the kept classes over
+    H = <g^rho> with `lift`.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -238,7 +238,8 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     expanded over H on both sides: a = g^(r + i*rho), b = g^(beta + j*rho),
     c = b*g^d.
     """
-    m, engine = ctx.q - 1, _Engine(ctx)
+    m = ctx.q - 1
+    engine = _Engine(ctx)
     rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
     # filled in blocks, so the sums never take a second table's memory
     table = np.empty((m, prim.size), dtype=np.int64)
@@ -288,8 +289,9 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
     holds every c0 already, and its expansion only repeats triples, which
     the final dedupe drops.
     """
-    q, engine = ctx.q, _Engine(ctx)
-    rho, m, exp, prim = engine.rho, q - 1, ctx.exp, ctx.primitive_elements()
+    q, m = ctx.q, ctx.q - 1
+    engine = _Engine(ctx)
+    rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
     elems = np.arange(q, dtype=np.int64)
     squares = ctx.mul_vec(elems, elems)
     negated = ctx.mul_vec(elems, np.full_like(elems, ctx.neg(1)))
