@@ -7,12 +7,11 @@ variant relaxes W(q-1) to W(l) for a divisor l of q-1 at the price of the
 factor Delta. All comparisons are exact; the printed decimals are cosmetic.
 
 Scans and `check-bound` decide with one integer kernel over the least-primes
-cores (`sieve_pass_prefix`, swept by `best_prefix`); the all-subsets search in
+cores (`sieve_pass_prefix`, swept by `best_prefix`, with `prefix_terms`
+reading delta, Delta and the threshold off it); the all-subsets search in
 Fractions (`best_sieve`, `SieveParams`) is kept as its oracle, and both are
 shown side by side below.
 """
-
-from fractions import Fraction
 
 from primpair.bounds import (
     PASS_TARGETS,
@@ -22,6 +21,7 @@ from primpair.bounds import (
     check_pass_target,
     generic_cn,
     direct_criterion_check,
+    prefix_terms,
     sieve_pass_prefix,
 )
 from primpair.ffcore import factorize
@@ -41,9 +41,10 @@ print(f"oracle, all {2**qm1.omega} cores: best {best.core}, delta = {best.delta}
 # The kernel only tries the least-primes cores {}, {2}, {2,3}, ... and lands
 # on the same best core and the same threshold, in plain integers.
 primes = list(qm1.primes)
-verdict, r, thr_num, thr_den = best_prefix(q, primes, 2)
-print(f"kernel, {len(primes) + 1} prefixes: best {tuple(primes[:r])},"
-      f" threshold = {Fraction(thr_num, thr_den)}, verdict = {verdict}")
+verdict, r, _, _ = best_prefix(q, primes, 2)
+delta, big_delta, threshold = prefix_terms(primes, r, 2)
+print(f"kernel, {len(primes) + 1} prefixes: best {tuple(primes[:r])}, delta = {delta},"
+      f" Delta = {big_delta}, threshold = {threshold}, verdict = {verdict}")
 for r in range(len(primes) + 1):
     res = sieve_pass_prefix(q, primes, r, 2)
     shown = "inapplicable (delta <= 0)" if res is None else f"threshold {res[1]}/{res[2]}"

@@ -12,12 +12,12 @@ and the square-root comparison is done on cleared denominators, so a float
 can never flip a verdict at a boundary. Floats appear only in reports.
 
 One integer kernel, `sieve_pass_prefix`, decides the criterion for a core
-made of the least primes of q-1, and `best_prefix` sweeps it over every core
-size; scans and `check-bound` both go through them. `SieveParams` and the
-all-subsets `best_sieve` compute the same criterion in Fractions and serve
-as the test oracle for the kernel. `certain_prefix_pass` is the same sweep
-in float64 over a whole factor table at once; a scan uses it only to skip
-rows that pass by a wide margin, never to emit a verdict.
+made of the least primes of q-1; `best_prefix` sweeps it over every core
+size and `prefix_terms` reads delta, Delta and the threshold off it. Scans,
+`check-bound` and the worst-case grid hold no other copy of the criterion.
+`certain_prefix_pass`, a scan's prefilter, tests the direct bound in int64
+and the same sweep in float64, only to skip rows that certainly pass.
+`SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
 
 The module also carries the worst-case analysis grid (smallest possible
 sieved primes for an assumed range of omega(q-1)) whose constants the
@@ -234,6 +234,18 @@ def best_prefix(q: int, primes: list[int], n: int) -> tuple[str, int, int, int]:
     return (verdict, *best)
 
 
+def prefix_terms(primes, core_size: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(delta, Delta, n * Delta * W(l)^2) for the core_size least primes as
+    core, off the kernel's integers (thr_den = delta * the sieved primes'
+    product); q plays no part. InapplicableCriterion when delta <= 0."""
+    res = sieve_pass_prefix(0, primes, core_size, n)
+    if res is None:
+        raise InapplicableCriterion(f"delta <= 0 when sieving {tuple(primes[core_size:])}")
+    threshold = Fraction(res[1], res[2])
+    return (Fraction(res[2], prod(primes[core_size:])),
+            threshold / (n << 2 * core_size), threshold)
+
+
 # Relative room by which sqrt(q) must clear a threshold in the float64 sweep.
 # The sweep's own error is far smaller. Below the scan ceiling a row has at
 # most 10 primes, so a suffix sum of 1/p is off by under 10 * 2^-53 < 1.2e-15.
@@ -245,16 +257,22 @@ SWEEP_MARGIN = 1e-6
 
 def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
                         n: int) -> np.ndarray:
-    """Rows that some prefix core passes with SWEEP_MARGIN to spare.
+    """Rows above the direct bound n^2 * 16^omega (exact in int64), and rows
+    that some prefix core passes with SWEEP_MARGIN to spare.
 
-    The float64 sweep of `best_prefix` over every row at once: row i has
-    q[i] and the primes primes[i, :omega[i]] of q[i]-1, ascending (later
-    columns are ignored). With the r least primes as core, the sieved tail
-    sums 1/p by a suffix sum along the row. True means q certainly passes
-    (its verdict is pass_thm31 or pass_sieve); False decides nothing, and
-    only `best_prefix` may give such a row a verdict.
+    Row i has q[i] and the primes primes[i, :omega[i]] of q[i]-1, ascending
+    (later columns are ignored). Rows at or below the direct bound get the
+    float64 sweep of `best_prefix`: with the r least primes as core, the
+    sieved tail sums 1/p by a suffix sum along the row. True means q
+    certainly passes (its verdict is pass_thm31 or pass_sieve); False
+    decides nothing, and only `best_prefix` may give such a row a verdict.
     """
     width = primes.shape[1]
+    # clipped to int64: a bound past it is past every q, so the test stays exact
+    direct = np.array([min(n * n << 4 * w, 2**63 - 1) for w in range(width + 1)])
+    sure = q > direct[omega]
+    rows = np.flatnonzero(~sure)
+    q, primes, omega = q[rows], primes[rows], omega[rows]
     cols = np.arange(width)
     inv = np.where(cols < omega[:, None], 1.0 / np.maximum(primes, 1), 0.0)
     tail = np.zeros((q.size, width + 1))  # tail[:, r]: sum of 1/p over primes[r:]
@@ -267,7 +285,8 @@ def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
     thr = n * big_delta * 4.0 ** r
     passes = (s >= 0) & (delta > 0)  # delta is 1 when nothing is sieved
     passes &= np.sqrt(q.astype(np.float64))[:, None] > thr * (1 + SWEEP_MARGIN)
-    return passes.any(axis=1)
+    sure[rows] = passes.any(axis=1)
+    return sure
 
 
 @dataclass(frozen=True)
@@ -296,22 +315,13 @@ class PassReport:
 
 
 def worst_case_pass(spec: PassSpec) -> PassReport:
-    """Fill in the worst-case delta, Delta and threshold."""
+    """Fill in the worst-case delta, Delta and threshold: those of the least
+    core_size primes as core of a q-1 whose primes are the first max_omega."""
     if not (spec.max_omega >= spec.min_omega >= spec.core_size >= 0):
         raise ValueError(f"need max_omega >= min_omega >= core_size >= 0, got {spec}")
-    if spec.n < 2:
-        raise ValueError("degree n must be >= 2")
-    sieved = _FIRST_PRIMES[spec.core_size:spec.max_omega]
-    s = len(sieved)
-    delta = 1 - 2 * sum(Fraction(1, p) for p in sieved)
-    if s == 0:
-        big_delta = Fraction(1)
-    else:
-        if delta <= 0:
-            raise InapplicableCriterion(f"worst-case delta = {delta} <= 0 for {spec}")
-        big_delta = Fraction(2 * s - 1) / delta + 2
-    threshold = spec.n * big_delta * Fraction(4) ** spec.core_size
-    return PassReport(spec, sieved, delta, big_delta, threshold)
+    primes = _FIRST_PRIMES[:spec.max_omega]
+    return PassReport(spec, primes[spec.core_size:],
+                      *prefix_terms(primes, spec.core_size, spec.n))
 
 
 def generic_cn(n: int) -> float:

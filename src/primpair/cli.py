@@ -27,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
-from math import gcd, prod
+from math import gcd
 
 from . import bounds, ffcore, polyrat, search
 
@@ -103,12 +103,9 @@ def cmd_check_bound(args) -> int:
     q = args.q
     qm1 = ffcore.factorize(q - 1)
     primes = list(qm1.primes)
-    verdict, r, thr_num, thr_den = bounds.best_prefix(q, primes, args.n)
+    verdict, r, _, _ = bounds.best_prefix(q, primes, args.n)
     core, sieved = primes[:r], primes[r:]
-    # thr_den = delta * prod(sieved) and thr_num / thr_den = n * Delta * W(l)^2
-    delta = Fraction(thr_den, prod(sieved))
-    threshold = Fraction(thr_num, thr_den)
-    big_delta = threshold / (args.n << 2 * r)
+    delta, big_delta, threshold = bounds.prefix_terms(primes, r, args.n)
     margin = q**0.5 - float(threshold)
     direct = verdict == "pass_thm31"
     passed = verdict != "candidate"
@@ -216,9 +213,7 @@ def cmd_classify(args) -> int:
     if family not in search.ENGINE_FAMILIES:  # a usage error, before the budget
         raise ValueError("classification supports families 1,1 and 2,0")
     cost = ("the exhaustive step costs about q * rad(q-1)^2 * omega(q-1) per "
-            "surviving field q, half that for 1,1: up to 1000 about 23 s for "
-            "1,1 and 66 s for 2,0, and for F_2003 alone about 25 s and 45 s, "
-            "on one core")
+            "surviving field q, half that for 1,1")
     if args.qmax > search.CLASSIFY_LONG_QMAX:
         print(f"refusing: qmax {args.qmax} exceeds the --long budget "
               f"{search.CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)
@@ -261,7 +256,7 @@ def cmd_pair(args) -> int:
     bad = w is None
     payload = {
         "q": args.q,
-        "f": {"num": list(f.num.coeffs), "den": list(f.den.coeffs)},
+        "f": search.coeffs_json(f.num.coeffs, f.den.coeffs),
         "degrees": [f.n1, f.n2],
         "exceptional": bad,
     }
@@ -284,8 +279,8 @@ def cmd_pair(args) -> int:
     else:
         lines.append(f"ABSENT: all {w.examined} primitive elements exhausted")
     if args.out:
-        search.write_witness_jsonl(args.out, [
-            search.witness_entry(ctx, f, (f.n1, f.n2), w)])
+        search.write_witness_jsonl(args.out, [search.witness_entry(
+            args.q, (f.n1, f.n2), f.num.coeffs, f.den.coeffs, w)])
         lines.append(f"witness line written to {args.out}")
     _emit(args, payload, lines)
     return EXIT_OK if w.found else EXIT_NEGATIVE
@@ -299,8 +294,7 @@ def cmd_qmember(args) -> int:
         "q": args.q, "family": [args.n1, args.n2], "member": res.member,
         "num_failing": res.num_failing,
         "failing": (None if res.failing is None else
-                    {"num": list(res.failing.num.coeffs),
-                     "den": list(res.failing.den.coeffs)}),
+                    search.coeffs_json(res.failing.num.coeffs, res.failing.den.coeffs)),
     }
     lines = [f"q = {args.q}, family ({args.n1},{args.n2}):"
              f" {'member' if res.member else 'NOT a member'}"]

@@ -23,8 +23,8 @@ Three layers:
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment marks the prime powers and
-   factors only their q-1, and a float64 sweep spares the exact kernel the
-   rows that pass by a wide margin), then full exhaustive classification of
+   factors only their q-1, and `bounds.certain_prefix_pass` spares the exact
+   kernel the rows that certainly pass), then full exhaustive classification of
    the survivors. One driver, `_scan_segments`, walks the segments that
    `ffcore.prime_power_segments` plans, for all three, in one process or a
    worker pool, with one kernel workspace per scan and process. In faithful
@@ -63,9 +63,8 @@ SCAN_HI_MAX = 200_560_490_129
 
 # The largest q a classification decides, and the CLI's --long limit: one
 # field costs about q * rad(q-1)^2 * omega(q-1) per family, half that for
-# (1,1), which decides one shape of each inversion pair. Up to 1000 that is
-# about 23 s for (1,1) and 66 s for (2,0) on one core, and F_2003 alone takes
-# about 25 s for (1,1) and 45 s for irreducible quadratics.
+# (1,1), which decides one shape of each inversion pair. The README gives
+# the measured times.
 CLASSIFY_LONG_QMAX = 1_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
@@ -239,6 +238,12 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     c = b*g^d.
     """
     m = ctx.q - 1
+    cells = ctx.q * ctx.qm1.euler_phi
+    if cells > DEFAULT_TABLE_CAP:
+        raise ValueError(
+            f"the (1,1) engine of F_{ctx.q} needs tables of q * phi(q-1) = "
+            f"{cells} entries, above the limit of {DEFAULT_TABLE_CAP} "
+            "(ffcore.DEFAULT_TABLE_CAP)")
     engine = _Engine(ctx)
     rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
     # filled in blocks, so the sums never take a second table's memory
@@ -368,9 +373,9 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
     On failure the reported function is the first failing one in canonical
     enumeration order. The (1,1) and (2,0) families go through the
     batched engine; every other family is walked by naive_membership.
-    The engine refuses, with ValueError, a field where q * phi(q-1) exceeds
-    ffcore.DEFAULT_TABLE_CAP: the (1,1) translate table holds about that
-    many entries, and one (2,0) row of q shapes spans that many points.
+    The (1,1) engine refuses, with ValueError, a field where q * phi(q-1)
+    exceeds ffcore.DEFAULT_TABLE_CAP, the size of its translate table; the
+    (2,0) engine works in blocks of _BLOCK_CELLS cells and has no limit.
 
     quadratic_scope applies to the (2, 0) family only: "all" keeps every
     a*x^2+b*x+c with nonzero discriminant, while "irreducible" restricts to
@@ -386,12 +391,6 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
     fam, irreducible = (n1, n2), quadratic_scope == "irreducible"
     if fam not in ENGINE_FAMILIES:
         return naive_membership(ctx, n1, n2, irreducible)
-    cells = ctx.q * ctx.qm1.euler_phi
-    if cells > DEFAULT_TABLE_CAP:
-        raise ValueError(
-            f"the ({n1},{n2}) engine of F_{ctx.q} needs tables of q * phi(q-1) = "
-            f"{cells} entries, above the limit of {DEFAULT_TABLE_CAP} "
-            "(ffcore.DEFAULT_TABLE_CAP)")
     find, make = ENGINE_FAMILIES[fam]
     triples = find(ctx, irreducible)
     if not triples:
@@ -480,19 +479,14 @@ def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
     of the kernel's plan, ascending.
 
     Only the q - 1 of prime powers are factored. With emit="candidates" a row
-    is dropped, as a certain pass, when q is above the direct bound
-    n^2 * W(q-1)^4 (exact in int64) or when the float64 prefix sweep clears
-    it by SWEEP_MARGIN; every other row, and every row under emit="all",
-    gets its verdict from the exact kernel `best_prefix`.
+    is dropped when `bounds.certain_prefix_pass` marks it a certain pass;
+    every other row, and every row under emit="all", gets its verdict from
+    the exact kernel `best_prefix`.
     """
     q, p, k, buf, cnt = kernel.segment(*segment)
     n = cfg.n
     if cfg.emit == "candidates":
-        # clipped above every q a scan reaches, so no entry overflows
-        direct = np.array([min(n * n << 4 * w, SCAN_HI_MAX + 1)
-                           for w in range(buf.shape[1] + 1)], dtype=np.int64)
-        rows = np.flatnonzero(q <= direct[cnt])
-        rows = rows[~certain_prefix_pass(q[rows], buf[rows], cnt[rows], n)]
+        rows = np.flatnonzero(~certain_prefix_pass(q, buf, cnt, n))
     else:
         rows = np.arange(q.size)
     records = []
@@ -729,7 +723,6 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
         raise ValueError(f"classification supports families (1,1) and (2,0), got {family}")
     high_water = min(q_max, CLASSIFY_LONG_QMAX)
     exceptions: list[ClassifiedException] = []
-    entries = []
     for rec in exception_scan(SCAN_FLOOR, high_water, sum(family)):
         ctx = field_make(rec.p, rec.k)
         res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
@@ -743,9 +736,9 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
             raise AssertionError(f"witness disagreement at q={rec.q}")
         exceptions.append(ClassifiedException(
             rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))
-        entries.append(witness_entry(ctx, f, family, confirm))
     if jsonl_path:
-        write_witness_jsonl(jsonl_path, entries)
+        write_witness_jsonl(jsonl_path, [
+            witness_entry(e.q, family, e.failing_num, e.failing_den) for e in exceptions])
     return ClassificationResult(family, q_max, exceptions, high_water,
                                 complete=q_max <= CLASSIFY_LONG_QMAX)
 
@@ -756,13 +749,15 @@ def write_witness_jsonl(path: str, entries: list[dict]):
             fh.write(json.dumps(e) + "\n")
 
 
-def witness_entry(ctx: FieldCtx, f: RationalFunc, family: tuple[int, int],
-                  witness: PairWitness) -> dict:
-    return {
-        "q": ctx.q,
-        "family": list(family),
-        "f": {"num": list(f.num.coeffs), "den": list(f.den.coeffs)},
-        "witness": (None if not witness.found else
-                    {"alpha_dlog": witness.alpha_dlog,
-                     "falpha_dlog": witness.value_dlog}),
-    }
+def coeffs_json(num, den) -> dict:
+    """The {"num", "den"} object of f's coefficients, constant term first."""
+    return {"num": list(num), "den": list(den)}
+
+
+def witness_entry(q: int, family: tuple[int, int], num, den,
+                  witness: PairWitness | None = None) -> dict:
+    """One witness-report line: f = num/den over F_q and its pair, if any."""
+    return {"q": q, "family": list(family), "f": coeffs_json(num, den),
+            "witness": (None if witness is None or not witness.found else
+                        {"alpha_dlog": witness.alpha_dlog,
+                         "falpha_dlog": witness.value_dlog})}

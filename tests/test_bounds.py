@@ -221,6 +221,24 @@ class TestWorstCasePass:
         with pytest.raises(InapplicableCriterion):
             worst_case_pass(PassSpec(2, 0, 5, 0))  # sieving 2,3,5,7,11 kills delta
 
+    @pytest.mark.parametrize("spec", [t.spec for t in PASS_TARGETS]
+                             + [PassSpec(2, 0, 5, 0), PassSpec(3, 1, 6, 1),
+                                PassSpec(2, 3, 3, 3)])
+    def test_matches_fraction_oracle(self, spec):
+        # the grid row is the criterion of a q - 1 whose primes are the first
+        # max_omega primes, with the least core_size of them as core
+        primes = tuple(int(p) for p in sieve_primes(300)[:spec.max_omega])
+        qm1 = Factorization(prod(primes), tuple((p, 1) for p in primes))
+        params = SieveParams.from_core(qm1.value + 1, qm1, primes[:spec.core_size])
+        if not params.applicable:
+            with pytest.raises(InapplicableCriterion):
+                worst_case_pass(spec)
+            return
+        report = worst_case_pass(spec)
+        assert report.delta_min == params.delta
+        assert report.big_delta_max == params.big_delta
+        assert report.threshold == params.threshold(spec.n)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             worst_case_pass(PassSpec(2, 3, 2, 4))

@@ -6,6 +6,7 @@ import multiprocessing
 from itertools import zip_longest
 from math import gcd
 
+import numpy as np
 import pytest
 
 from primpair import bounds, polyrat, search
@@ -327,16 +328,19 @@ class TestMembershipEngine:
         assert verdict(211, (2, 0), "irreducible") == (6, ((178, 64, 125), (1,)))
 
     def test_table_cap_refused_before_building(self, field, monkeypatch):
-        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap;
-        # each family builds its engine before any other array
+        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap of
+        # the (1,1) translate table; each family builds its engine before any
+        # other array
         def no_engine(*args):
             raise AssertionError("built an engine")
 
         monkeypatch.setattr(search, "_Engine", no_engine)
         ctx = field(65537, 1)
-        for fam in ((1, 1), (2, 0)):
-            with pytest.raises(ValueError, match="limit of 16777216"):
-                q_in_Q(ctx, *fam)
+        with pytest.raises(ValueError, match="limit of 16777216"):
+            q_in_Q(ctx, 1, 1)
+        # the (2,0) engine works in blocks and has no table to cap
+        with pytest.raises(AssertionError, match="built an engine"):
+            q_in_Q(ctx, 2, 0)
         # F_2003, with 2003 * 720 entries, reaches the engine
         with pytest.raises(AssertionError, match="built an engine"):
             q_in_Q(field(2003, 1), 1, 1)
@@ -495,6 +499,20 @@ class TestScanSieve:
         assert 0 < sure.sum() < q.size
         for qi, omega, row in zip(q[sure].tolist(), cnt[sure].tolist(), buf[sure].tolist()):
             assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_direct_bound_edge_is_exact(self, n, monkeypatch):
+        # q = n^2 * 16^omega sits on the direct bound and fails it, q + 1
+        # passes; a margin no sweep can clear leaves the decision to the
+        # direct test alone
+        monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
+        primes = [2, 3, 5, 7]
+        omega = np.array([w for w in range(len(primes) + 1) for _ in (0, 1)])
+        edge = np.array([n * n * 16**w + dq for w in range(len(primes) + 1)
+                         for dq in (0, 1)], dtype=np.int64)
+        buf = np.array([primes] * edge.size, dtype=np.int64)
+        sure = certain_prefix_pass(edge, buf, omega, n)
+        assert sure.tolist() == [False, True] * (len(primes) + 1)
 
     def test_wide_margin_sends_every_row_to_exact_kernel(self, monkeypatch, prime_powers):
         calls = [0]
