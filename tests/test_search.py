@@ -246,6 +246,19 @@ class TestMembershipEngine:
         assert digest.hexdigest() == (
             "63de7dd060e60e48a7b2c8dd34951b17bb0f338771fc41962e4508196fe38548")
 
+    def test_triple_lists_pinned_to_400(self, field, prime_powers):
+        # the same pin for 256 < q <= 400, taken from the CRT-grid engine
+        # before the mask table replaced it
+        digest = hashlib.sha256()
+        for p, k, q in prime_powers(257, 400):
+            ctx = field(p, k)
+            for triples in (search._failing_triples_1_1(ctx),
+                            search._failing_triples_2_0(ctx),
+                            search._failing_triples_2_0(ctx, irreducible=True)):
+                digest.update(json.dumps([q, triples]).encode())
+        assert digest.hexdigest() == (
+            "41c1f9ada6d2dfaa910da06b29a206c1217fb7bf569ba2886440082acffd9c1b")
+
     @pytest.mark.parametrize("cells", [1, 100])
     def test_small_blocks_match_one_block(self, field, monkeypatch, cells):
         # rows cut into blocks of one or a few shapes give the same triples
