@@ -132,10 +132,36 @@ def _pair_walk(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitnes
 # Batched membership engine, one shape per orbit of the rad(q-1)-th powers.
 # ---------------------------------------------------------------------------
 
-# The most cells (shapes times q - 1) one block of the engine holds. Shapes are
-# cut into blocks of this size, so no working array grows with the number of
-# shapes; a block holds at least one shape. Blocks this small stay in cache.
+# The most cells one block holds: field rows times elements where a family
+# builds its tables, and shapes times columns times mask words in the engine,
+# whose blocks are as many shapes as fill it with their first chunk of
+# columns. A block holds at least one shape and a chunk at least one column.
 _BLOCK_CELLS = 1 << 15
+
+# The shift columns the engine ANDs for every shape of a block before it drops
+# the rescued shapes; each later chunk is twice as wide.
+_FIRST_COLUMNS = 16
+
+
+def _mask_table(rho: int, primes: tuple[int, ...]) -> np.ndarray:
+    """The (rho + 1) x ceil(rho / 64) uint64 table whose row s, s < rho, has
+    bit x set iff gcd(x + s, rho) > 1, and whose row rho is all ones; bits
+    from rho on are zero. Row s is row 0 rotated by s, so word w of it is the
+    64 non-unit flags from t = s + 64*w on. Those windows are packed for
+    every t at once, by doubling their width six times; no rho x rho array
+    is made."""
+    words = -(-rho // 64)
+    t = np.arange(rho + 64 * words - 1)
+    window = np.zeros(t.size, dtype=np.uint64)
+    for ell in primes:
+        window |= t % ell == 0
+    for j in range(6):
+        window = window[:-(1 << j)] | window[1 << j:] << np.uint64(1 << j)
+    masks = np.empty((rho + 1, words), dtype=np.uint64)
+    masks[:rho] = window[np.arange(rho)[:, None] + 64 * np.arange(words)]
+    masks[rho] = ~np.uint64(0)
+    masks[:, -1] &= np.uint64((1 << (rho - 64 * (words - 1))) - 1)
+    return masks
 
 
 class _Engine:
@@ -144,57 +170,66 @@ class _Engine:
 
     Scale dlog x fails a shape when x + d is a non-unit mod m = q - 1 for
     every kept shift d of the shape. Unit-ness depends only on the residue
-    mod rho = rad(m), and on the CRT grid Z/rho = prod Z/l the number of
-    rescuing shifts,
-
-        count(x) = sum_d prod_l (1 - [x + d = 0 mod l]),
-
-    factors into one pass per prime l. Each shift is counted at the cell of
-    -d, so the pass along axis l is the sum along it minus the grid itself,
-    with no reflection. Every count is an exact integer. A family reads the
-    shifts of its shapes from `dlog` and expands the kept classes over
-    H = <g^rho> with `lift`.
+    mod rho = rad(m), so the failing classes x mod rho are the AND, over the
+    shifts, of the packed rows `masks[d mod rho]`, where bit x of row s is
+    set iff gcd(x + s, rho) > 1. A zero or pole of the shape rescues no scale
+    and reads row rho, which is all ones. `decide` ANDs the shifts of a block
+    in chunks of columns, the first _FIRST_COLUMNS wide and each next one
+    twice as wide, and after each chunk drops the shapes with no failing
+    class left; a family gives the columns of the shapes still live only.
+    A family reads the shifts of its shapes from `dlog` and expands the kept
+    classes over H = <g^rho> with `lift`.
     """
 
     def __init__(self, ctx: FieldCtx):
-        m = ctx.q - 1
-        self.primes = ctx.qm1.primes
-        self.rho = ctx.qm1.radical
-        t = np.arange(m, dtype=np.int64)
-        cell = np.zeros(m, dtype=np.int64)
-        for ell in self.primes:
-            cell = cell * ell + -t % ell
-        self.residue = np.empty(self.rho, dtype=np.int64)
-        self.residue[cell[-t[:self.rho]]] = t[:self.rho]
-        # Flat (C-order) grid cell of -s for each shift s in (-m, m), indexed
-        # from the end for s < 0. A shift with m < |s| <= 2m marks a zero or
-        # pole; it lands in cell rho, one past the grid, and is not counted.
-        self.cell = np.concatenate((cell, np.full(2 * m, self.rho), cell))
-        # the dlog table with 2m in place of the -1 at zero, so that a zero
-        # or pole yields a shift the grid does not count
-        self.dlog = ctx.dlog.copy()
-        self.dlog[0] = 2 * m
-        self.lift = np.arange(0, m, self.rho)  # the dlogs of H
+        m, rho = ctx.q - 1, ctx.qm1.radical
+        self.rho, self.words = rho, -(-rho // 64)
+        cells = (rho + 1) * self.words
+        if cells > DEFAULT_TABLE_CAP:
+            raise ValueError(
+                f"the membership engine of F_{ctx.q} needs a mask table of "
+                f"(rho + 1) * ceil(rho / 64) = {cells} words, rho = rad(q-1), "
+                f"above the limit of {DEFAULT_TABLE_CAP} (ffcore.DEFAULT_TABLE_CAP)")
+        self.masks = _mask_table(rho, ctx.qm1.primes)
+        # dlogs mod rho, with 2*rho in place of the -1 at zero: a difference
+        # of two of them is a shift in (-rho, rho), or one past rho in size
+        # when a zero or pole took part
+        self.dlog = np.where(ctx.dlog < 0, 2 * rho, ctx.dlog % rho).astype(np.int32)
+        # the mask row of each shift s in [-2*rho, 2*rho], indexed from the
+        # end for s < 0: s mod rho for |s| < rho, and row rho past it
+        ids = np.arange(rho, dtype=np.int32)
+        self.row = np.concatenate((ids, np.full(2 * rho, rho, dtype=np.int32), ids))
+        self.lift = np.arange(0, m, rho)  # the dlogs of H
         self.kept = [np.zeros((3, 0), dtype=np.int64)]  # (u, v, r) per block
 
-    def decide(self, u: np.ndarray, v: np.ndarray, shifts: np.ndarray):
-        """Keep (u[row], v[row], r) for every failing (row, x mod rho) of a
-        block.
+    def blocks(self, count: int):
+        """Cut count shapes into the engine's blocks."""
+        return _blocks(count, _FIRST_COLUMNS * self.words)
 
-        shifts is the shapes x points matrix of dlog shifts, in (-m, m) for
-        the points counted and m < |s| <= 2m for the zeros and poles of a
-        shape; u and v name its rows. A failing class r stands for the scales
-        x = r + j*rho, j < m / rho. The grid keeps the rows as its last,
-        contiguous axis.
+    def decide(self, u: np.ndarray, v: np.ndarray, shifts, width: int):
+        """Keep (u[row], v[row], r) for every failing (row, x mod rho) of a
+        block, if it has any.
+
+        shifts(live, cols) gives the dlog shifts, as `dlog` differences or
+        `dlog` entries, of the block rows live at the columns cols, a slice
+        of range(width); u and v name the rows. A failing class r stands for
+        the scales x = r + j*rho, j < m / rho.
         """
-        nrows = shifts.shape[0]
-        cells = self.cell[shifts] * nrows + np.arange(nrows)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=(self.rho + 1) * nrows)
-        grid = counts[:self.rho * nrows].reshape(self.primes + (nrows,))
-        for axis in range(len(self.primes)):
-            np.subtract(grid.sum(axis=axis, keepdims=True), grid, out=grid)
-        cells, rows = np.divmod(np.flatnonzero(grid == 0), nrows)
-        self.kept.append(np.stack((u[rows], v[rows], self.residue[cells])))
+        live = np.arange(u.size)
+        acc = self.masks[self.rho]
+        lo, step = 0, _FIRST_COLUMNS
+        while live.size and lo < width:
+            step = min(step, max(1, _BLOCK_CELLS // (live.size * self.words)))
+            cols = slice(lo, min(lo + step, width))
+            rows = np.take(self.masks, self.row[shifts(live, cols)].T, axis=0)
+            acc = np.bitwise_and.reduce(rows, axis=0) & acc
+            alive = acc.any(axis=1)
+            live, acc = live[alive], acc[alive]
+            lo, step = cols.stop, 2 * step
+        if live.size:
+            bits = acc[:, :, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)
+            rows, r = np.nonzero(bits.reshape(live.size, -1))
+            self.kept.append(np.stack((u[live[rows]], v[live[rows]], r)))
 
 
 def _blocks(count: int, width: int):
@@ -247,7 +282,7 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     engine = _Engine(ctx)
     rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
     # filled in blocks, so the sums never take a second table's memory
-    table = np.empty((m, prim.size), dtype=np.int64)
+    table = np.empty((m, prim.size), dtype=engine.dlog.dtype)
     for blk in _blocks(m, prim.size):
         table[blk] = engine.dlog[ctx.add_vec(exp[blk, None], prim)]
     # The shapes kept for shift d, with s = -d mod rho, are beta in [0, s/2]
@@ -257,13 +292,14 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     head = s // 2 + 1
     count = head + (s + rho) // 2 - s
     start = np.cumsum(count) - count
-    for blk in _blocks(int(count.sum()), m):
+    for blk in engine.blocks(int(count.sum())):
         i = np.arange(blk.start, blk.stop)
         k = np.searchsorted(start, i, side="right") - 1
         beta = i - start[k]
         beta += np.where(beta < head[k], 0, s[k] + 1 - head[k])
         d = shift[k]
-        engine.decide(beta, d, table[beta] - table[(beta + d) % m])
+        engine.decide(beta, d, partial(_translate_shifts, table, beta, (beta + d) % m),
+                      prim.size)
     beta, d, r = np.concatenate(engine.kept, axis=1)
     partner = (-beta - d) % rho
     other = partner != beta
@@ -276,6 +312,18 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     swap = (a_inv < a) | ((a_inv == a) & (c < b))
     return _sorted_triples(np.where(swap, a_inv, a), np.where(swap, c, b),
                            np.where(swap, b, c))
+
+
+def _translate_shifts(table, beta, gamma, live, cols):
+    """The (1,1) shifts dlog(alpha + b) - dlog(alpha + c) at the primitive
+    alpha of cols, for the shapes b = g^beta[live], c = g^gamma[live]."""
+    return table[beta[live], cols] - table[gamma[live], cols]
+
+
+def _quadratic_shifts(ctx, dlog, base, row, c0, live, cols):
+    """The (2,0) shifts dlog(alpha^2 + b0*alpha + c0) at the primitive alpha
+    of cols, for the shapes of base rows row[live] and constants c0[live]."""
+    return dlog[ctx.add_vec(base[row[live], cols], c0[live, None])]
 
 
 def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
@@ -311,10 +359,11 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
             shape[np.arange(shape.shape[0])[:, None], negated[values]] = False
         base = values[:, prim]
         kept = np.flatnonzero(shape)
-        for blk in _blocks(kept.size, m):
+        for blk in engine.blocks(kept.size):
             row, c0 = np.divmod(kept[blk], q)
-            vals = ctx.add_vec(base[row], c0[:, None])
-            engine.decide(row + grp.start, c0, engine.dlog[vals])
+            engine.decide(row + grp.start, c0,
+                          partial(_quadratic_shifts, ctx, engine.dlog, base, row, c0),
+                          prim.size)
     row, c0, r = (v[:, None, None] for v in np.concatenate(engine.kept, axis=1))
     lift = engine.lift
     ta = r + lift[:, None]  # (reps, i, 1)

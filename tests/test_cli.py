@@ -349,6 +349,14 @@ class TestQMember:
         assert code == 2 and out == ""
         assert "limit of 16777216" in err
 
+    def test_mask_table_cap_exits_usage(self, capsys):
+        # F_32771, rho = 32770: the (2,0) engine's mask table is past the cap
+        code, out, err = run(capsys, "--format", "json", "qmember", "--q", "32771",
+                             "--n1", "2", "--n2", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "mask table" in err and "limit of 16777216" in err
+
     @pytest.mark.parametrize("n1", ["-1", "2"])
     def test_negative_degree_is_usage_error(self, capsys, n1):
         code, out, err = run(capsys, "qmember", "--q", "3", "--n1", n1, "--n2", "-1")

@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from primpair import bounds, polyrat, search
+from primpair import bounds, ffcore, polyrat, search
 from primpair.bounds import best_prefix, certain_prefix_pass
 from primpair.ffcore import SegmentKernel, factorize, field_make, prime_power_segments
 from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
@@ -259,10 +259,11 @@ class TestMembershipEngine:
         assert digest.hexdigest() == (
             "41c1f9ada6d2dfaa910da06b29a206c1217fb7bf569ba2886440082acffd9c1b")
 
-    @pytest.mark.parametrize("cells", [1, 100])
-    def test_small_blocks_match_one_block(self, field, monkeypatch, cells):
-        # rows cut into blocks of one or a few shapes give the same triples
-        # as whole rows in one block
+    @pytest.mark.parametrize("cells, first", [(1, 1), (1, 3), (100, 16)])
+    def test_small_blocks_match_one_block(self, field, monkeypatch, cells, first):
+        # rows cut into blocks of one or a few shapes, whose shifts are ANDed
+        # one, three or 16 columns first, give the same triples as whole rows in
+        # one block
         def triples(ctx):
             return (search._failing_triples_1_1(ctx),
                     search._failing_triples_2_0(ctx),
@@ -271,6 +272,7 @@ class TestMembershipEngine:
         ctxs = [field(p, k) for p, k in ((31, 1), (61, 1), (2, 6), (3, 4), (5, 2))]
         whole = [triples(ctx) for ctx in ctxs]
         monkeypatch.setattr(search, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(search, "_FIRST_COLUMNS", first)
         for ctx, expected in zip(ctxs, whole):
             assert triples(ctx) == expected, ctx.q
 
@@ -342,8 +344,8 @@ class TestMembershipEngine:
 
     def test_table_cap_refused_before_building(self, field, monkeypatch):
         # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap of
-        # the (1,1) translate table; each family builds its engine before any
-        # other array
+        # the (1,1) translate table, which is refused before the engine is
+        # built; its mask table, with rho = 2, is one word a row
         def no_engine(*args):
             raise AssertionError("built an engine")
 
@@ -351,12 +353,57 @@ class TestMembershipEngine:
         ctx = field(65537, 1)
         with pytest.raises(ValueError, match="limit of 16777216"):
             q_in_Q(ctx, 1, 1)
-        # the (2,0) engine works in blocks and has no table to cap
         with pytest.raises(AssertionError, match="built an engine"):
             q_in_Q(ctx, 2, 0)
         # F_2003, with 2003 * 720 entries, reaches the engine
         with pytest.raises(AssertionError, match="built an engine"):
             q_in_Q(field(2003, 1), 1, 1)
+
+    def test_mask_table_cap_refused_before_building(self, field, monkeypatch):
+        # F_32771 has rho = 32770, so its mask table would hold 32771 * 513
+        # words, just past the cap; the engine refuses it before building
+        # any table, while F_32771 itself and F_12289 (rho = 6) are fine
+        def no_table(*args):
+            raise AssertionError("built a mask table")
+
+        monkeypatch.setattr(search, "_mask_table", no_table)
+        assert 32771 * 513 > ffcore.DEFAULT_TABLE_CAP
+        with pytest.raises(ValueError, match="mask table of .* = 16811523 words.*"
+                                             "limit of 16777216"):
+            q_in_Q(field(32771, 1), 2, 0)
+        with pytest.raises(AssertionError, match="built a mask table"):
+            q_in_Q(field(12289, 1), 2, 0)
+
+    def test_member_keeps_no_blocks(self, field, monkeypatch):
+        # F_12289 is a member of irreducible (2,0), decided in many blocks;
+        # no block adds to kept, which holds only its empty seed entry
+        engines = []
+
+        class Recorded(search._Engine):
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                engines.append(self)
+
+        monkeypatch.setattr(search, "_Engine", Recorded)
+        assert q_in_Q(field(12289, 1), 2, 0, quadratic_scope="irreducible").member
+        (engine,) = engines
+        assert len(engine.kept) == 1 and engine.kept[0].shape == (3, 0)
+
+    @pytest.mark.parametrize("p, k", [(67, 1), (5, 3), (131, 1)])
+    def test_mask_table_matches_gcd(self, field, p, k):
+        # rho = 66, 62 and 130 for F_67, F_125 and F_131: rows that cross a
+        # 64-bit word boundary and end inside a word
+        ctx = field(p, k)
+        rho = ctx.qm1.radical
+        masks = search._mask_table(rho, ctx.qm1.primes)
+        words = -(-rho // 64)
+        assert masks.shape == (rho + 1, words) and masks.dtype == np.uint64
+        bits = (masks[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        bits = bits.reshape(rho + 1, 64 * words).astype(bool)
+        expected = [[gcd(x + s, rho) > 1 for x in range(rho)] for s in range(rho)]
+        assert (bits[:rho, :rho] == np.array(expected)).all()
+        assert not bits[:, rho:].any()  # padding
+        assert bits[rho, :rho].all()  # the zero/pole row
 
 
 class TestExceptionScan:
