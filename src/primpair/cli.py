@@ -212,8 +212,9 @@ def cmd_classify(args) -> int:
         raise ValueError(f"cannot parse family {args.family!r}") from None
     if family not in search.ENGINE_FAMILIES:  # a usage error, before the budget
         raise ValueError("classification supports families 1,1 and 2,0")
-    cost = ("the exhaustive step costs about q * rad(q-1)^2 * omega(q-1) per "
-            "surviving field q, half that for 1,1")
+    cost = ("the exhaustive step ANDs about q * rad(q-1) * ceil(rad(q-1)/64) "
+            "words per shift, 16 to 48 shifts, for each surviving field q, "
+            "half that for 1,1")
     if args.qmax > search.CLASSIFY_LONG_QMAX:
         print(f"refusing: qmax {args.qmax} exceeds the --long budget "
               f"{search.CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)

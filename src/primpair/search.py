@@ -9,13 +9,14 @@ Three layers:
    family. The (1,1) and (2,0) families, listed in `ENGINE_FAMILIES` with
    what their triples mean, share one engine per field, `_Engine`: for a
    fixed shape h(x), the failing scale dlogs x are those with no shift d of
-   h making x + d a unit mod q-1, found for a block of shapes at once by
-   counting rescuing shifts in exact integers on the CRT grid of rho =
-   rad(q-1). Multiplying by u in H = <g^rho> permutes the primitive
-   elements, so each family generates one shape per orbit of H (the (1,1)
-   shifts read from a table of translate dlogs, the (2,0) ones from rows of
-   x^2 + b0*x + c0), the engine keeps the failing classes, and the family
-   expands them back over H. In (1,1), alpha -> 1/alpha pairs each orbit
+   h making x + d a unit mod q-1. Mod rho = rad(q-1) they are the AND of one
+   packed row of non-unit bits per shift, which the engine takes for a block
+   of shapes at once, a chunk of shifts at a time, dropping each shape as
+   soon as a shift rescues its last scale. Multiplying by u in H = <g^rho>
+   permutes the primitive elements, so each family generates one shape per
+   orbit of H (the (1,1) shifts read from a table of translate dlogs, the
+   (2,0) ones from rows of x^2 + b0*x + c0), the engine keeps the failing
+   classes, and the family expands them back over H. In (1,1), alpha -> 1/alpha pairs each orbit
    (beta, d) with (-beta-d mod rho, d), and failing scale class r with
    d - r, so only one orbit of each pair is decided. `naive_membership`
    walks any other family one function at a time and is the engine's test
@@ -61,10 +62,11 @@ SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
 # the prime 200560490131, is the first whose q - 1 would need an 11th.
 SCAN_HI_MAX = 200_560_490_129
 
-# The largest q a classification decides, and the CLI's --long limit: one
-# field costs about q * rad(q-1)^2 * omega(q-1) per family, half that for
-# (1,1), which decides one shape of each inversion pair. The README gives
-# the measured times.
+# The largest q a classification decides, and the CLI's --long limit. One
+# field decides about q * rad(q-1) shapes per family, half that for (1,1),
+# which decides one shape of each inversion pair, and a shape costs
+# ceil(rad(q-1) / 64) words per shift ANDed: 16 shifts, or 48 where q - 1
+# has many primes and few units. The README gives the measured times.
 CLASSIFY_LONG_QMAX = 1_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
@@ -136,7 +138,7 @@ def _pair_walk(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitnes
 # builds its tables, and shapes times columns times mask words in the engine,
 # whose blocks are as many shapes as fill it with their first chunk of
 # columns. A block holds at least one shape and a chunk at least one column.
-_BLOCK_CELLS = 1 << 15
+_BLOCK_CELLS = 1 << 17
 
 # The shift columns the engine ANDs for every shape of a block before it drops
 # the rescued shapes; each later chunk is twice as wide.
@@ -197,8 +199,8 @@ class _Engine:
         self.dlog = np.where(ctx.dlog < 0, 2 * rho, ctx.dlog % rho).astype(np.int32)
         # the mask row of each shift s in [-2*rho, 2*rho], indexed from the
         # end for s < 0: s mod rho for |s| < rho, and row rho past it
-        ids = np.arange(rho, dtype=np.int32)
-        self.row = np.concatenate((ids, np.full(2 * rho, rho, dtype=np.int32), ids))
+        ids = np.arange(rho)
+        self.row = np.concatenate((ids, np.full(2 * rho, rho), ids))
         self.lift = np.arange(0, m, rho)  # the dlogs of H
         self.kept = [np.zeros((3, 0), dtype=np.int64)]  # (u, v, r) per block
 
@@ -210,10 +212,10 @@ class _Engine:
         """Keep (u[row], v[row], r) for every failing (row, x mod rho) of a
         block, if it has any.
 
-        shifts(live, cols) gives the dlog shifts, as `dlog` differences or
-        `dlog` entries, of the block rows live at the columns cols, a slice
-        of range(width); u and v name the rows. A failing class r stands for
-        the scales x = r + j*rho, j < m / rho.
+        shifts(live, cols) gives the shifts of the block rows live at the
+        columns cols, a slice of range(width), as a live x cols array of
+        `dlog` entries or of differences of two; u and v name the rows. A
+        failing class r stands for the scales x = r + j*rho, j < m / rho.
         """
         live = np.arange(u.size)
         acc = self.masks[self.rho]
@@ -221,7 +223,7 @@ class _Engine:
         while live.size and lo < width:
             step = min(step, max(1, _BLOCK_CELLS // (live.size * self.words)))
             cols = slice(lo, min(lo + step, width))
-            rows = np.take(self.masks, self.row[shifts(live, cols)].T, axis=0)
+            rows = np.take(self.masks, self.row[shifts(live, cols).T], axis=0)
             acc = np.bitwise_and.reduce(rows, axis=0) & acc
             alive = acc.any(axis=1)
             live, acc = live[alive], acc[alive]
@@ -422,9 +424,12 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
     On failure the reported function is the first failing one in canonical
     enumeration order. The (1,1) and (2,0) families go through the
     batched engine; every other family is walked by naive_membership.
-    The (1,1) engine refuses, with ValueError, a field where q * phi(q-1)
-    exceeds ffcore.DEFAULT_TABLE_CAP, the size of its translate table; the
-    (2,0) engine works in blocks of _BLOCK_CELLS cells and has no limit.
+    Both refuse, with ValueError, a field whose mask table, (rho + 1) *
+    ceil(rho / 64) words for rho = rad(q-1), exceeds ffcore.DEFAULT_TABLE_CAP;
+    (1,1) also refuses one where q * phi(q-1), the size of its translate
+    table, does. Past those tables the engine works in blocks of at most
+    _BLOCK_CELLS cells, and a shape costs only the shifts it takes to rescue
+    every scale.
 
     quadratic_scope applies to the (2, 0) family only: "all" keeps every
     a*x^2+b*x+c with nonzero discriminant, while "irreducible" restricts to

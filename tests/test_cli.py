@@ -208,7 +208,7 @@ class TestClassify:
                            "--qmax", "1001", "--long")
         assert code == 3
         assert "--long budget 1000" in err
-        assert "q * rad(q-1)^2 * omega(q-1)" in err
+        assert "q * rad(q-1) * ceil(rad(q-1)/64) words per shift" in err
 
     def test_bad_family(self, capsys):
         code, out, err = run(capsys, "classify", "--family", "3,3", "--qmax", "10")

@@ -247,8 +247,8 @@ class TestMembershipEngine:
             "63de7dd060e60e48a7b2c8dd34951b17bb0f338771fc41962e4508196fe38548")
 
     def test_triple_lists_pinned_to_400(self, field, prime_powers):
-        # the same pin for 256 < q <= 400, taken from the CRT-grid engine
-        # before the mask table replaced it
+        # the same pin for 256 < q <= 400, as the engine gave the lists when
+        # this test was written
         digest = hashlib.sha256()
         for p, k, q in prime_powers(257, 400):
             ctx = field(p, k)
@@ -259,11 +259,13 @@ class TestMembershipEngine:
         assert digest.hexdigest() == (
             "41c1f9ada6d2dfaa910da06b29a206c1217fb7bf569ba2886440082acffd9c1b")
 
-    @pytest.mark.parametrize("cells, first", [(1, 1), (1, 3), (100, 16)])
-    def test_small_blocks_match_one_block(self, field, monkeypatch, cells, first):
-        # rows cut into blocks of one or a few shapes, whose shifts are ANDed
-        # one, three or 16 columns first, give the same triples as whole rows in
-        # one block
+    @pytest.mark.parametrize("cells, firsts", [pytest.param(1, (16,), id="1"),
+                                               pytest.param(100, (1, 3, 16), id="100")])
+    def test_small_blocks_match_one_block(self, field, monkeypatch, cells, firsts):
+        # rows cut into blocks of one or a few shapes give the same triples as
+        # whole rows in one block: 1-cell blocks AND one column at a time,
+        # whatever the first chunk's width, and 100-cell blocks start with
+        # one, three or 16 columns and widen within their 100 cells
         def triples(ctx):
             return (search._failing_triples_1_1(ctx),
                     search._failing_triples_2_0(ctx),
@@ -272,9 +274,10 @@ class TestMembershipEngine:
         ctxs = [field(p, k) for p, k in ((31, 1), (61, 1), (2, 6), (3, 4), (5, 2))]
         whole = [triples(ctx) for ctx in ctxs]
         monkeypatch.setattr(search, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(search, "_FIRST_COLUMNS", first)
-        for ctx, expected in zip(ctxs, whole):
-            assert triples(ctx) == expected, ctx.q
+        for first in firsts:
+            monkeypatch.setattr(search, "_FIRST_COLUMNS", first)
+            for ctx, expected in zip(ctxs, whole):
+                assert triples(ctx) == expected, (ctx.q, first)
 
     @pytest.mark.parametrize("p, k", [(151, 1), (13, 2)])
     def test_triples_match_oracle_with_rho_powers(self, field, p, k):
