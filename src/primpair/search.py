@@ -16,11 +16,11 @@ Three layers:
    permutes the primitive elements, so each family generates one shape per
    orbit of H (the (1,1) shifts read from a table of translate dlogs, the
    (2,0) ones from rows of x^2 + b0*x + c0), the engine keeps the failing
-   classes, and the family expands them back over H. In (1,1), alpha -> 1/alpha pairs each orbit
-   (beta, d) with (-beta-d mod rho, d), and failing scale class r with
-   d - r, so only one orbit of each pair is decided. `naive_membership`
-   walks any other family one function at a time and is the engine's test
-   oracle.
+   classes, and the family expands them back over H. In (1,1), alpha ->
+   1/alpha pairs each orbit (beta, d) with (-beta-d mod rho, d), and failing
+   scale class r with d - r, so only one orbit of each pair is decided.
+   `naive_membership` walks any other family one function at a time and is
+   the engine's test oracle.
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment marks the prime powers and
@@ -300,8 +300,10 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
         beta = i - start[k]
         beta += np.where(beta < head[k], 0, s[k] + 1 - head[k])
         d = shift[k]
-        engine.decide(beta, d, partial(_translate_shifts, table, beta, (beta + d) % m),
-                      prim.size)
+        gamma = (beta + d) % m
+        # dlog(alpha + b) - dlog(alpha + c) for b = g^beta, c = g^gamma
+        engine.decide(beta, d, lambda live, cols: (table[beta[live], cols]
+                                                   - table[gamma[live], cols]), prim.size)
     beta, d, r = np.concatenate(engine.kept, axis=1)
     partner = (-beta - d) % rho
     other = partner != beta
@@ -314,18 +316,6 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     swap = (a_inv < a) | ((a_inv == a) & (c < b))
     return _sorted_triples(np.where(swap, a_inv, a), np.where(swap, c, b),
                            np.where(swap, b, c))
-
-
-def _translate_shifts(table, beta, gamma, live, cols):
-    """The (1,1) shifts dlog(alpha + b) - dlog(alpha + c) at the primitive
-    alpha of cols, for the shapes b = g^beta[live], c = g^gamma[live]."""
-    return table[beta[live], cols] - table[gamma[live], cols]
-
-
-def _quadratic_shifts(ctx, dlog, base, row, c0, live, cols):
-    """The (2,0) shifts dlog(alpha^2 + b0*alpha + c0) at the primitive alpha
-    of cols, for the shapes of base rows row[live] and constants c0[live]."""
-    return dlog[ctx.add_vec(base[row[live], cols], c0[live, None])]
 
 
 def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
@@ -363,9 +353,8 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
         kept = np.flatnonzero(shape)
         for blk in engine.blocks(kept.size):
             row, c0 = np.divmod(kept[blk], q)
-            engine.decide(row + grp.start, c0,
-                          partial(_quadratic_shifts, ctx, engine.dlog, base, row, c0),
-                          prim.size)
+            engine.decide(row + grp.start, c0, lambda live, cols: engine.dlog[
+                ctx.add_vec(base[row[live], cols], c0[live, None])], prim.size)
     row, c0, r = (v[:, None, None] for v in np.concatenate(engine.kept, axis=1))
     lift = engine.lift
     ta = r + lift[:, None]  # (reps, i, 1)
