@@ -202,27 +202,29 @@ class _Engine:
         ids = np.arange(rho)
         self.row = np.concatenate((ids, np.full(2 * rho, rho), ids))
         self.lift = np.arange(0, m, rho)  # the dlogs of H
+        self.points = ctx.qm1.euler_phi  # the primitive elements, one shift each
         self.kept = [np.zeros((3, 0), dtype=np.int64)]  # (u, v, r) per block
 
     def blocks(self, count: int):
         """Cut count shapes into the engine's blocks."""
         return _blocks(count, _FIRST_COLUMNS * self.words)
 
-    def decide(self, u: np.ndarray, v: np.ndarray, shifts, width: int):
+    def decide(self, u: np.ndarray, v: np.ndarray, shifts):
         """Keep (u[row], v[row], r) for every failing (row, x mod rho) of a
         block, if it has any.
 
         shifts(live, cols) gives the shifts of the block rows live at the
-        columns cols, a slice of range(width), as a live x cols array of
-        `dlog` entries or of differences of two; u and v name the rows. A
-        failing class r stands for the scales x = r + j*rho, j < m / rho.
+        primitive elements cols, a slice of range(phi(m)), as a live x cols
+        array of `dlog` entries or of differences of two; u and v name the
+        rows. A failing class r stands for the scales x = r + j*rho,
+        j < m / rho.
         """
         live = np.arange(u.size)
         acc = self.masks[self.rho]
         lo, step = 0, _FIRST_COLUMNS
-        while live.size and lo < width:
+        while live.size and lo < self.points:
             step = min(step, max(1, _BLOCK_CELLS // (live.size * self.words)))
-            cols = slice(lo, min(lo + step, width))
+            cols = slice(lo, min(lo + step, self.points))
             rows = np.take(self.masks, self.row[shifts(live, cols).T], axis=0)
             acc = np.bitwise_and.reduce(rows, axis=0) & acc
             alive = acc.any(axis=1)
@@ -303,7 +305,7 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
         gamma = (beta + d) % m
         # dlog(alpha + b) - dlog(alpha + c) for b = g^beta, c = g^gamma
         engine.decide(beta, d, lambda live, cols: (table[beta[live], cols]
-                                                   - table[gamma[live], cols]), prim.size)
+                                                   - table[gamma[live], cols]))
     beta, d, r = np.concatenate(engine.kept, axis=1)
     partner = (-beta - d) % rho
     other = partner != beta
@@ -354,7 +356,7 @@ def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
         for blk in engine.blocks(kept.size):
             row, c0 = np.divmod(kept[blk], q)
             engine.decide(row + grp.start, c0, lambda live, cols: engine.dlog[
-                ctx.add_vec(base[row[live], cols], c0[live, None])], prim.size)
+                ctx.add_vec(base[row[live], cols], c0[live, None])])
     row, c0, r = (v[:, None, None] for v in np.concatenate(engine.kept, axis=1))
     lift = engine.lift
     ta = r + lift[:, None]  # (reps, i, 1)
