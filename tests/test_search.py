@@ -347,35 +347,27 @@ class TestMembershipEngine:
 
     def test_table_cap_refused_before_building(self, field, monkeypatch):
         # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap of
-        # the (1,1) translate table, which is refused before the engine is
-        # built; its mask table, with rho = 2, is one word a row
-        def no_engine(*args):
-            raise AssertionError("built an engine")
-
-        monkeypatch.setattr(search, "_Engine", no_engine)
-        ctx = field(65537, 1)
-        with pytest.raises(ValueError, match="limit of 16777216"):
-            q_in_Q(ctx, 1, 1)
-        with pytest.raises(AssertionError, match="built an engine"):
-            q_in_Q(ctx, 2, 0)
-        # F_2003, with 2003 * 720 entries, reaches the engine
-        with pytest.raises(AssertionError, match="built an engine"):
-            q_in_Q(field(2003, 1), 1, 1)
-
-    def test_mask_table_cap_refused_before_building(self, field, monkeypatch):
-        # F_32771 has rho = 32770, so its mask table would hold 32771 * 513
-        # words, just past the cap; the engine refuses it before building
-        # any table, while F_32771 itself and F_12289 (rho = 6) are fine
+        # the (1,1) translate table, which is refused before the engine builds
+        # its mask table; F_32771 has rho = 32770, so its mask table would
+        # hold 32771 * 513 words, just past the cap, and the engine refuses
+        # it before building anything
         def no_table(*args):
             raise AssertionError("built a mask table")
 
         monkeypatch.setattr(search, "_mask_table", no_table)
+        ctx = field(65537, 1)
+        with pytest.raises(ValueError, match="limit of 16777216"):
+            q_in_Q(ctx, 1, 1)
+        # rho = 2: one word a row
+        with pytest.raises(AssertionError, match="built a mask table"):
+            q_in_Q(ctx, 2, 0)
+        # F_2003, with 2003 * 720 entries, reaches the engine
+        with pytest.raises(AssertionError, match="built a mask table"):
+            q_in_Q(field(2003, 1), 1, 1)
         assert 32771 * 513 > ffcore.DEFAULT_TABLE_CAP
         with pytest.raises(ValueError, match="mask table of .* = 16811523 words.*"
                                              "limit of 16777216"):
             q_in_Q(field(32771, 1), 2, 0)
-        with pytest.raises(AssertionError, match="built a mask table"):
-            q_in_Q(field(12289, 1), 2, 0)
 
     def test_member_keeps_no_blocks(self, field, monkeypatch):
         # F_12289 is a member of irreducible (2,0), decided in many blocks;
