@@ -321,7 +321,9 @@ def cmd_weil_audit(args) -> int:
     while tested < args.count and attempts < args.count * 50:
         attempts += 1
         p, k = rng.choice(fields)
-        ctx = ctxs.setdefault((p, k), ffcore.field_make(p, k))
+        ctx = ctxs.get((p, k))
+        if ctx is None:
+            ctx = ctxs[p, k] = ffcore.field_make(p, k)
         sf_divs = [d for d in ctx.qm1.squarefree_divisors() if d > 1]
         if not sf_divs:
             continue

@@ -8,11 +8,14 @@ sits on three primitives built here:
    Moebius, radical).
  - ``FieldCtx``: a fully materialized field F_{p^k} with a deterministic
    primitive root and complete exp/dlog tables, so primitivity and
-   u-freeness reduce to gcd tests on exponents. The build is numpy
-   throughout: the generator candidates are tested a block at a time, each
-   as its k x k multiplication matrix raised to every cofactor (q-1)/l at
-   once, and the tables are filled from [1, g] by doubling, with the matrix
-   of g^t carried from step to step and squared mod p.
+   u-freeness reduce to gcd tests on exponents. The tables are filled from
+   [1, g] by doubling, with g^t carried from step to step and squared mod
+   p. A prime field is built as Z/p: its generator is found by scalar `pow`
+   tests, and each doubling step is one int64 product and remainder mod p,
+   in place. An extension field is built in numpy on base-p digits: the
+   generator candidates are tested a block at a time, each as its k x k
+   multiplication matrix raised to every cofactor (q-1)/l at once, and each
+   doubling step is a k x k matrix product over F_p.
  - ``SegmentKernel``: the walk over the prime powers of a range, one segment
    at a time, that `prime_power_segments` plans. One call per segment sieves
    the prime powers q and lists the distinct primes of every q - 1, all in
@@ -38,8 +41,9 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-# The largest q field_make builds tables for. It must stay <= 2^26, where
-# q^2 <= 2^52 keeps field_make's float64 build exact.
+# The largest q field_make builds tables for. It must stay <= 2^26, where,
+# for k > 1, q^2 <= 2^52 keeps field_make's float64 build exact. For k = 1
+# the int64 step needs (p-1)^2 < 2^63; at this cap it stays below 2^48.
 DEFAULT_TABLE_CAP = 1 << 24
 _BUILD_CELLS = 1 << 14  # digit cells per step product in field_make
 _GEN_BLOCK = 16  # generator candidates in field_make's first block
@@ -673,18 +677,27 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
 
 def _least_generator(p: int, k: int, mod_list: list[int],
                      cofactors: list[int]) -> tuple[int, np.ndarray]:
-    """The least packed value g with g^e != 1 for every e in cofactors, and
-    the k x k matrix of v -> v*g, whose column i holds the digits of x^i*g.
+    """The least packed value g >= 1 with g^e != 1 for every e in cofactors,
+    and the k x k matrix of v -> v*g, whose column i holds the digits of
+    x^i*g.
 
-    Candidates are tested in blocks of _GEN_BLOCK, 2*_GEN_BLOCK, ... values.
-    Each candidate c becomes its matrix, sum_i c_i*X^i with X the companion
-    matrix of the modulus. One stack holds, for every candidate of a block,
-    the k columns of the matrix of c^(2^j) and, for every cofactor e, the
-    digits of c^(e mod 2^j). One product of the matrix with the whole stack
-    per bit j squares the matrix and multiplies c^(2^j) into the columns of
-    the cofactors that have bit j set. Entries stay below p, so every sum of
-    products is below k*p^2 and exact in int64.
+    A prime field tests c = 1, 2, ... one at a time with pow(c, e, p), so F_2
+    gets g = 1, and returns the int64 matrix [[g]].
+
+    An extension field tests candidates in blocks of _GEN_BLOCK,
+    2*_GEN_BLOCK, ... values. Each candidate c becomes its matrix,
+    sum_i c_i*X^i with X the companion matrix of the modulus. One stack
+    holds, for every candidate of a block, the k columns of the matrix of
+    c^(2^j) and, for every cofactor e, the digits of c^(e mod 2^j). One
+    product of the matrix with the whole stack per bit j squares the matrix
+    and multiplies c^(2^j) into the columns of the cofactors that have bit j
+    set. Entries stay below p, so every sum of products is below k*p^2 and
+    exact in int64. The matrix of g is returned as float64, for field_make's
+    float64 doubling step.
     """
+    if k == 1:
+        g = next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors))
+        return g, np.array([[g]], dtype=np.int64)
     comp = np.eye(k, k, -1, dtype=np.int64)  # x * x^i = x^(i+1) for i < k-1
     comp[:, -1] = [-c % p for c in mod_list[:-1]]
     xpow = np.empty((k, k, k), dtype=np.int64)  # xpow[i]: the matrix of x^i
@@ -714,21 +727,16 @@ def _least_generator(p: int, k: int, mod_list: list[int],
 
 
 def _doubling_steps(mat: np.ndarray, p: int, m: int):
-    """Yield (t, s, A) for each doubling step exp[t:t+s] = exp[:s] * g^t of
+    """Yield (t, s, M) for each doubling step exp[t:t+s] = exp[:s] * g^t of
     field_make, t = 2, 4, 8, ... < m and s = min(t, m - t); exp[:2] = [1, g]
-    needs no step. mat is the matrix of v -> v*g, and the matrix of g^t is
-    carried from step to step, squared mod p.
-
-    A @ [floor(v / p^i) for i = 0..k] is the digits of v*g^t before reduction
-    mod p: with M the matrix of g^t, digit i of v is floor(v / p^i) -
-    p*floor(v / p^(i+1)), so A = [M|0] - p[0|M].
+    needs no step. mat is the matrix of v -> v*g, and M, the matrix of g^t,
+    is carried from step to step, squared mod p. In a prime field M is
+    [[g^t mod p]].
     """
-    k = len(mat)
-    digits = np.eye(k, k + 1) - p * np.eye(k, k + 1, 1)  # [I|0] - p[0|I]
     t = 2
     while t < m:
         mat = mat @ mat % p
-        yield t, min(t, m - t), mat @ digits
+        yield t, min(t, m - t), mat
         t *= 2
 
 
@@ -737,13 +745,14 @@ def field_make(p: int, k: int) -> FieldCtx:
 
     The primitive root is the least element (packed order) of order q - 1 and
     the modulus is the first monic irreducible of degree k, so two runs always
-    build the identical field. `_least_generator` finds g by testing a block
-    of candidates at a time in numpy. exp = [1, g, ...] is filled by doubling,
-    exp[t:t+s] = exp[:s] * g^t for t = 2, 4, 8, ... < q-1 and s =
-    min(t, q-1-t). Multiplying by g^t is F_p-linear: a k x k matrix product
-    on the base-p digits (1 x 1 for k == 1, where F_p = F_p[x]/(x)), and the
-    matrix of g^t is carried from step to step and squared mod p. No step
-    loops over polynomials in Python.
+    build the identical field. `_least_generator` finds g: by scalar `pow`
+    tests in a prime field, a block of candidates at a time in numpy in an
+    extension field. exp = [1, g, ...] is filled by doubling, exp[t:t+s] =
+    exp[:s] * g^t for t = 2, 4, 8, ... < q-1 and s = min(t, q-1-t), with g^t
+    carried from step to step and squared mod p. In F_p a step is one int64
+    product and one remainder mod p, in place. In F_{p^k}, k > 1, multiplying
+    by g^t is F_p-linear: a k x k matrix product on the base-p digits. No step
+    loops over elements or polynomials in Python.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -762,21 +771,34 @@ def field_make(p: int, k: int) -> FieldCtx:
     mod_list = list(modulus) if k > 1 else [0, 1]
     g, mat = _least_generator(p, k, mod_list, [m // r for r in qm1.primes])
 
-    # Every step is exact in float64: floor(a / b) is exact for integers with
-    # a + b < 2^53, each partial sum of a product is below k*(p-1)*q <=
-    # q^2 <= 2^52 in size, and squaring the carried matrix sums k products
-    # below p^2 each. Blocks of _BUILD_CELLS cells stay in cache and
-    # below the size at which BLAS starts threads.
     exp = np.ones(m, dtype=np.int64)
     exp[1:2] = g  # exp[1] = g^1, absent when q = 2
-    pow_p = np.array([p**i for i in range(k + 1)], dtype=np.float64)[:, None]
-    width, pack = _BUILD_CELLS // k, pow_p[:-1, 0]
-    for t, s, step in _doubling_steps(mat, p, m):
-        for lo in range(0, s, width):
-            hi = min(lo + width, s)
-            sums = step @ np.floor(exp[lo:hi] / pow_p)
-            sums -= p * np.floor(sums / p)
-            exp[t + lo:t + hi] = pack @ sums
+    if k == 1:
+        # exp[:s] and g^t are below p, so each product is at most (p-1)^2
+        # and exact in int64.
+        for t, s, gt in _doubling_steps(mat, p, m):
+            step = exp[t:t + s]
+            np.multiply(exp[:s], gt[0, 0], out=step)
+            np.remainder(step, p, out=step)
+    else:
+        # A step is exact in float64: floor(a / b) is exact for integers with
+        # a + b < 2^53, each partial sum of a product is below k*(p-1)*q <=
+        # q^2 <= 2^52 in size, and squaring the carried matrix sums k products
+        # below p^2 each. With M the matrix of g^t, digit i of v is
+        # floor(v / p^i) - p*floor(v / p^(i+1)), so A = [M|0] - p[0|M] takes
+        # [floor(v / p^i) for i = 0..k] to the digits of v*g^t before
+        # reduction mod p. Blocks of _BUILD_CELLS cells stay in cache and
+        # below the size at which BLAS starts threads.
+        digits = np.eye(k, k + 1) - p * np.eye(k, k + 1, 1)  # [I|0] - p[0|I]
+        pow_p = np.array([p**i for i in range(k + 1)], dtype=np.float64)[:, None]
+        width, pack = _BUILD_CELLS // k, pow_p[:-1, 0]
+        for t, s, gt in _doubling_steps(mat, p, m):
+            step = gt @ digits
+            for lo in range(0, s, width):
+                hi = min(lo + width, s)
+                sums = step @ np.floor(exp[lo:hi] / pow_p)
+                sums -= p * np.floor(sums / p)
+                exp[t + lo:t + hi] = pack @ sums
 
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[exp] = np.arange(m, dtype=np.int64)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -376,9 +377,22 @@ class TestWeilAudit:
         code, out, _ = run(capsys, "--format", "json", "weil-audit",
                            "--count", "40", "--seed", "3", "--qmax", "49")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["tested"] == 40
-        assert payload["failures"] == []
+        assert out == '{"failures": [], "seed": 3, "tested": 40}\n'
+
+    def test_one_build_per_field(self, capsys, monkeypatch):
+        real = ffcore.field_make
+        builds = Counter()
+
+        def counted(p, k):
+            builds[p, k] += 1
+            return real(p, k)
+
+        monkeypatch.setattr(ffcore, "field_make", counted)
+        code, _, _ = run(capsys, "--format", "json", "weil-audit",
+                         "--count", "200", "--seed", "3", "--qmax", "49")
+        assert code == 0
+        assert len(builds) > 1
+        assert set(builds.values()) == {1}
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "--format", "json", "weil-audit", "--count", "25")

@@ -158,9 +158,11 @@ class TestFieldMake:
 
     def test_tables_match_per_element_oracle(self, prime_powers):
         # the fields include q = 2, 3 and 4, and many q with q - 1 not a power
-        # of two, whose last doubling step fills only part of exp; in F_137^2,
-        # F_139^2 and F_23209 the least generator (145, 143, 31) lies beyond
-        # the first block of candidates
+        # of two, whose last doubling step fills only part of exp; in F_137^2
+        # and F_139^2 the least generator (145, 143) lies beyond the first
+        # block of candidates. Prime fields are searched one candidate at a
+        # time, so F_23209 walks no blocks; its generator 31 is still the
+        # least one past _GEN_BLOCK candidates
         fields = [(2, 1)] + [(p, k) for p, k, _ in prime_powers(3, 2000)] + [
             (2, 14), (3, 8), (5, 6), (7, 5), (11, 4), (23, 3), (137, 2), (139, 2),
             (23_209, 1), (999_983, 1), (1_000_003, 1)]
