@@ -178,7 +178,7 @@ class Factorization:
 
     @property
     def radical(self) -> int:
-        return prod(self.primes) if self.factors else 1
+        return prod(self.primes)
 
     @property
     def mobius(self) -> int:
@@ -289,11 +289,11 @@ class SegmentPlan:
 
 def prime_power_segments(lo: int, hi: int, segment_size: int) -> SegmentPlan:
     """The plan of a walk over the prime powers in [lo, hi] in segments of
-    at most segment_size integers. Refused when lo < 3, segment_size < 1,
+    at most segment_size integers. Refused when lo < 2, segment_size < 1,
     or the largest actual segment, min(segment_size, hi - lo + 1), is above
     MAX_SEGMENT; a larger segment_size over a shorter range is fine."""
-    if lo < 3:
-        raise ValueError(f"prime power enumeration starts at 3, got lo={lo}")
+    if lo < 2:
+        raise ValueError(f"prime power enumeration starts at 2, got lo={lo}")
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     size = max(min(segment_size, hi - lo + 1), 0)
@@ -675,16 +675,13 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
-def _least_generator(p: int, k: int, mod_list: list[int],
+def _least_generator(p: int, k: int, modulus: tuple[int, ...],
                      cofactors: list[int]) -> tuple[int, np.ndarray]:
-    """The least packed value g >= 1 with g^e != 1 for every e in cofactors,
-    and the k x k matrix of v -> v*g, whose column i holds the digits of
-    x^i*g.
+    """The least packed value g >= 1 of F_{p^k}, k > 1, with g^e != 1 for
+    every e in cofactors, and the k x k matrix of v -> v*g, whose column i
+    holds the digits of x^i*g.
 
-    A prime field tests c = 1, 2, ... one at a time with pow(c, e, p), so F_2
-    gets g = 1, and returns the int64 matrix [[g]].
-
-    An extension field tests candidates in blocks of _GEN_BLOCK,
+    Candidates are tested in blocks of _GEN_BLOCK,
     2*_GEN_BLOCK, ... values. Each candidate c becomes its matrix,
     sum_i c_i*X^i with X the companion matrix of the modulus. One stack
     holds, for every candidate of a block, the k columns of the matrix of
@@ -695,11 +692,8 @@ def _least_generator(p: int, k: int, mod_list: list[int],
     exact in int64. The matrix of g is returned as float64, for field_make's
     float64 doubling step.
     """
-    if k == 1:
-        g = next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors))
-        return g, np.array([[g]], dtype=np.int64)
     comp = np.eye(k, k, -1, dtype=np.int64)  # x * x^i = x^(i+1) for i < k-1
-    comp[:, -1] = [-c % p for c in mod_list[:-1]]
+    comp[:, -1] = [-c % p for c in modulus[:-1]]
     xpow = np.empty((k, k, k), dtype=np.int64)  # xpow[i]: the matrix of x^i
     xpow[0] = np.eye(k)
     for i in range(1, k):
@@ -726,17 +720,18 @@ def _least_generator(p: int, k: int, mod_list: list[int],
     raise ArithmeticError(f"no generator found for F_{p**k}")  # unreachable
 
 
-def _doubling_steps(mat: np.ndarray, p: int, m: int):
-    """Yield (t, s, M) for each doubling step exp[t:t+s] = exp[:s] * g^t of
+def _doubling_steps(gt, square, m: int):
+    """Yield (t, s, g^t) for each doubling step exp[t:t+s] = exp[:s] * g^t of
     field_make, t = 2, 4, 8, ... < m and s = min(t, m - t); exp[:2] = [1, g]
-    needs no step. mat is the matrix of v -> v*g, and M, the matrix of g^t,
-    is carried from step to step, squared mod p. In a prime field M is
-    [[g^t mod p]].
+    needs no step. g^t starts at g and is carried from step to step by
+    square, which takes g^t to g^(2t): in a prime field g^t is an int and
+    square is v * v % p, in an extension field it is the matrix of v -> v*g^t
+    and square is a @ a % p.
     """
     t = 2
     while t < m:
-        mat = mat @ mat % p
-        yield t, min(t, m - t), mat
+        gt = square(gt)
+        yield t, min(t, m - t), gt
         t *= 2
 
 
@@ -745,9 +740,9 @@ def field_make(p: int, k: int) -> FieldCtx:
 
     The primitive root is the least element (packed order) of order q - 1 and
     the modulus is the first monic irreducible of degree k, so two runs always
-    build the identical field. `_least_generator` finds g: by scalar `pow`
-    tests in a prime field, a block of candidates at a time in numpy in an
-    extension field. exp = [1, g, ...] is filled by doubling, exp[t:t+s] =
+    build the identical field. A prime field finds g by scalar `pow` tests,
+    an extension field by `_least_generator`, a block of candidates at a time
+    in numpy. exp = [1, g, ...] is filled by doubling, exp[t:t+s] =
     exp[:s] * g^t for t = 2, 4, 8, ... < q-1 and s = min(t, q-1-t), with g^t
     carried from step to step and squared mod p. In F_p a step is one int64
     product and one remainder mod p, in place. In F_{p^k}, k > 1, multiplying
@@ -765,22 +760,25 @@ def field_make(p: int, k: int) -> FieldCtx:
             "refused for memory safety. For order checks in large prime fields "
             "use multiplicative_order(a, p), which needs no table."
         )
-    qm1 = factorize(q - 1) if q > 2 else Factorization(1, ())
+    qm1 = factorize(q - 1)
     m = q - 1
-    modulus = _find_modulus(p, k) if k > 1 else None
-    mod_list = list(modulus) if k > 1 else [0, 1]
-    g, mat = _least_generator(p, k, mod_list, [m // r for r in qm1.primes])
-
+    cofactors = [m // r for r in qm1.primes]
     exp = np.ones(m, dtype=np.int64)
-    exp[1:2] = g  # exp[1] = g^1, absent when q = 2
     if k == 1:
+        # F_2 gets g = 1: with no cofactor to test, the first candidate wins.
+        modulus = None
+        g = next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors))
+        exp[1:2] = g  # exp[1] = g^1, absent when q = 2
         # exp[:s] and g^t are below p, so each product is at most (p-1)^2
         # and exact in int64.
-        for t, s, gt in _doubling_steps(mat, p, m):
+        for t, s, gt in _doubling_steps(g, lambda v: v * v % p, m):
             step = exp[t:t + s]
-            np.multiply(exp[:s], gt[0, 0], out=step)
+            np.multiply(exp[:s], gt, out=step)
             np.remainder(step, p, out=step)
     else:
+        modulus = _find_modulus(p, k)
+        g, mat = _least_generator(p, k, modulus, cofactors)
+        exp[1] = g
         # A step is exact in float64: floor(a / b) is exact for integers with
         # a + b < 2^53, each partial sum of a product is below k*(p-1)*q <=
         # q^2 <= 2^52 in size, and squaring the carried matrix sums k products
@@ -792,7 +790,7 @@ def field_make(p: int, k: int) -> FieldCtx:
         digits = np.eye(k, k + 1) - p * np.eye(k, k + 1, 1)  # [I|0] - p[0|I]
         pow_p = np.array([p**i for i in range(k + 1)], dtype=np.float64)[:, None]
         width, pack = _BUILD_CELLS // k, pow_p[:-1, 0]
-        for t, s, gt in _doubling_steps(mat, p, m):
+        for t, s, gt in _doubling_steps(mat, lambda a: a @ a % p, m):
             step = gt @ digits
             for lo in range(0, s, width):
                 hi = min(lo + width, s)

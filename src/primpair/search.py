@@ -28,9 +28,9 @@ Three layers:
    kernel the rows that certainly pass), then full exhaustive classification of
    the survivors. One driver, `_scan_segments`, walks the segments that
    `ffcore.prime_power_segments` plans, for all three, in one process or a
-   worker pool, with one kernel workspace per scan and process. In faithful
-   mode it yields the q = 2 record first, as its own segment ending at the
-   scan's lo.
+   worker pool, with one kernel workspace per scan and process. A faithful
+   scan from SCAN_FLOOR walks from q = 2, so the kernel and the criterion
+   decide F_2's record like every other.
 
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and checkpoints allow byte-identical
@@ -54,7 +54,7 @@ from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, SegmentKernel
                      field_make, prime_power_segments)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
-SCAN_FLOOR = 3  # F_2* is trivial; every scan and classification starts here
+SCAN_FLOOR = 3  # F_2* is trivial; every scan range and classification starts here
 
 # The segment kernel gives q - 1 one column per distinct prime. Every m below
 # 2*3*5*...*31 = 200560490130 has at most 10, so the limit keeps q - 1 within
@@ -455,10 +455,11 @@ class ScanConfig:
     Every verdict comes from the one exact kernel, `bounds.best_prefix`,
     which sweeps every core size 0..omega with the least primes of q-1 in
     the core and agrees with the all-subsets search (a test oracle only).
-    The two modes differ in one record: "faithful" from lo = SCAN_FLOOR is
-    "exact" plus the degenerate field F_2 (which the criterion rejects
-    trivially, sqrt(2) is not > 2). The published survivor count of 3937 includes it, while
-    "exact" starts at the q = 3 floor and finds the 3936-element subset.
+    The two modes differ in one record: "faithful" from lo = SCAN_FLOOR
+    walks the prime powers from q = 2 (`walk_lo`), so it is "exact" plus the
+    degenerate field F_2, which the criterion rejects (sqrt(2) is not > n).
+    The published survivor count of 3937 includes it, while "exact" starts
+    at the q = 3 floor and finds the 3936-element subset.
 
     Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
     (where the segment kernel's 10 columns would not do), n < 2 and
@@ -482,6 +483,12 @@ class ScanConfig:
             raise ValueError(f"unknown scan mode {self.mode!r}")
         if self.emit not in ("candidates", "all"):
             raise ValueError(f"unknown emit value {self.emit!r}")
+
+    @property
+    def walk_lo(self) -> int:
+        """The first q the scan's walk takes: 2 for a faithful scan from
+        SCAN_FLOOR, lo otherwise."""
+        return 2 if self.mode == "faithful" and self.lo == SCAN_FLOOR else self.lo
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -600,19 +607,16 @@ def _worker_segment(segment: tuple[int, int]) -> list[ScanRecord]:
     return _scan_segment(*_WORKER, segment)
 
 
-def _scan_segments(cfg: ScanConfig, plan, workers: int = 1, resumed: bool = False):
-    """The one scan driver: yield (end, records) per segment, in range order,
-    where records are those of every q below end not yielded before.
+def _scan_segments(cfg: ScanConfig, plan, workers: int = 1):
+    """The one scan driver: yield (seg_hi, records) for each (seg_lo, seg_hi)
+    of the `prime_power_segments` plan, in range order, where records are
+    those of every q in the segment.
 
-    The q = 2 record of a faithful scan from SCAN_FLOOR comes first, as its
-    own segment ending at cfg.lo; a resumed scan is past it. Then one segment
-    per (seg_lo, seg_hi) of the `prime_power_segments` plan, decided by
-    `_scan_segment` through map, with one segment kernel for the whole scan,
-    or through the imap of a pool of workers processes, each with its own
-    kernel. The pool is terminated when the generator finishes or is closed.
+    Each segment is decided by `_scan_segment` through map, with one segment
+    kernel for the whole scan, or through the imap of a pool of workers
+    processes, each with its own kernel. The pool is terminated when the
+    generator finishes or is closed.
     """
-    if cfg.mode == "faithful" and cfg.lo == SCAN_FLOOR and not resumed:
-        yield cfg.lo, [ScanRecord(2, 2, 1, 0, (), "candidate", ())]
     if workers > 1:
         from multiprocessing import Pool  # imported only by a parallel scan
     with (Pool(workers, _worker_start, (cfg, plan)) if workers > 1
@@ -626,14 +630,15 @@ def _scan_segments(cfg: ScanConfig, plan, workers: int = 1, resumed: bool = Fals
 def exception_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
                    emit: str = "candidates", segment_size: int = DEFAULT_SEGMENT):
     """Stream ScanRecords for every prime power in [lo, hi], ascending q,
-    with the q = 2 record first in faithful mode from lo = SCAN_FLOOR.
+    and q = 2 in faithful mode from lo = SCAN_FLOOR (`ScanConfig.walk_lo`).
 
     The sequential path through the same driver as `run_scan`, without CSV
     output or checkpoints. The range must lie within [SCAN_FLOOR,
     SCAN_HI_MAX] = [3, 200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
-    for _, records in _scan_segments(cfg, prime_power_segments(lo, hi, segment_size)):
+    plan = prime_power_segments(cfg.walk_lo, hi, segment_size)
+    for _, records in _scan_segments(cfg, plan):
         yield from records
 
 
@@ -647,15 +652,15 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     Output is byte-identical for any worker count: segments are disjoint,
     processed independently, and written in range order. A checkpoint is a
     bookmark in the scan's CSV, so it needs csv_path: after every completed
-    segment, the atomic unit of resumable work, the q = 2 record of a
-    faithful scan included, it stores the scan's state (the next q, the
-    records and candidates so far, the largest candidate, the CSV's byte
-    offset and the config hash). A resume continues at the checkpoint's next
-    q, in segments of this call's size (which may differ from the
-    interrupted run's), from the checkpoint's counters. It cuts the CSV back
-    to the stored byte offset, so lines written after the last checkpoint
-    are not written twice. The range must lie within
-    [SCAN_FLOOR, SCAN_HI_MAX] = [3, 200560490129].
+    segment, the atomic unit of resumable work, it stores the scan's state
+    (the next q, the records and candidates so far, the largest candidate,
+    the CSV's byte offset and the config hash). A scan starts at
+    `ScanConfig.walk_lo`, a resume at the checkpoint's next q, in segments
+    of this call's size (which may differ from the interrupted run's), from
+    the checkpoint's counters. It cuts the CSV back to the stored byte
+    offset, so lines written after the last checkpoint are not written
+    twice. The range must lie within [SCAN_FLOOR, SCAN_HI_MAX] = [3,
+    200560490129].
     """
     cfg = ScanConfig(lo, hi, n, mode, emit)
     if workers < 1:
@@ -664,7 +669,7 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
         raise ValueError(
             "a checkpoint needs the CSV of its scan (CLI: --out): it records the "
             "CSV's byte offset, and a resume continues that file")
-    state = {"next_q": lo, "records_emitted": 0, "num_candidates": 0,
+    state = {"next_q": cfg.walk_lo, "records_emitted": 0, "num_candidates": 0,
              "max_candidate": None, "csv_offset": 0, "config_hash": cfg.config_hash()}
     if resume:
         state = _checkpoint_read(checkpoint_path, state, csv_path)
@@ -674,7 +679,7 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     all_records: list[ScanRecord] = []
     saved = resume  # a checkpoint exists to resume from
     out = open(csv_path, "r+" if resume else "w") if csv_path else None
-    segments = _scan_segments(cfg, plan, workers, resume)
+    segments = _scan_segments(cfg, plan, workers)
     try:
         if resume:
             out.seek(state["csv_offset"])

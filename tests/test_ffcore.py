@@ -193,7 +193,8 @@ class TestFieldMake:
         # Zeroing every step after the first (t = 2) leaves exp = [1, g, g^2,
         # g^3, 0, 0, ...], so dlog[1] == 0 and dlog[g] == 1 still hold; only the
         # check that every nonzero element received a log can catch it. The
-        # steps come from _doubling_steps, which carries the matrix of g^t.
+        # steps come from _doubling_steps, which carries g^t: an int in a prime
+        # field, the matrix of v -> v*g^t in an extension field.
         real = ffcore._doubling_steps
 
         def corrupted(*args):
@@ -289,8 +290,10 @@ class TestPrimePowerIter:
         assert [q for _, _, q in prime_power_iter(25, 27)] == [25, 27]
 
     def test_floor(self):
-        with pytest.raises(ValueError):
-            list(prime_power_iter(2, 10))
+        # the walk takes q = 2, the least prime power; below it is refused
+        assert list(prime_power_iter(2, 10))[:2] == [(2, 1, 2), (3, 1, 3)]
+        with pytest.raises(ValueError, match="starts at 2"):
+            list(prime_power_iter(1, 10))
 
     def test_empty(self):
         assert list(prime_power_iter(5, 4)) == []

@@ -435,11 +435,16 @@ class TestExceptionScan:
             assert rec.best_core == best.core, rec
 
     def test_faithful_mode_prepends_degenerate_field(self):
-        # the modes share one criterion, so every record but q = 2 matches
+        # the modes share one criterion, so every record but q = 2 matches;
+        # the walk from q = 2 leaves F_2's record to the kernel and the
+        # criterion, which find q - 1 = 1 with no primes and no passing core
         for emit in ("candidates", "all"):
             exact = list(exception_scan(3, 30_000, 2, emit=emit))
             faithful = list(exception_scan(3, 30_000, 2, mode="faithful", emit=emit))
             assert faithful[0].q == 2 and faithful[1:] == exact
+            for n in range(2, 6):
+                first = next(exception_scan(3, 100, n, mode="faithful", emit=emit))
+                assert first == search.ScanRecord(2, 2, 1, 0, (), "candidate", ()), n
 
     def test_floor_validation(self):
         with pytest.raises(ValueError):
@@ -819,8 +824,9 @@ class TestRunScan:
             run_scan(3, 1000, 2, workers=workers)
 
     def test_faithful_resume_after_degenerate_record(self, tmp_path):
-        # the q = 2 record gets its own checkpoint; a resume from it must not
-        # count or write that record again
+        # the first checkpoint follows the segment [2, 2 + 2^14), which holds
+        # the q = 2 record; a resume from it must not count or write that
+        # record again
         full = tmp_path / "full.csv"
         whole, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(full),
                             segment_size=1 << 14)
@@ -836,7 +842,29 @@ class TestRunScan:
         with pytest.raises(Stop):
             run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
                      checkpoint_path=str(ck), segment_size=1 << 14, progress=bail)
-        assert json.loads(ck.read_text())["next_q"] == 3
+        assert json.loads(ck.read_text())["next_q"] == 2 + (1 << 14)
+        resumed, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
+                              checkpoint_path=str(ck), segment_size=1 << 14, resume=True)
+        assert part.read_bytes() == full.read_bytes()
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    def test_faithful_resume_from_checkpoint_after_q2_alone(self, tmp_path):
+        # faithful scans once wrote the q = 2 record as a segment of its own
+        # and checkpointed right after it, at next_q = 3; such a checkpoint
+        # still resumes to the bytes and summary of an uninterrupted scan
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(full),
+                            segment_size=1 << 14)
+        head = f"{CSV_HEADER}\n2,2,1,0,,candidate,\n"
+        part = tmp_path / "part.csv"
+        part.write_text(head)
+        # walk_lo derives from mode and lo, so the hash is the one checkpoints hold
+        config_hash = ScanConfig(3, 50_000, 2, "faithful").config_hash()
+        assert config_hash == "e7515a2796dcbf84"
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps({
+            "next_q": 3, "records_emitted": 1, "num_candidates": 1, "max_candidate": 2,
+            "csv_offset": len(head), "config_hash": config_hash}))
         resumed, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
                               checkpoint_path=str(ck), segment_size=1 << 14, resume=True)
         assert part.read_bytes() == full.read_bytes()
