@@ -5,8 +5,8 @@ Scanning a range for criterion survivors
 Every prime power in a range is tested against the certification criteria
 with the exact factorization of q - 1; the survivors ("candidates") are the
 only fields that could possibly lack a primitive pair for some function of
-the degree. The full reproduction run goes to 5.86e7 and finds 3937
-survivors in faithful mode (largest 33093061); here we scan a small range.
+the degree. The full reproduction run scans [2, 5.86e7] and finds 3937
+survivors (largest 33093061), F_2 included; here we scan a small range.
 """
 
 import collections

@@ -36,8 +36,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-CLASSIFY_CI_QMAX = 350
-
 
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
@@ -173,14 +171,13 @@ def cmd_tables(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    mode = "faithful" if args.paper_faithful else "exact"
     result, records = search.run_scan(
-        args.lo, args.hi, args.n, mode=mode, emit=args.emit,
+        args.lo, args.hi, args.n, emit=args.emit,
         workers=args.workers, csv_path=args.out,
         checkpoint_path=args.checkpoint, resume=args.resume,
         segment_size=args.segment)
     payload = {
-        "lo": args.lo, "hi": args.hi, "n": args.n, "mode": mode,
+        "lo": args.lo, "hi": args.hi, "n": args.n,
         "emit": args.emit, "workers": args.workers,
         "config_hash": result.config.config_hash(),
         "records_emitted": result.records_emitted,
@@ -189,7 +186,7 @@ def cmd_scan(args) -> int:
         "csv": args.out,
     }
     lines = [
-        f"scan [{args.lo}, {args.hi}] n={args.n} mode={mode}"
+        f"scan [{args.lo}, {args.hi}] n={args.n}"
         f" (config {result.config.config_hash()})",
         f"records emitted: {result.records_emitted}",
         f"candidates: {result.num_candidates}"
@@ -215,13 +212,9 @@ def cmd_classify(args) -> int:
     cost = ("the exhaustive step ANDs about q * rad(q-1) * ceil(rad(q-1)/64) "
             "words per shift, 16 to 48 shifts, for each surviving field q, "
             "half that for 1,1")
-    if args.qmax > search.CLASSIFY_LONG_QMAX:
-        print(f"refusing: qmax {args.qmax} exceeds the --long budget "
-              f"{search.CLASSIFY_LONG_QMAX} ({cost})", file=sys.stderr)
-        return EXIT_BUDGET
-    if args.qmax > CLASSIFY_CI_QMAX and not args.long:
-        print(f"refusing: qmax {args.qmax} > {CLASSIFY_CI_QMAX} requires --long "
-              f"({cost})", file=sys.stderr)
+    if args.qmax > search.CLASSIFY_QMAX:
+        print(f"refusing: qmax {args.qmax} exceeds the budget "
+              f"{search.CLASSIFY_QMAX} ({cost})", file=sys.stderr)
         return EXIT_BUDGET
     res = search.classify_true_exceptions(
         args.qmax, family, quadratic_scope=args.quadratic_scope,
@@ -375,11 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_tables)
 
     s = sub.add_parser("scan", help="scan a range for criterion survivors")
-    s.add_argument("--lo", type=int, default=3)
+    s.add_argument("--lo", type=int, default=3,
+                   help="2 includes F_2, as the paper's count of 3937 does")
     s.add_argument("--hi", type=int, required=True)
     s.add_argument("--n", type=int, default=2)
-    s.add_argument("--paper-faithful", action="store_true",
-                   help="reproduce the historical enumeration (includes q=2)")
     s.add_argument("--emit", choices=("candidates", "all"), default="candidates")
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", help="write records to this CSV file")
@@ -392,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("classify", help="find the true exceptions of a family")
     s.add_argument("--family", required=True, help="1,1 or 2,0")
     s.add_argument("--qmax", type=int, required=True)
-    s.add_argument("--long", action="store_true",
-                   help=f"allow qmax up to {search.CLASSIFY_LONG_QMAX}")
     s.add_argument("--quadratic-scope", choices=("irreducible", "all"),
                    default="irreducible",
                    help="for 2,0: which failing quadratics count (default follows "

@@ -28,9 +28,9 @@ Three layers:
    kernel the rows that certainly pass), then full exhaustive classification of
    the survivors. One driver, `_scan_segments`, walks the segments that
    `ffcore.prime_power_segments` plans, for all three, in one process or a
-   worker pool, with one kernel workspace per scan and process. A faithful
-   scan from SCAN_FLOOR walks from q = 2, so the kernel and the criterion
-   decide F_2's record like every other.
+   worker pool, with one kernel workspace per scan and process. A scan's
+   range is [lo, hi] with lo >= SCAN_FLOOR = 2, and from lo = 2 the kernel
+   and the criterion decide F_2's record like every other.
 
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and checkpoints allow byte-identical
@@ -54,7 +54,9 @@ from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, SegmentKernel
                      field_make, prime_power_segments)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 
-SCAN_FLOOR = 3  # F_2* is trivial; every scan range and classification starts here
+# The least q a scan takes. F_2* is trivial and the criterion rejects F_2
+# (sqrt(2) is not > n), but the paper's count of 3937 includes it.
+SCAN_FLOOR = 2
 
 # The segment kernel gives q - 1 one column per distinct prime. Every m below
 # 2*3*5*...*31 = 200560490130 has at most 10, so the limit keeps q - 1 within
@@ -62,12 +64,12 @@ SCAN_FLOOR = 3  # F_2* is trivial; every scan range and classification starts he
 # the prime 200560490131, is the first whose q - 1 would need an 11th.
 SCAN_HI_MAX = 200_560_490_129
 
-# The largest q a classification decides, and the CLI's --long limit. One
+# The largest q a classification decides; the CLI refuses a larger qmax. One
 # field decides about q * rad(q-1) shapes per family, half that for (1,1),
 # which decides one shape of each inversion pair, and a shape costs
 # ceil(rad(q-1) / 64) words per shift ANDed: 16 shifts, or 48 where q - 1
 # has many primes and few units. The README gives the measured times.
-CLASSIFY_LONG_QMAX = 1_000
+CLASSIFY_QMAX = 1_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
 
@@ -455,21 +457,19 @@ class ScanConfig:
     Every verdict comes from the one exact kernel, `bounds.best_prefix`,
     which sweeps every core size 0..omega with the least primes of q-1 in
     the core and agrees with the all-subsets search (a test oracle only).
-    The two modes differ in one record: "faithful" from lo = SCAN_FLOOR
-    walks the prime powers from q = 2 (`walk_lo`), so it is "exact" plus the
-    degenerate field F_2, which the criterion rejects (sqrt(2) is not > n).
-    The published survivor count of 3937 includes it, while "exact" starts
-    at the q = 3 floor and finds the 3936-element subset.
+    The scan takes every prime power in [lo, hi]. From lo = 2 it includes
+    the degenerate field F_2, which the criterion rejects, and finds the
+    paper's 3937 survivors; from the default lo = 3 it finds the
+    3936-element subset.
 
     Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
     (where the segment kernel's 10 columns would not do), n < 2 and
-    unknown modes or emit values.
+    unknown emit values.
     """
 
-    lo: int = SCAN_FLOOR
+    lo: int = 3
     hi: int = 58_600_000
     n: int = 2
-    mode: str = "exact"
     emit: str = "candidates"
 
     def __post_init__(self):
@@ -479,21 +479,17 @@ class ScanConfig:
             raise ValueError(f"scan range ends at most at {SCAN_HI_MAX}, got hi={self.hi}")
         if self.n < 2:
             raise ValueError("degree n must be >= 2")
-        if self.mode not in ("exact", "faithful"):
-            raise ValueError(f"unknown scan mode {self.mode!r}")
         if self.emit not in ("candidates", "all"):
             raise ValueError(f"unknown emit value {self.emit!r}")
 
-    @property
-    def walk_lo(self) -> int:
-        """The first q the scan's walk takes: 2 for a faithful scan from
-        SCAN_FLOOR, lo otherwise."""
-        return 2 if self.mode == "faithful" and self.lo == SCAN_FLOOR else self.lo
-
     def config_hash(self) -> str:
+        # Scans from 2 were once spelled {lo: 3, mode: "faithful"} and every
+        # other scan {mode: "exact"}; hashing them so keeps those checkpoints
+        # resumable. A faithful scan from lo > 3 (always equal to the exact
+        # one) hashed "faithful", so its checkpoint is refused, not resumed.
+        lo, mode = (3, "faithful") if self.lo == 2 else (self.lo, "exact")
         blob = json.dumps(
-            {"lo": self.lo, "hi": self.hi, "n": self.n,
-             "mode": self.mode, "emit": self.emit},
+            {"lo": lo, "hi": self.hi, "n": self.n, "mode": mode, "emit": self.emit},
             sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -627,17 +623,16 @@ def _scan_segments(cfg: ScanConfig, plan, workers: int = 1):
             yield seg_end, records
 
 
-def exception_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
-                   emit: str = "candidates", segment_size: int = DEFAULT_SEGMENT):
-    """Stream ScanRecords for every prime power in [lo, hi], ascending q,
-    and q = 2 in faithful mode from lo = SCAN_FLOOR (`ScanConfig.walk_lo`).
+def exception_scan(lo: int, hi: int, n: int = 2, *, emit: str = "candidates",
+                   segment_size: int = DEFAULT_SEGMENT):
+    """Stream ScanRecords for every prime power in [lo, hi], ascending q.
 
     The sequential path through the same driver as `run_scan`, without CSV
     output or checkpoints. The range must lie within [SCAN_FLOOR,
-    SCAN_HI_MAX] = [3, 200560490129].
+    SCAN_HI_MAX] = [2, 200560490129].
     """
-    cfg = ScanConfig(lo, hi, n, mode, emit)
-    plan = prime_power_segments(cfg.walk_lo, hi, segment_size)
+    cfg = ScanConfig(lo, hi, n, emit)
+    plan = prime_power_segments(lo, hi, segment_size)
     for _, records in _scan_segments(cfg, plan):
         yield from records
 
@@ -654,22 +649,27 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     bookmark in the scan's CSV, so it needs csv_path: after every completed
     segment, the atomic unit of resumable work, it stores the scan's state
     (the next q, the records and candidates so far, the largest candidate,
-    the CSV's byte offset and the config hash). A scan starts at
-    `ScanConfig.walk_lo`, a resume at the checkpoint's next q, in segments
-    of this call's size (which may differ from the interrupted run's), from
-    the checkpoint's counters. It cuts the CSV back to the stored byte
-    offset, so lines written after the last checkpoint are not written
-    twice. The range must lie within [SCAN_FLOOR, SCAN_HI_MAX] = [3,
-    200560490129].
+    the CSV's byte offset and the config hash). A scan starts at lo, a
+    resume at the checkpoint's next q, in segments of this call's size
+    (which may differ from the interrupted run's), from the checkpoint's
+    counters. It cuts the CSV back to the stored byte offset, so lines
+    written after the last checkpoint are not written twice. The range must
+    lie within [SCAN_FLOOR, SCAN_HI_MAX] = [2, 200560490129].
+
+    mode is the older spelling of a scan from 2, kept because the benchmark
+    harness (perfbench/workloads.py) still passes it: "faithful" with lo = 3
+    scans from 2, and any other lo, or "exact", is taken as given.
     """
-    cfg = ScanConfig(lo, hi, n, mode, emit)
+    if mode not in ("exact", "faithful"):
+        raise ValueError(f"unknown scan mode {mode!r}")
+    cfg = ScanConfig(2 if mode == "faithful" and lo == 3 else lo, hi, n, emit)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if (checkpoint_path or resume) and not csv_path:
         raise ValueError(
             "a checkpoint needs the CSV of its scan (CLI: --out): it records the "
             "CSV's byte offset, and a resume continues that file")
-    state = {"next_q": cfg.walk_lo, "records_emitted": 0, "num_candidates": 0,
+    state = {"next_q": cfg.lo, "records_emitted": 0, "num_candidates": 0,
              "max_candidate": None, "csv_offset": 0, "config_hash": cfg.config_hash()}
     if resume:
         state = _checkpoint_read(checkpoint_path, state, csv_path)
@@ -762,7 +762,7 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
     verified exhaustively; progress, if given, is called with (q, member)
     after each, in ascending q. Each true exception carries its first
     failing function, re-verified by a reversed-order search. Work stops at
-    CLASSIFY_LONG_QMAX with an explicit high-water mark when q_max exceeds
+    CLASSIFY_QMAX with an explicit high-water mark when q_max exceeds
     it.
 
     For the (2, 0) family the default scope counts only irreducible failing
@@ -771,9 +771,10 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
     """
     if family not in ENGINE_FAMILIES:
         raise ValueError(f"classification supports families (1,1) and (2,0), got {family}")
-    high_water = min(q_max, CLASSIFY_LONG_QMAX)
+    high_water = min(q_max, CLASSIFY_QMAX)
     exceptions: list[ClassifiedException] = []
-    for rec in exception_scan(SCAN_FLOOR, high_water, sum(family)):
+    # from 3, not SCAN_FLOOR: q_in_Q refuses q <= 2, where F_2* is trivial
+    for rec in exception_scan(3, high_water, sum(family)):
         ctx = field_make(rec.p, rec.k)
         res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
         if progress:
@@ -790,7 +791,7 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
         write_witness_jsonl(jsonl_path, [
             witness_entry(e.q, family, e.failing_num, e.failing_den) for e in exceptions])
     return ClassificationResult(family, q_max, exceptions, high_water,
-                                complete=q_max <= CLASSIFY_LONG_QMAX)
+                                complete=q_max <= CLASSIFY_QMAX)
 
 
 def write_witness_jsonl(path: str, entries: list[dict]):

@@ -101,11 +101,17 @@ class TestScan:
         body = out_path.read_text().splitlines()
         assert len(body) == 781  # header + one line per candidate
 
-    def test_paper_faithful_flag(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "scan", "--hi", "1000",
-                           "--paper-faithful")
-        payload = json.loads(out)
-        assert payload["mode"] == "faithful"
+    def test_lo_2_adds_f2(self, capsys):
+        summaries = []
+        for lo in ("2", "3"):
+            code, out, _ = run(capsys, "--format", "json", "scan", "--lo", lo,
+                               "--hi", "1000")
+            assert code == 0
+            summaries.append(json.loads(out))
+        from2, from3 = summaries
+        assert "mode" not in from2
+        assert from2["candidates"] == from3["candidates"] + 1
+        assert from2["max_candidate"] == from3["max_candidate"]
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "--lo", "1", "--hi", "10")
@@ -190,25 +196,27 @@ class TestClassify:
         assert payload["true_exceptions"] == [3, 4, 5, 7, 9, 11, 13, 16, 19, 23,
                                               25, 29, 31, 37, 41, 43, 49]
 
-    def test_budget_refusal(self, capsys):
-        code, _, err = run(capsys, "classify", "--family", "1,1", "--qmax", "5000")
-        assert code == 3
-        assert "--long" in err
-
-    def test_hard_budget(self, capsys):
-        code, _, err = run(capsys, "classify", "--family", "1,1",
-                           "--qmax", "20000", "--long")
-        assert code == 3
-
-    def test_long_budget_refused_before_computing(self, capsys, monkeypatch):
+    @pytest.fixture
+    def never_classify(self, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("classification ran past the --long budget")
+            raise AssertionError("classification ran past the budget")
 
         monkeypatch.setattr(search, "classify_true_exceptions", never)
-        code, _, err = run(capsys, "classify", "--family", "1,1",
-                           "--qmax", "1001", "--long")
+
+    def test_budget_refusal(self, capsys, never_classify):
+        code, _, err = run(capsys, "classify", "--family", "1,1", "--qmax", "5000")
         assert code == 3
-        assert "--long budget 1000" in err
+        assert "exceeds the budget 1000" in err
+
+    def test_hard_budget(self, capsys, never_classify):
+        code, _, err = run(capsys, "classify", "--family", "2,0", "--qmax", "20000")
+        assert code == 3
+        assert "exceeds the budget" in err
+
+    def test_budget_refused_before_computing(self, capsys, never_classify):
+        code, _, err = run(capsys, "classify", "--family", "1,1", "--qmax", "1001")
+        assert code == 3
+        assert "exceeds the budget 1000" in err
         assert "q * rad(q-1) * ceil(rad(q-1)/64) words per shift" in err
 
     def test_bad_family(self, capsys):

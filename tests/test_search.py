@@ -435,15 +435,14 @@ class TestExceptionScan:
             assert rec.best_core == best.core, rec
 
     def test_faithful_mode_prepends_degenerate_field(self):
-        # the modes share one criterion, so every record but q = 2 matches;
-        # the walk from q = 2 leaves F_2's record to the kernel and the
-        # criterion, which find q - 1 = 1 with no primes and no passing core
+        # a scan from 2 is the scan from 3 plus F_2's record, which the kernel
+        # and the criterion decide: q - 1 = 1 has no primes and no passing core
         for emit in ("candidates", "all"):
             exact = list(exception_scan(3, 30_000, 2, emit=emit))
-            faithful = list(exception_scan(3, 30_000, 2, mode="faithful", emit=emit))
+            faithful = list(exception_scan(2, 30_000, 2, emit=emit))
             assert faithful[0].q == 2 and faithful[1:] == exact
             for n in range(2, 6):
-                first = next(exception_scan(3, 100, n, mode="faithful", emit=emit))
+                first = next(exception_scan(2, 100, n, emit=emit))
                 assert first == search.ScanRecord(2, 2, 1, 0, (), "candidate", ()), n
 
     def test_floor_validation(self):
@@ -784,19 +783,18 @@ class TestRunScan:
     @pytest.mark.parametrize("lo, hi, segment", [
         (3, 2, 1 << 20), (3, 3, 1 << 20), (65537, 65537, 1 << 20), (3, 40_000, 7_001)])
     def test_exception_scan_matches_run_scan(self, lo, hi, segment, mode, emit):
-        # one driver: the streamed records are the ones run_scan collects,
-        # the q = 2 record of a faithful scan from 3 included
-        streamed = list(exception_scan(lo, hi, 2, mode=mode, emit=emit,
-                                       segment_size=segment))
+        # one driver: the streamed records are the ones run_scan collects;
+        # run_scan's mode="faithful" from 3 is its older spelling of lo = 2
+        start = 2 if mode == "faithful" and lo == 3 else lo
+        streamed = list(exception_scan(start, hi, 2, emit=emit, segment_size=segment))
         _, collected = run_scan(lo, hi, 2, mode=mode, emit=emit, segment_size=segment)
         assert streamed == collected
-        assert [r.q for r in streamed if r.q == 2] == (
-            [2] if mode == "faithful" and lo == 3 else [])
+        assert [r.q for r in streamed if r.q == 2] == ([2] if start == 2 else [])
 
     def test_interleaved_scans_keep_their_own_workspace(self):
         # two scans with other plans, advanced item by item in one thread
         first = dict(lo=3, hi=200_000, n=2, emit="all", segment_size=1 << 12)
-        second = dict(lo=10**6, hi=1_100_000, n=3, mode="faithful", segment_size=3001)
+        second = dict(lo=2, hi=1_100_000, n=3, segment_size=3001)
         alone = [list(exception_scan(**first)), list(exception_scan(**second))]
         together = [[], []]
         for pair in zip_longest(exception_scan(**first), exception_scan(**second)):
@@ -814,7 +812,7 @@ class TestRunScan:
                 raise Stop
 
         with pytest.raises(Stop):
-            run_scan(3, 200_000, 2, mode="faithful", workers=2, segment_size=1 << 14,
+            run_scan(2, 200_000, 2, workers=2, segment_size=1 << 14,
                      progress=bail)
         assert multiprocessing.active_children() == []
 
@@ -828,7 +826,7 @@ class TestRunScan:
         # the q = 2 record; a resume from it must not count or write that
         # record again
         full = tmp_path / "full.csv"
-        whole, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(full),
+        whole, _ = run_scan(2, 50_000, 2, csv_path=str(full),
                             segment_size=1 << 14)
         part = tmp_path / "part.csv"
         ck = tmp_path / "ck.json"
@@ -840,10 +838,10 @@ class TestRunScan:
             raise Stop
 
         with pytest.raises(Stop):
-            run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
+            run_scan(2, 50_000, 2, csv_path=str(part),
                      checkpoint_path=str(ck), segment_size=1 << 14, progress=bail)
         assert json.loads(ck.read_text())["next_q"] == 2 + (1 << 14)
-        resumed, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
+        resumed, _ = run_scan(2, 50_000, 2, csv_path=str(part),
                               checkpoint_path=str(ck), segment_size=1 << 14, resume=True)
         assert part.read_bytes() == full.read_bytes()
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
@@ -853,19 +851,19 @@ class TestRunScan:
         # and checkpointed right after it, at next_q = 3; such a checkpoint
         # still resumes to the bytes and summary of an uninterrupted scan
         full = tmp_path / "full.csv"
-        whole, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(full),
+        whole, _ = run_scan(2, 50_000, 2, csv_path=str(full),
                             segment_size=1 << 14)
         head = f"{CSV_HEADER}\n2,2,1,0,,candidate,\n"
         part = tmp_path / "part.csv"
         part.write_text(head)
-        # walk_lo derives from mode and lo, so the hash is the one checkpoints hold
-        config_hash = ScanConfig(3, 50_000, 2, "faithful").config_hash()
+        # a scan from 2 hashes as the faithful scan from 3 that wrote it
+        config_hash = ScanConfig(2, 50_000, 2).config_hash()
         assert config_hash == "e7515a2796dcbf84"
         ck = tmp_path / "ck.json"
         ck.write_text(json.dumps({
             "next_q": 3, "records_emitted": 1, "num_candidates": 1, "max_candidate": 2,
             "csv_offset": len(head), "config_hash": config_hash}))
-        resumed, _ = run_scan(3, 50_000, 2, mode="faithful", csv_path=str(part),
+        resumed, _ = run_scan(2, 50_000, 2, csv_path=str(part),
                               checkpoint_path=str(ck), segment_size=1 << 14, resume=True)
         assert part.read_bytes() == full.read_bytes()
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
@@ -884,9 +882,46 @@ class TestRunScan:
 
     def test_config_validates_mode_and_emit(self):
         with pytest.raises(ValueError, match="unknown scan mode"):
-            ScanConfig(3, 100, 2, mode="fast")
+            run_scan(3, 100, 2, mode="fast")
         with pytest.raises(ValueError, match="unknown emit"):
             ScanConfig(3, 100, 2, emit="some")
+
+    def test_config_hash_keeps_older_checkpoints(self):
+        # the hashes that scans from 3 and faithful scans from 3 (now lo = 2)
+        # wrote into their checkpoints
+        assert ScanConfig(3, 50_000, 2).config_hash() == "7de872d729371603"
+        assert ScanConfig(2, 50_000, 2).config_hash() == "e7515a2796dcbf84"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_faithful_alias_is_a_scan_from_2(self, workers, tmp_path):
+        # run_scan's mode="faithful" from 3 gives the bytes and summary of a
+        # scan from 2, uninterrupted, and resumed under the other spelling
+        spellings = {"alias": dict(lo=3, mode="faithful"), "lo2": dict(lo=2)}
+        whole = {}
+        for name, spelling in spellings.items():
+            csv = tmp_path / f"{name}.csv"
+            result, _ = run_scan(hi=50_000, csv_path=str(csv), workers=workers,
+                                 segment_size=1 << 13, **spelling)
+            whole[name] = dataclasses.replace(result, csv_path=None), csv.read_bytes()
+        assert whole["alias"] == whole["lo2"]
+
+        class Stop(Exception):
+            pass
+
+        def bail(seg_end, hi, emitted):
+            if seg_end > 20_000:
+                raise Stop
+
+        for first, then in (("alias", "lo2"), ("lo2", "alias")):
+            part, ck = tmp_path / f"{first}-part.csv", tmp_path / f"{first}-ck.json"
+            with pytest.raises(Stop):
+                run_scan(hi=50_000, csv_path=str(part), checkpoint_path=str(ck),
+                         workers=workers, segment_size=1 << 13, progress=bail,
+                         **spellings[first])
+            resumed, _ = run_scan(hi=50_000, csv_path=str(part), checkpoint_path=str(ck),
+                                  workers=workers, segment_size=1 << 13, resume=True,
+                                  **spellings[then])
+            assert (dataclasses.replace(resumed, csv_path=None), part.read_bytes()) == whole["lo2"]
 
     def test_config_hash_ignores_workers(self):
         assert (ScanConfig(3, 100, 2).config_hash()
@@ -915,13 +950,13 @@ class TestClassify:
         assert classify_true_exceptions(2, (1, 1)).q_list == []
 
     def test_budget_high_water(self, monkeypatch):
-        monkeypatch.setattr(search, "CLASSIFY_LONG_QMAX", 50)
+        monkeypatch.setattr(search, "CLASSIFY_QMAX", 50)
         res = classify_true_exceptions(200, (1, 1))
         assert not res.complete
         assert res.high_water == 50
         assert res.q_list == [q for q in CASE_1_1 if q <= 50]
 
-    def test_default_budget_stops_at_long_limit(self, monkeypatch):
+    def test_default_budget_stops_at_classify_qmax(self, monkeypatch):
         asked = []
 
         def member(ctx, n1, n2, quadratic_scope="all"):
@@ -930,7 +965,7 @@ class TestClassify:
 
         monkeypatch.setattr(search, "q_in_Q", member)
         res = classify_true_exceptions(1500, (1, 1))
-        assert search.CLASSIFY_LONG_QMAX == 1000
+        assert search.CLASSIFY_QMAX == 1000
         assert not res.complete
         assert res.high_water == 1000
         assert asked and max(asked) <= 1000
