@@ -19,10 +19,14 @@ size and `prefix_terms` reads delta, Delta and the threshold off it. Scans,
 and the same sweep in float64, only to skip rows that certainly pass.
 `SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
 
-The module also carries the worst-case analysis grid (smallest possible
-sieved primes for an assumed range of omega(q-1)) whose constants the
-`tables` subcommand reproduces, and the W(m) <= c_m * m^(1/6) machinery that
-turns the direct condition into explicit general bounds.
+The module also carries the worst-case passes that the `tables` subcommand
+reproduces. A pass assumes a range for omega(q-1) and puts the least primes
+of q-1 into the core, so its sieved primes are at worst the next primes
+overall; `worst_case_pass` is `prefix_terms` on the first max_omega primes.
+One `PassTarget` per pass holds its arguments and published constants, and
+`check_pass_target` sets the computed values beside them. Last comes the
+W(m) <= c_m * m^(1/6) machinery that turns the direct condition into
+explicit general bounds.
 """
 
 from __future__ import annotations
@@ -289,39 +293,17 @@ def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
     return sure
 
 
-@dataclass(frozen=True)
-class PassSpec:
-    """Worst-case pass: assume min_omega <= omega(q-1) <= max_omega and put the
-    core_size least primes of q-1 into l; the sieved primes are then at worst
-    the (core_size+1)-th through max_omega-th primes overall."""
-
-    n: int
-    min_omega: int
-    max_omega: int
-    core_size: int
-
-
-@dataclass(frozen=True)
-class PassReport:
-    spec: PassSpec
-    sieved_primes: tuple[int, ...]
-    delta_min: Fraction
-    big_delta_max: Fraction
-    threshold: Fraction
-
-    @property
-    def w_l(self) -> int:
-        return 1 << self.spec.core_size
-
-
-def worst_case_pass(spec: PassSpec) -> PassReport:
-    """Fill in the worst-case delta, Delta and threshold: those of the least
-    core_size primes as core of a q-1 whose primes are the first max_omega."""
-    if not (spec.max_omega >= spec.min_omega >= spec.core_size >= 0):
-        raise ValueError(f"need max_omega >= min_omega >= core_size >= 0, got {spec}")
-    primes = _FIRST_PRIMES[:spec.max_omega]
-    return PassReport(spec, primes[spec.core_size:],
-                      *prefix_terms(primes, spec.core_size, spec.n))
+def worst_case_pass(n: int, min_omega: int, max_omega: int,
+                    core_size: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(delta, Delta, threshold) at worst when min_omega <= omega(q-1) <=
+    max_omega and the core_size least primes of q-1 form the core: the
+    sieved primes are then at worst the (core_size+1)-th through
+    max_omega-th primes overall, so this is `prefix_terms` on the first
+    max_omega primes."""
+    if not (max_omega >= min_omega >= core_size >= 0):
+        raise ValueError("need max_omega >= min_omega >= core_size >= 0, got "
+                         f"({min_omega}, {max_omega}, {core_size})")
+    return prefix_terms(_FIRST_PRIMES[:max_omega], core_size, n)
 
 
 def generic_cn(n: int) -> float:
@@ -336,14 +318,18 @@ def generic_cn(n: int) -> float:
 
 @dataclass(frozen=True)
 class PassTarget:
-    """A worst-case pass with its published constants, for regression checks.
+    """A worst-case pass (`worst_case_pass`'s arguments) with its published
+    constants, for regression checks.
 
     delta_lb / big_delta_ub are the printed truncations (delta from below,
     Delta from above); threshold_ub is the printed integer strict upper bound
     for n * Delta * W(l)^2.
     """
 
-    spec: PassSpec
+    n: int
+    min_omega: int
+    max_omega: int
+    core_size: int
     delta_lb: str
     big_delta_ub: str
     threshold_ub: int
@@ -351,19 +337,19 @@ class PassTarget:
 
 # The degree-2 narrative passes followed by the degree-3/4/5 grid rows.
 PASS_TARGETS = (
-    PassTarget(PassSpec(2, 5, 16, 5), "0.173170", "123.267943", 252453),
-    PassTarget(PassSpec(2, 4, 10, 4), "0.2855034", "40.5284367", 20751),
-    PassTarget(PassSpec(2, 4, 9, 4), "0.3544689", "27.3900959", 14024),
-    PassTarget(PassSpec(2, 3, 8, 3), "0.1557111", "59.7993247", 7655),
-    PassTarget(PassSpec(3, 5, 17, 5), "0.1392719", "167.1445296", 513468),
-    PassTarget(PassSpec(3, 4, 11, 4), "0.2209872", "60.8269154", 46716),
-    PassTarget(PassSpec(3, 4, 9, 4), "0.3544689", "27.3900959", 21036),
-    PassTarget(PassSpec(4, 5, 17, 5), "0.1392719", "167.1445296", 684624),
-    PassTarget(PassSpec(4, 4, 11, 4), "0.2209872", "60.8269154", 62287),
-    PassTarget(PassSpec(4, 4, 9, 4), "0.3544689", "27.3900959", 28048),
-    PassTarget(PassSpec(5, 5, 18, 5), "0.1064850", "236.7747170", 1212287),
-    PassTarget(PassSpec(5, 4, 11, 4), "0.2209872", "60.8269154", 77859),
-    PassTarget(PassSpec(5, 4, 9, 4), "0.3544689", "27.3900959", 35060),
+    PassTarget(2, 5, 16, 5, "0.173170", "123.267943", 252453),
+    PassTarget(2, 4, 10, 4, "0.2855034", "40.5284367", 20751),
+    PassTarget(2, 4, 9, 4, "0.3544689", "27.3900959", 14024),
+    PassTarget(2, 3, 8, 3, "0.1557111", "59.7993247", 7655),
+    PassTarget(3, 5, 17, 5, "0.1392719", "167.1445296", 513468),
+    PassTarget(3, 4, 11, 4, "0.2209872", "60.8269154", 46716),
+    PassTarget(3, 4, 9, 4, "0.3544689", "27.3900959", 21036),
+    PassTarget(4, 5, 17, 5, "0.1392719", "167.1445296", 684624),
+    PassTarget(4, 4, 11, 4, "0.2209872", "60.8269154", 62287),
+    PassTarget(4, 4, 9, 4, "0.3544689", "27.3900959", 28048),
+    PassTarget(5, 5, 18, 5, "0.1064850", "236.7747170", 1212287),
+    PassTarget(5, 4, 11, 4, "0.2209872", "60.8269154", 77859),
+    PassTarget(5, 4, 9, 4, "0.3544689", "27.3900959", 35060),
 )
 
 DELTA_TOL = 1e-5
@@ -374,37 +360,26 @@ BIG_DELTA_TOL = 1e-3
 GENERIC_CN_TARGETS = {2: 4.901e20, 3: 5.583e21, 4: 3.137e22, 5: 1.197e23}
 
 
-@dataclass(frozen=True)
-class PassCheck:
-    target: PassTarget
-    report: PassReport
-    delta_ok: bool
-    big_delta_ok: bool
-    threshold_ok: bool
+def check_pass_target(row: PassTarget) -> dict:
+    """Recompute one grid row: the dict `tables` prints, the computed values
+    beside the pins and ok.
 
-    @property
-    def ok(self) -> bool:
-        return self.delta_ok and self.big_delta_ok and self.threshold_ok
-
-
-def check_pass_target(target: PassTarget) -> PassCheck:
-    """Recompute one grid row and compare against its pinned constants.
-
-    delta within 1e-5, Delta within 1e-3, and the integer threshold must be
-    the exact ceiling of the computed n * Delta * W(l)^2.
+    ok needs delta within DELTA_TOL, Delta within BIG_DELTA_TOL, and the
+    integer threshold to be the exact ceiling of the computed n * Delta * W(l)^2.
     """
-    report = worst_case_pass(target.spec)
-    delta_ok = abs(float(report.delta_min) - float(target.delta_lb)) <= DELTA_TOL
-    bd_ok = abs(float(report.big_delta_max) - float(target.big_delta_ub)) <= BIG_DELTA_TOL
-    thr = report.threshold
+    delta, big_delta, thr = worst_case_pass(row.n, row.min_omega, row.max_omega,
+                                            row.core_size)
     # ceiling of an exact rational, then exact match with the printed bound
     ceil_thr = -(-thr.numerator // thr.denominator)
-    thr_ok = ceil_thr == target.threshold_ub and thr < target.threshold_ub
-    return PassCheck(target, report, delta_ok, bd_ok, thr_ok)
-
-
-def check_all_pass_targets() -> list[PassCheck]:
-    return [check_pass_target(t) for t in PASS_TARGETS]
+    ok = (abs(float(delta) - float(row.delta_lb)) <= DELTA_TOL
+          and abs(float(big_delta) - float(row.big_delta_ub)) <= BIG_DELTA_TOL
+          and ceil_thr == row.threshold_ub and thr < row.threshold_ub)
+    return {"n": row.n, "min_omega": row.min_omega, "max_omega": row.max_omega,
+            "W_l": 1 << row.core_size,
+            "delta": float(delta), "delta_pinned": float(row.delta_lb),
+            "big_delta": float(big_delta), "big_delta_pinned": float(row.big_delta_ub),
+            "threshold": float(thr), "threshold_pinned": row.threshold_ub,
+            "ok": ok}
 
 
 def generic_cn_ok(n: int) -> bool:

@@ -380,10 +380,11 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
     (denominator monic, numerator leading coefficient nonzero, coprime,
     non-exceptional, so monomials c*x^j are excluded; equal-degree families
     also need both constant terms nonzero so the reciprocal reduction
-    applies).
+    applies). The (0, 0) family, constants only, holds no function and is
+    refused.
     """
-    if not n1 >= n2 >= 0:
-        raise ValueError(f"family needs n1 >= n2 >= 0, got ({n1}, {n2})")
+    if not n1 >= n2 >= 0 or n1 + n2 == 0:
+        raise ValueError(f"family needs n1 >= n2 >= 0 and n1 + n2 >= 1, got ({n1}, {n2})")
     if (n1, n2) == (1, 1):
         yield from _family_1_1(ctx)
         return

@@ -108,14 +108,12 @@ def pair_exists(ctx: FieldCtx, f: RationalFunc) -> PairWitness:
     return _pair_walk(ctx, f)
 
 
-def _pair_walk(ctx: FieldCtx, f: RationalFunc, order: str = "asc") -> PairWitness:
+def _pair_walk(ctx: FieldCtx, f: RationalFunc) -> PairWitness:
     """pair_exists without its checks, for a non-exceptional f over ctx, q > 2,
-    such as the family enumerators and the membership engine give; order
-    "desc" walks backwards, to re-verify an absence."""
+    such as the family enumerators and the membership engine give."""
     m = ctx.q - 1
-    ts = range(1, m) if order == "asc" else range(m - 1, 0, -1)
     examined = 0
-    for t in ts:
+    for t in range(1, m):
         if gcd(t, m) != 1:
             continue
         examined += 1
@@ -459,7 +457,7 @@ class ScanConfig:
     the core and agrees with the all-subsets search (a test oracle only).
     The scan takes every prime power in [lo, hi]. From lo = 2 it includes
     the degenerate field F_2, which the criterion rejects, and finds the
-    paper's 3937 survivors; from the default lo = 3 it finds the
+    paper's 3937 survivors; from lo = 3, the CLI's default, it finds the
     3936-element subset.
 
     Building a config refuses lo below SCAN_FLOOR, hi above SCAN_HI_MAX
@@ -467,9 +465,9 @@ class ScanConfig:
     unknown emit values.
     """
 
-    lo: int = 3
-    hi: int = 58_600_000
-    n: int = 2
+    lo: int
+    hi: int
+    n: int
     emit: str = "candidates"
 
     def __post_init__(self):
@@ -761,7 +759,8 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
     Candidates failing the certification criteria for degree n1 + n2 are
     verified exhaustively; progress, if given, is called with (q, member)
     after each, in ascending q. Each true exception carries its first
-    failing function, re-verified by a reversed-order search. Work stops at
+    failing function, re-verified by `pair_exists`, which walks every
+    primitive alpha and checks that f is non-exceptional. Work stops at
     CLASSIFY_QMAX with an explicit high-water mark when q_max exceeds
     it.
 
@@ -782,8 +781,7 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
         if res.member:
             continue
         f = res.failing
-        confirm = _pair_walk(ctx, f, order="desc")
-        if confirm.found:
+        if pair_exists(ctx, f).found:
             raise AssertionError(f"witness disagreement at q={rec.q}")
         exceptions.append(ClassifiedException(
             rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))

@@ -8,13 +8,12 @@ from primpair.bounds import (
     GENERIC_CN_TARGETS,
     InapplicableCriterion,
     PASS_TARGETS,
-    PassSpec,
     SieveParams,
     best_prefix,
     best_sieve,
     c_m,
     c_m_supremum,
-    check_all_pass_targets,
+    check_pass_target,
     generic_cn,
     generic_cn_ok,
     sieve_check,
@@ -196,54 +195,70 @@ class TestSievePassPrefix:
         with pytest.raises(ValueError, match="n must be >= 2"):
             best_prefix(331, [2, 3, 5, 11], 1)
 
+    @pytest.mark.parametrize("q, verdict, core_size, sign", [
+        (202291, "pass_sieve", 2, 1),     # clears its threshold by 0.033%
+        (1699111, "pass_sieve", 2, 1),    # by 0.045%
+        (110923, "candidate", 2, -1),     # misses by 0.0066%
+        (140869, "candidate", 2, -1),     # by 0.00067%
+        (5292211, "candidate", 3, -1)])   # by 0.014%
+    def test_near_boundary_fields(self, q, verdict, core_size, sign):
+        # the n = 2 fields nearest their best threshold; counting the two
+        # narrow passes as survivors would give 3939 (see the README)
+        primes = list(factorize(q - 1).primes)
+        got, r, num, den = best_prefix(q, primes, 2)
+        assert (got, r) == (verdict, core_size)
+        diff = q * den * den - num * num
+        assert (diff > 0) - (diff < 0) == sign
+
 
 class TestWorstCasePass:
     def test_all_pinned_rows(self):
-        for chk in check_all_pass_targets():
-            assert chk.delta_ok, chk.target
-            assert chk.big_delta_ok, chk.target
-            assert chk.threshold_ok, chk.target
+        for target in PASS_TARGETS:
+            row = check_pass_target(target)
+            assert row["ok"], row
 
     def test_row_count(self):
         assert len(PASS_TARGETS) == 13  # four degree-2 passes, nine grid rows
 
     def test_sieved_prime_window(self):
-        report = worst_case_pass(PassSpec(2, 5, 16, 5))
-        assert report.sieved_primes == (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-        assert report.w_l == 32
+        # with the 5 least of 16 primes in the core, 13..53 are sieved and W(l) = 32
+        delta, big_delta, threshold = worst_case_pass(2, 5, 16, 5)
+        sieved = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        assert delta == 1 - 2 * sum(Fraction(1, p) for p in sieved)
+        assert big_delta == Fraction(2 * len(sieved) - 1) / delta + 2
+        assert threshold == 2 * big_delta * 32**2
 
     def test_no_sieved_primes(self):
-        report = worst_case_pass(PassSpec(2, 3, 3, 3))
-        assert report.big_delta_max == 1
-        assert report.threshold == 2 * 64
+        _, big_delta, threshold = worst_case_pass(2, 3, 3, 3)
+        assert big_delta == 1
+        assert threshold == 2 * 64
 
     def test_inapplicable(self):
         with pytest.raises(InapplicableCriterion):
-            worst_case_pass(PassSpec(2, 0, 5, 0))  # sieving 2,3,5,7,11 kills delta
+            worst_case_pass(2, 0, 5, 0)  # sieving 2,3,5,7,11 kills delta
 
-    @pytest.mark.parametrize("spec", [t.spec for t in PASS_TARGETS]
-                             + [PassSpec(2, 0, 5, 0), PassSpec(3, 1, 6, 1),
-                                PassSpec(2, 3, 3, 3)])
+    @pytest.mark.parametrize("spec", [(t.n, t.min_omega, t.max_omega, t.core_size)
+                                      for t in PASS_TARGETS]
+                             + [(2, 0, 5, 0), (3, 1, 6, 1), (2, 3, 3, 3)])
     def test_matches_fraction_oracle(self, spec):
         # the grid row is the criterion of a q - 1 whose primes are the first
         # max_omega primes, with the least core_size of them as core
-        primes = tuple(int(p) for p in sieve_primes(300)[:spec.max_omega])
+        n, _, max_omega, core_size = spec
+        primes = tuple(int(p) for p in sieve_primes(300)[:max_omega])
         qm1 = Factorization(prod(primes), tuple((p, 1) for p in primes))
-        params = SieveParams.from_core(qm1.value + 1, qm1, primes[:spec.core_size])
+        params = SieveParams.from_core(qm1.value + 1, qm1, primes[:core_size])
         if not params.applicable:
             with pytest.raises(InapplicableCriterion):
-                worst_case_pass(spec)
+                worst_case_pass(*spec)
             return
-        report = worst_case_pass(spec)
-        assert report.delta_min == params.delta
-        assert report.big_delta_max == params.big_delta
-        assert report.threshold == params.threshold(spec.n)
+        assert worst_case_pass(*spec) == (params.delta, params.big_delta,
+                                          params.threshold(n))
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            worst_case_pass(PassSpec(2, 3, 2, 4))
+            worst_case_pass(2, 3, 2, 4)
         with pytest.raises(ValueError):
-            worst_case_pass(PassSpec(1, 3, 8, 3))
+            worst_case_pass(1, 3, 8, 3)
 
 
 class TestGenericCn:

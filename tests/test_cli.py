@@ -246,7 +246,7 @@ class TestClassify:
          "3a09c39036782e0e2a6530a1c8df1c4b9fe16c83ed2d824712d8d6d5a1182fce")])
     def test_witness_file_pinned(self, capsys, tmp_path, family, qmax, lines, digest):
         # every byte of the report: the first failing function of each true
-        # exception and its reversed re-verification
+        # exception, whose absence pair_exists re-verifies
         out_path = tmp_path / "w.jsonl"
         code, _, _ = run(capsys, "classify", "--family", family, "--qmax", qmax,
                          "--out", str(out_path))
@@ -296,6 +296,14 @@ class TestPair:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "pair", "--q", "13", "--num", "1,[2")
         assert code == 2
+
+    @pytest.mark.parametrize("num", ["1,,2", "[1,,0],1", "1,2,", "+1,1", "01,1",
+                                     "true,1", "1.5,1", "[1,[2]]"])
+    def test_malformed_coefficients_refused(self, capsys, num):
+        # an empty entry is not skipped: 1,,2 is not 1 + 2x
+        code, out, err = run(capsys, "pair", "--q", "13", "--num", num)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_zero_denominator(self, capsys):
         code, _, err = run(capsys, "pair", "--q", "13", "--num", "1,1", "--den", "0")
@@ -373,6 +381,13 @@ class TestQMember:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "n1 >= n2 >= 0" in err
+
+    def test_empty_family_is_usage_error(self, capsys):
+        # the (0, 0) family holds no function: refused, not answered "member"
+        code, out, err = run(capsys, "qmember", "--q", "7", "--n1", "0", "--n2", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "n1 + n2 >= 1" in err
 
     def test_general_family_naive(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "qmember", "--q", "7",

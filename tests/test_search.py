@@ -59,8 +59,6 @@ class TestPairExists:
         w = pair_exists(ctx, res.failing)
         assert not w.found
         assert w.examined == ctx.qm1.euler_phi
-        back = search._pair_walk(ctx, res.failing, "desc")
-        assert not back.found and back.examined == ctx.qm1.euler_phi
 
     def test_exceptional_rejected(self, field):
         ctx = field(7, 1)
