@@ -258,6 +258,18 @@ def cmd_pair(args) -> int:
 
 def cmd_qmember(args) -> int:
     p, k = _prime_power(args.q)
+    polyrat.check_family(args.n1, args.n2)
+    if (args.n1, args.n2) not in search.ENGINE_FAMILIES:
+        walk = args.q - 1  # times q^(n1+n2), as far as the budget needs: q >= 2
+        for _ in range(args.n1 + args.n2):
+            walk *= args.q
+            if walk > search.NAIVE_WALK_MAX:
+                print(f"refusing: the ({args.n1},{args.n2}) family over F_{args.q} holds "
+                      f"{args.q}^{args.n1 + args.n2}*{args.q - 1} coefficient tuples, which "
+                      f"exceeds the budget {search.NAIVE_WALK_MAX} (families other than "
+                      "1,1 and 2,0 are walked one function at a time, one primitive-pair "
+                      "search each)", file=sys.stderr)
+                return EXIT_BUDGET
     ctx = ffcore.field_make(p, k)
     res = search.q_in_Q(ctx, args.n1, args.n2, quadratic_scope=args.quadratic_scope)
     payload = {

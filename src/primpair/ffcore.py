@@ -6,14 +6,18 @@ sits on three primitives built here:
  - ``Factorization``: exact prime factorizations with the derived arithmetic
    functions (number of distinct primes, square-free divisor count, Euler phi,
    Moebius, radical).
- - ``FieldCtx``: a fully materialized field F_{p^k} with a deterministic
-   primitive root and complete exp/dlog tables, so primitivity and
-   u-freeness reduce to gcd tests on exponents. The tables are filled from
-   [1, g] by doubling, with g^t carried from step to step and squared mod
-   p. A prime field is built as Z/p: its generator is found by scalar `pow`
-   tests, and each doubling step is one int64 product and remainder mod p,
-   in place. An extension field is built in numpy on base-p digits: the
-   generator candidates are tested a block at a time, each as its k x k
+ - ``FieldCtx``: a field F_{p^k} with a deterministic primitive root and
+   exp/dlog tables that are built on first use, by a vector operation or by
+   a scalar operation of an extension field, which reduce primitivity and
+   u-freeness to gcd tests on exponents. A prime field's scalar operations
+   never ask for the tables: they use Python `pow`, test a^((q-1)/l) != 1
+   on the primes l of q - 1, and solve a discrete log by Pohlig-Hellman.
+   The tables are filled from [1, g] by doubling,
+   with g^t carried from step to step and squared mod p. A prime field is
+   built as Z/p: its generator is found by scalar `pow` tests, and each
+   doubling step is one int64 product and remainder mod p, in place. An
+   extension field is built in numpy on base-p digits: the generator
+   candidates are tested a block at a time, each as its k x k
    multiplication matrix raised to every cofactor (q-1)/l at once, and each
    doubling step is a k x k matrix product over F_p.
  - ``SegmentKernel``: the walk over the prime powers of a range, one segment
@@ -238,17 +242,23 @@ def factorize(m: int) -> Factorization:
 def multiplicative_order(a: int, p: int) -> int:
     """Order of a mod prime p, via the factorization of p - 1.
 
-    Table-free fallback for prime fields too large for a FieldCtx table.
+    For prime fields past field_make's table cap; FieldCtx.order_of makes
+    the same table-free test in a prime field.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     a %= p
     if a == 0:
         raise ValueError("0 has no multiplicative order")
+    return _order_mod(a, p, factorize(p - 1).primes)
+
+
+def _order_mod(a: int, p: int, primes) -> int:
+    """Order of a != 0 mod prime p, with primes those of p - 1."""
     order = p - 1
-    for q, _ in factorize(p - 1).factors:
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
+    for r in primes:
+        while order % r == 0 and pow(a, order // r, p) == 1:
+            order //= r
     return order
 
 
@@ -509,24 +519,55 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
-class FieldCtx:
-    """A materialized finite field F_{p^k} with full exp/dlog tables.
+class _Table:
+    """A FieldCtx table, exp or dlog: the first read of either builds both
+    and sets them on the context, where later reads find them first.
 
-    Immutable after construction; safe to share across threads/processes.
+    Unlike functools.cached_property, it sets them with plain attribute
+    assignment and leaves the instance __dict__ alone: CPython 3.11 reads
+    every attribute of an object about 30% slower once its __dict__ is
+    asked for, self.p and self.k in each scalar operation included (`mul`
+    on F_199: 93 ns, 123 ns after a cached_property table was read).
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        ctx.exp, ctx.dlog = _build_tables(ctx.p, ctx.k, ctx.g, ctx._gen_matrix)
+        return getattr(ctx, self.name)
+
+
+class FieldCtx:
+    """A finite field F_{p^k}: its generator g, the factorization of q - 1
+    and, built on first use, the exp/dlog tables.
+
+    `exp` and `dlog` are built together by `_build_tables` the first time
+    either is read: by a vector operation, by `primitive_elements`, or by a
+    scalar operation of an extension field. Scalar operations of a prime
+    field read no table: they use Python `pow`, and `dlog_of` solves by
+    Pohlig-Hellman. Nothing else changes after construction. A FieldCtx may
+    be shared across threads: two threads that first read a table at the
+    same time may each build it, and both builds are equal.
     Use :func:`field_make` to build one.
     """
 
-    def __init__(self, p: int, k: int, modulus, g: int, exp: np.ndarray,
-                 dlog: np.ndarray, qm1: Factorization):
+    def __init__(self, p: int, k: int, modulus, g: int, qm1: Factorization,
+                 gen_matrix: np.ndarray | None = None):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus  # coeff tuple, low first, monic; None for k == 1
         self.g = g
-        self.exp = exp
-        self.dlog = dlog
         self.qm1 = qm1
+        self._gen_matrix = gen_matrix  # matrix of v -> v*g, float64; None for k == 1
+        self._cofactors = tuple((self.q - 1) // r for r in qm1.primes)
         self._pow_p = tuple(p**i for i in range(k))
+
+    exp = _Table()  # exp[t] = g^t for 0 <= t < q - 1
+    dlog = _Table()  # dlog[a] = t with g^t = a for a != 0, dlog[0] = -1
 
     # -- element plumbing ---------------------------------------------------
 
@@ -584,6 +625,8 @@ class FieldCtx:
     def inv(self, a) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if self.k == 1:
+            return pow(int(a), -1, self.p)
         m = self.q - 1
         return int(self.exp[(m - int(self.dlog[a])) % m])
 
@@ -595,6 +638,8 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0 if e else 1
+        if self.k == 1:
+            return pow(int(a), e, self.p)
         m = self.q - 1
         return int(self.exp[(int(self.dlog[a]) * e) % m])
 
@@ -603,14 +648,20 @@ class FieldCtx:
     def dlog_of(self, a) -> int:
         if a == 0:
             raise ValueError("0 has no discrete log")
+        if self.k == 1:
+            return _pohlig_hellman(int(a), self.g, self.p, self.qm1.factors)
         return int(self.dlog[a])
 
     def exp_of(self, t: int) -> int:
+        if self.k == 1:
+            return pow(self.g, t, self.p)
         return int(self.exp[t % (self.q - 1)])
 
     def order_of(self, a) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
+        if self.k == 1:
+            return _order_mod(int(a), self.p, self.qm1.primes)
         t = int(self.dlog[a])
         return (self.q - 1) // gcd(t, self.q - 1)
 
@@ -618,6 +669,9 @@ class FieldCtx:
         """True iff a generates the multiplicative group."""
         if a == 0:
             return False
+        if self.k == 1:
+            a = int(a)
+            return all(pow(a, c, self.p) != 1 for c in self._cofactors)
         return gcd(int(self.dlog[a]), self.q - 1) == 1
 
     def rad_of_divisor(self, u: int) -> int:
@@ -633,12 +687,16 @@ class FieldCtx:
     def is_ufree(self, a, u: int) -> bool:
         """True iff a is nonzero and is not a d-th power for any d | u, d > 1.
 
-        Equivalent to gcd(dlog a, rad u) == 1; the brute-force power test is
+        Equivalent to gcd(dlog a, rad u) == 1, and in a prime field to
+        a^((q-1)/r) != 1 for every prime r | u; the brute-force power test is
         kept in the test suite as the independent oracle.
         """
         r = self.rad_of_divisor(u)
         if a == 0:
             return False
+        if self.k == 1:
+            a, m = int(a), self.q - 1
+            return all(pow(a, m // s, self.p) != 1 for s in self.qm1.primes if r % s == 0)
         return gcd(int(self.dlog[a]), r) == 1
 
     def primitive_elements(self) -> np.ndarray:
@@ -736,18 +794,16 @@ def _doubling_steps(gt, square, m: int):
 
 
 def field_make(p: int, k: int) -> FieldCtx:
-    """Construct F_{p^k} with tables, primitive root, and q-1 factorization.
+    """Construct F_{p^k} with its primitive root and q-1 factorization; its
+    exp/dlog tables are built on first use, by `_build_tables`.
 
     The primitive root is the least element (packed order) of order q - 1 and
     the modulus is the first monic irreducible of degree k, so two runs always
     build the identical field. A prime field finds g by scalar `pow` tests,
     an extension field by `_least_generator`, a block of candidates at a time
-    in numpy. exp = [1, g, ...] is filled by doubling, exp[t:t+s] =
-    exp[:s] * g^t for t = 2, 4, 8, ... < q-1 and s = min(t, q-1-t), with g^t
-    carried from step to step and squared mod p. In F_p a step is one int64
-    product and one remainder mod p, in place. In F_{p^k}, k > 1, multiplying
-    by g^t is F_p-linear: a k x k matrix product on the base-p digits. No step
-    loops over elements or polynomials in Python.
+    in numpy, which also gives the matrix of v -> v*g that the table build
+    needs. q above DEFAULT_TABLE_CAP is refused here, before any table is
+    asked for.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -761,13 +817,32 @@ def field_make(p: int, k: int) -> FieldCtx:
             "use multiplicative_order(a, p), which needs no table."
         )
     qm1 = factorize(q - 1)
-    m = q - 1
-    cofactors = [m // r for r in qm1.primes]
-    exp = np.ones(m, dtype=np.int64)
+    cofactors = [(q - 1) // r for r in qm1.primes]
     if k == 1:
         # F_2 gets g = 1: with no cofactor to test, the first candidate wins.
-        modulus = None
         g = next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in cofactors))
+        return FieldCtx(p, k, None, g, qm1)
+    modulus = _find_modulus(p, k)
+    g, mat = _least_generator(p, k, modulus, cofactors)
+    return FieldCtx(p, k, modulus, g, qm1, mat)
+
+
+def _build_tables(p: int, k: int, g: int, mat: np.ndarray | None):
+    """The (exp, dlog) tables of F_{p^k} with generator g; mat is the matrix
+    of v -> v*g for k > 1, None for k = 1.
+
+    exp = [1, g, ...] is filled by doubling, exp[t:t+s] = exp[:s] * g^t for
+    t = 2, 4, 8, ... < q-1 and s = min(t, q-1-t), with g^t carried from step
+    to step and squared mod p. In F_p a step is one int64 product and one
+    remainder mod p, in place. In F_{p^k}, k > 1, multiplying by g^t is
+    F_p-linear: a k x k matrix product on the base-p digits. No step loops
+    over elements or polynomials in Python. dlog inverts exp, with -1 at 0,
+    and is checked to cover every nonzero element.
+    """
+    q = p**k
+    m = q - 1
+    exp = np.ones(m, dtype=np.int64)
+    if k == 1:
         exp[1:2] = g  # exp[1] = g^1, absent when q = 2
         # exp[:s] and g^t are below p, so each product is at most (p-1)^2
         # and exact in int64.
@@ -776,8 +851,6 @@ def field_make(p: int, k: int) -> FieldCtx:
             np.multiply(exp[:s], gt, out=step)
             np.remainder(step, p, out=step)
     else:
-        modulus = _find_modulus(p, k)
-        g, mat = _least_generator(p, k, modulus, cofactors)
         exp[1] = g
         # A step is exact in float64: floor(a / b) is exact for integers with
         # a + b < 2^53, each partial sum of a product is below k*(p-1)*q <=
@@ -802,4 +875,38 @@ def field_make(p: int, k: int) -> FieldCtx:
     dlog[exp] = np.arange(m, dtype=np.int64)
     if int(dlog[1]) != 0 or (m > 1 and int(dlog[g]) != 1) or (dlog[1:] < 0).any():
         raise ArithmeticError("discrete log table failed self-check")
-    return FieldCtx(p, k, modulus, g, exp, dlog, qm1)
+    return exp, dlog
+
+
+def _pohlig_hellman(a: int, g: int, p: int, factors) -> int:
+    """The t in [0, p-1) with g^t = a mod p, for a in [1, p), g a generator
+    of F_p* and factors the (prime, exponent) pairs of p - 1; no table.
+
+    Pohlig and Hellman (1978): t is found mod each prime power r^e of p - 1,
+    one base-r digit at a time, and the residues are joined by the Chinese
+    remainder theorem. Digit i of t mod r^e is the log of
+    (a * g^-x)^((p-1)/r^(i+1)), x = t mod r^i, to the base g^((p-1)/r), an
+    element of order r. Shanks' baby-step giant-step finds it in at most
+    2 * ceil(sqrt(r)) products.
+    """
+    m, g_inv = p - 1, pow(g, -1, p)
+    t, mod = 0, 1
+    for r, e in factors:
+        n = isqrt(r - 1) + 1  # n * n >= r: digit = i * n + j, i, j < n
+        gr = pow(g, m // r, p)
+        baby, v = {}, 1
+        for j in range(n):
+            baby[v] = j
+            v = v * gr % p
+        giant = pow(gr, -n, p)
+        x, re = 0, 1  # x = t mod re, re = r^i
+        for _ in range(e):
+            h = pow(a * pow(g_inv, x, p) % p, m // (re * r), p)
+            i = 0
+            while h not in baby:
+                h, i = h * giant % p, i + 1
+            x += (i * n + baby[h]) * re
+            re *= r
+        t += mod * ((x - t) * pow(mod, -1, re) % re)
+        mod *= re
+    return t

@@ -319,7 +319,8 @@ def is_exceptional(f: RationalFunc) -> tuple[bool, ExceptionalityWitness]:
     d | q-1), and the test is field-dependent: d must divide q - 1. For the
     non-monomial case it suffices to check prime d dividing the multiplicity
     of every square-free layer of both numerator and denominator once powers
-    of x are pulled out.
+    of x are pulled out. For deg f <= 2 `_low_degree_layers` reads the layers
+    off the coefficients; otherwise `_squarefree_layers` decomposes.
     """
     ctx = f.ctx
     v1, num0 = _strip_x(f.num)
@@ -328,19 +329,40 @@ def is_exceptional(f: RationalFunc) -> tuple[bool, ExceptionalityWitness]:
     if num0.is_constant() and den0.is_constant():
         d = ctx.qm1.primes[0] if ctx.qm1.primes else None
         return True, ExceptionalityWitness(x_power, True, d, ())
-    layers = []
-    mult_gcd = 0
-    for part in (num0, den0):
-        if part.is_constant():
-            continue
-        for a, m in squarefree_decomp(part):
-            layers.append((int(a.degree), m))
-            mult_gcd = gcd(mult_gcd, m)
-    shared = gcd(mult_gcd, ctx.q - 1)
+    layers = (_low_degree_layers if f.degree <= 2 else _squarefree_layers)(num0, den0)
+    shared = gcd(ctx.q - 1, *(m for _, m in layers))
     if shared > 1:
         d = min(p for p in ctx.qm1.primes if shared % p == 0)
-        return True, ExceptionalityWitness(x_power, False, d, tuple(layers))
-    return False, ExceptionalityWitness(x_power, False, None, tuple(layers))
+        return True, ExceptionalityWitness(x_power, False, d, layers)
+    return False, ExceptionalityWitness(x_power, False, None, layers)
+
+
+def _squarefree_layers(num0: Poly, den0: Poly) -> tuple[tuple[int, int], ...]:
+    """(degree, multiplicity) of every square-free layer of the non-constant
+    parts among num0 and den0, numerator first."""
+    return tuple((int(a.degree), m) for part in (num0, den0) if not part.is_constant()
+                 for a, m in squarefree_decomp(part))
+
+
+def _low_degree_layers(num0: Poly, den0: Poly) -> tuple[tuple[int, int], ...]:
+    """`_squarefree_layers` for parts of total degree <= 2 and nonzero
+    constant terms, read off the coefficients. A linear part is one layer
+    (1, 1). A quadratic c + b*x + a*x^2 is a square (x + r)^2, layer (1, 2),
+    when b^2 = 4ac in odd characteristic and when b = 0 in characteristic 2;
+    otherwise it is square-free, layer (2, 1)."""
+    layers = []
+    for part in (num0, den0):
+        if part.degree == 1:
+            layers.append((1, 1))
+        elif part.degree == 2:
+            ctx = part.ctx
+            c, b, a = part.coeffs
+            if ctx.p == 2:
+                square = b == 0
+            else:
+                square = ctx.mul(b, b) == ctx.mul(4 % ctx.p, ctx.mul(a, c))
+            layers.append((1, 2) if square else (2, 1))
+    return tuple(layers)
 
 
 def reciprocal_reduce(f: RationalFunc) -> RationalFunc:
@@ -363,6 +385,12 @@ def reciprocal_reduce(f: RationalFunc) -> RationalFunc:
     return out
 
 
+def check_family(n1: int, n2: int):
+    """Refuse, with ValueError, degrees that name no (n1, n2) family."""
+    if not n1 >= n2 >= 0 or n1 + n2 == 0:
+        raise ValueError(f"family needs n1 >= n2 >= 0 and n1 + n2 >= 1, got ({n1}, {n2})")
+
+
 def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
     """Yield one canonical representative per function in the (n1, n2) family.
 
@@ -383,8 +411,7 @@ def enumerate_family(ctx: FieldCtx, n1: int, n2: int):
     applies). The (0, 0) family, constants only, holds no function and is
     refused.
     """
-    if not n1 >= n2 >= 0 or n1 + n2 == 0:
-        raise ValueError(f"family needs n1 >= n2 >= 0 and n1 + n2 >= 1, got ({n1}, {n2})")
+    check_family(n1, n2)
     if (n1, n2) == (1, 1):
         yield from _family_1_1(ctx)
         return

@@ -71,6 +71,13 @@ SCAN_HI_MAX = 200_560_490_129
 # has many primes and few units. The README gives the measured times.
 CLASSIFY_QMAX = 1_000
 
+# The most coefficient tuples, q^(n1+n2) * (q-1) for the (n1, n2) family over
+# F_q, that the CLI's qmember walks through naive_membership, one pair search
+# each. A tuple took 90-160 us on 2 cores (Python 3.11): F_17 (2,1), 78,608
+# tuples, 9.0 s; F_16 (3,0), 61,440 tuples, 9.9 s. So the walk stays under
+# about 16 s.
+NAIVE_WALK_MAX = 100_000
+
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
 
 
@@ -122,11 +129,8 @@ def _pair_walk(ctx: FieldCtx, f: RationalFunc) -> PairWitness:
         if den == 0:
             continue
         val = ctx.div(f.num.eval(alpha), den)
-        if val == 0:
-            continue
-        tv = ctx.dlog_of(val)
-        if gcd(tv, m) == 1:
-            return PairWitness(True, alpha, val, t, tv, examined)
+        if ctx.is_primitive(val):
+            return PairWitness(True, alpha, val, t, ctx.dlog_of(val), examined)
     return PairWitness(False, None, None, None, None, examined)
 
 

@@ -389,6 +389,32 @@ class TestQMember:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "n1 + n2 >= 1" in err
 
+    @pytest.fixture
+    def never_walk(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a naive family walk started")
+
+        monkeypatch.setattr(search, "naive_membership", never)
+        monkeypatch.setattr(search, "enumerate_family", never)
+
+    @pytest.mark.parametrize("q, n1, n2", [("1009", "2", "1"), ("19", "2", "1"),
+                                           ("1000003", "1000000000", "1")])
+    def test_naive_walk_budget(self, capsys, never_walk, q, n1, n2):
+        code, out, err = run(capsys, "--format", "json", "qmember", "--q", q,
+                             "--n1", n1, "--n2", n2)
+        assert (code, out) == (3, "")
+        assert "exceeds the budget 100000" in err
+        assert f"holds {q}^{int(n1) + int(n2)}*{int(q) - 1} coefficient tuples" in err
+
+    def test_naive_walk_budget_allows_small_fields(self, capsys, never_walk):
+        # the walks of F_3 and F_7 stay allowed: they reach the walk, which
+        # the fixture stops; the engine families never walk
+        for q, n1, n2 in (("3", "2", "1"), ("3", "3", "0"), ("7", "1", "0")):
+            with pytest.raises(AssertionError, match="naive family walk"):
+                run(capsys, "qmember", "--q", q, "--n1", n1, "--n2", n2)
+        code, _, _ = run(capsys, "qmember", "--q", "1009", "--n1", "1", "--n2", "1")
+        assert code in (0, 1)
+
     def test_general_family_naive(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "qmember", "--q", "7",
                            "--n1", "1", "--n2", "0")

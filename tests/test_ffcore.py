@@ -1,5 +1,5 @@
 import random
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -194,7 +194,8 @@ class TestFieldMake:
         # g^3, 0, 0, ...], so dlog[1] == 0 and dlog[g] == 1 still hold; only the
         # check that every nonzero element received a log can catch it. The
         # steps come from _doubling_steps, which carries g^t: an int in a prime
-        # field, the matrix of v -> v*g^t in an extension field.
+        # field, the matrix of v -> v*g^t in an extension field. field_make
+        # builds no table; reading dlog builds both.
         real = ffcore._doubling_steps
 
         def corrupted(*args):
@@ -204,7 +205,7 @@ class TestFieldMake:
         monkeypatch.setattr(ffcore, "_doubling_steps", corrupted)
         for p, k in ((2, 4), (13, 1)):
             with pytest.raises(ArithmeticError, match="self-check"):
-                field_make(p, k)
+                field_make(p, k).dlog
 
     def test_dlog_bijection(self, field):
         for p, k in ((5, 1), (13, 1), (3, 3), (2, 5)):
@@ -246,6 +247,49 @@ class TestFieldMake:
             ctx = field(p, k)
             count = sum(ctx.is_primitive(a) for a in range(q))
             assert count == ctx.qm1.euler_phi, q
+
+
+class TestTableFree:
+    """Prime-field scalar operations read no table: each is checked against
+    the tables of a second context of the same field."""
+
+    @staticmethod
+    def _agree(fresh, table, elements):
+        m = fresh.q - 1
+        divisors = fresh.qm1.divisors()
+        for a in elements:
+            t = int(table.dlog[a])
+            assert fresh.dlog_of(a) == t, (fresh.q, a)
+            assert fresh.is_primitive(a) == (gcd(t, m) == 1), (fresh.q, a)
+            assert fresh.order_of(a) == m // gcd(t, m), (fresh.q, a)
+            assert fresh.exp_of(t) == a and fresh.inv(a) == int(table.exp[-t % m])
+            for u in divisors:
+                assert fresh.is_ufree(a, u) == (gcd(t, fresh.rad_of_divisor(u)) == 1), \
+                    (fresh.q, a, u)
+        assert "exp" not in fresh.__dict__ and "dlog" not in fresh.__dict__
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 257, 1019, 65537])
+    def test_every_element(self, field, p):
+        # q - 1 = 2^8 and 2^16 give Pohlig-Hellman 8 and 16 base-2 digits;
+        # 1018 = 2 * 509 leaves a baby-step giant-step in order 509
+        elements = range(1, p) if p < 1000 else random.Random(p).sample(range(1, p), 300)
+        self._agree(field_make(p, 1), field(p, 1), elements)
+        if p >= 1000:  # the dlogs alone, on every element
+            fresh, dlog = field_make(p, 1), field(p, 1).dlog
+            assert [fresh.dlog_of(a) for a in range(1, p)] == dlog[1:].tolist()
+            assert "dlog" not in fresh.__dict__
+
+    @pytest.mark.parametrize("p", [999_983, 1_000_003, 8_388_593])
+    def test_random_elements_of_large_fields(self, p):
+        fresh, table = field_make(p, 1), field_make(p, 1)
+        self._agree(fresh, table, random.Random(p).sample(range(1, p), 200))
+
+    def test_tables_are_built_on_first_use(self):
+        ctx = field_make(101, 1)
+        assert "exp" not in ctx.__dict__ and "dlog" not in ctx.__dict__
+        dlog = ctx.dlog
+        assert ctx.__dict__["exp"] is ctx.exp and ctx.__dict__["dlog"] is dlog
+        assert ctx.dlog_of(ctx.g) == 1 and int(dlog[ctx.exp[7]]) == 7
 
 
 class TestUFree:

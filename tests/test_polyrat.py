@@ -4,6 +4,7 @@ from math import inf
 import numpy as np
 import pytest
 
+from primpair import polyrat
 from primpair.ffcore import factorize
 from primpair.polyrat import (
     Poly,
@@ -252,6 +253,28 @@ class TestExceptionality:
                     bad, w = is_exceptional(f)
                     assert bad, (ctx.q, d, f)
                     assert w.is_monomial or (ctx.q - 1) % w.power_divisor == 0
+
+    @pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                      (11, 1), (13, 1), (2, 4), (5, 2)])
+    def test_low_degree_layers_match_decomposition(self, field, monkeypatch, p, k):
+        # every (1,1) function (a0 + a1 x)/(c + x) and every (2,0) function
+        # a0 + a1 x + a2 x^2, the non-coprime ones reduced by the constructor
+        ctx = field(p, k)
+        q = ctx.q
+        fs = [RationalFunc.from_coeffs(ctx, (a0, a1), (c, 1))
+              for a0 in range(q) for a1 in range(1, q) for c in range(q)]
+        fs += [RationalFunc.from_coeffs(ctx, (a0, a1, a2))
+               for a0 in range(q) for a1 in range(q) for a2 in range(1, q)]
+        fast = [is_exceptional(f) for f in fs]
+        with monkeypatch.context() as mp:
+            mp.setattr(polyrat, "_low_degree_layers", polyrat._squarefree_layers)
+            general = [is_exceptional(f) for f in fs]
+        assert fast == general
+        # both kinds of quadratic layer occur, and a square is exceptional
+        # exactly in odd characteristic
+        squares = [bad for bad, w in fast if w.layers == ((1, 2),)]
+        assert squares and (2, 1) in {w.layers[0] for _, w in fast if w.layers}
+        assert all(squares) if p > 2 else not any(squares)
 
 
 class TestReciprocalReduce:

@@ -82,6 +82,17 @@ class TestPairExists:
                 else:
                     assert w.examined == ctx.qm1.euler_phi
 
+    @pytest.mark.parametrize("q", [999_983, 1_000_003])
+    def test_prime_field_walk_builds_no_table(self, q):
+        ctx = field_make(q, 1)
+        for num, den in (((1, 1), (2, 1)), ((3, 0, 1), (1,)), ((5, 7), (0, 1))):
+            w = pair_exists(ctx, RationalFunc.from_coeffs(ctx, num, den))
+            assert w.found and w.examined >= 1
+            assert ctx.exp_of(w.alpha_dlog) == w.alpha
+            assert ctx.exp_of(w.value_dlog) == w.value
+            assert ctx.is_primitive(w.alpha) and ctx.is_primitive(w.value)
+        assert "exp" not in ctx.__dict__ and "dlog" not in ctx.__dict__
+
 
 class TestQInQ:
     def test_known_verdicts(self, field):
