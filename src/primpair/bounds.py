@@ -15,8 +15,10 @@ One integer kernel, `sieve_pass_prefix`, decides the criterion for a core
 made of the least primes of q-1; `best_prefix` sweeps it over every core
 size and `prefix_terms` reads delta, Delta and the threshold off it. Scans,
 `check-bound` and the worst-case grid hold no other copy of the criterion.
-`certain_prefix_pass`, a scan's prefilter, tests the direct bound in int64
-and the same sweep in float64, only to skip rows that certainly pass.
+`direct_pass` tests the direct bound q > n^2 * 16^omega in int64; a scan
+applies it to an upper bound of omega before it factors q - 1, and
+`certain_prefix_pass`, a scan's prefilter, to the true omega beside the same
+sweep in float64, only to skip rows that certainly pass.
 `SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
 
 The module also carries the worst-case passes that the `tables` subcommand
@@ -259,10 +261,22 @@ def prefix_terms(primes, core_size: int, n: int) -> tuple[Fraction, Fraction, Fr
 SWEEP_MARGIN = 1e-6
 
 
+def direct_pass(q: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
+    """Rows with q above the direct bound n^2 * 16^omega, exact in int64.
+
+    The bound grows with omega, so an omega at or above omega(q - 1) gives
+    True only to a q whose true omega passes too.
+    """
+    # clipped to int64: a bound past it is past every q, so the test stays exact
+    direct = np.array([min(n * n << 4 * w, 2**63 - 1)
+                       for w in range(int(omega.max(initial=0)) + 1)])
+    return q > direct[omega]
+
+
 def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
                         n: int) -> np.ndarray:
-    """Rows above the direct bound n^2 * 16^omega (exact in int64), and rows
-    that some prefix core passes with SWEEP_MARGIN to spare.
+    """Rows that pass `direct_pass`, and rows that some prefix core passes
+    with SWEEP_MARGIN to spare.
 
     Row i has q[i] and the primes primes[i, :omega[i]] of q[i]-1, ascending
     (later columns are ignored). Rows at or below the direct bound get the
@@ -272,9 +286,7 @@ def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
     decides nothing, and only `best_prefix` may give such a row a verdict.
     """
     width = primes.shape[1]
-    # clipped to int64: a bound past it is past every q, so the test stays exact
-    direct = np.array([min(n * n << 4 * w, 2**63 - 1) for w in range(width + 1)])
-    sure = q > direct[omega]
+    sure = direct_pass(q, omega, n)
     rows = np.flatnonzero(~sure)
     q, primes, omega = q[rows], primes[rows], omega[rows]
     cols = np.arange(width)

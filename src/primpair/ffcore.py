@@ -22,9 +22,12 @@ sits on three primitives built here:
    doubling step is a k x k matrix product over F_p.
  - ``SegmentKernel``: the walk over the prime powers of a range, one segment
    at a time, that `prime_power_segments` plans. One call per segment sieves
-   the prime powers q and lists the distinct primes of every q - 1, all in
-   numpy with no Python loop over the base primes above ``_SMALL_CUT``, in
-   arrays allocated once per walk and reused for every segment.
+   the prime powers q, leaving each q - 1 its set of primes below
+   ``_SMALL_CUT`` as a bit code, bounds omega(q - 1) from the sieve's marks
+   alone, and lists the distinct primes of every q - 1 that a caller's skip
+   test does not drop on that bound. All of it runs in numpy with no Python
+   loop over the base primes above ``_SMALL_CUT``, in arrays allocated once
+   per walk and reused for every segment.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -55,15 +58,30 @@ _GEN_BLOCK = 16  # generator candidates in field_make's first block
 # Integers per segment of a prime-power walk. The full n = 2 scan runs
 # fastest at this size of 2^15..2^20, and in the least memory.
 DEFAULT_SEGMENT = 1 << 16
-# The most integers one segment may hold. A segment's workspace takes about
-# 25 bytes per integer for the multiples of the base primes above
-# _SMALL_CUT near the scan ceiling, beside the flags, the row map and the
-# factor rows: one segment at this limit peaks near 280 MB there.
+# The most integers one segment may hold. Near the scan ceiling a segment's
+# workspace takes about 32 bytes per integer for the multiples of the base
+# primes above _SMALL_CUT (1.27 index entries of 25 bytes each) and 9 for
+# the codes, the wheel table, the flags and the row map, beside the factor
+# rows: one segment at this limit peaks near 270 MB there (max RSS of one
+# process), 220 MB when a skip drops most rows before they are factored.
 MAX_SEGMENT = 1 << 22
 # Base primes below this divide most factor rows, and their multiples would
-# be most of a segment's index array: they are marked by strided slices and
-# tested on the rows by one float64 division instead.
+# be most of a segment's index array: instead, the sieve ORs bit j of each
+# integer's code for the j-th of them, so a row's code is its set of small
+# primes. There are at most 11, so a code fits a uint16 and a table of
+# 2^11 entries maps it to its primes, their count and their sum of logs.
 _SMALL_CUT = 32
+# The codes of the leading small primes whose product is at most this repeat
+# with that period, and are copied into a window from one table.
+_WHEEL = 30030
+# Room by which log m must miss the sum of the logs of m's base primes and
+# of the largest base prime before a row is said to have no prime above the
+# base. A prime P above it that divides m leaves a gap of log(P / base[-1])
+# >= log(1 + 1 / base[-1]) > 4.7e-7, since base[-1] < 2^21 when hi < 2^42.
+# Every log is below 30 and within a few ulps, and a sum has at most 11
+# terms, so the computed gap is within 1e-12 of the true one: the test errs
+# only towards "may divide", and the margin adds room on that side.
+_LOG_MARGIN = 1e-9
 # Primorials 2, 2*3, 2*3*5, ... below 2^63: an m <= n has at most
 # bisect_right(_PRIMORIALS, n) distinct prime factors.
 _PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47),
@@ -323,9 +341,10 @@ class SegmentKernel:
     A segment [seg_lo, seg_hi) works on the window [seg_lo - 1, seg_hi), which
     holds every q and every q - 1. The plan's base primes are split at
     _SMALL_CUT:
-     - below it, the sieve marks multiples with one strided slice per prime,
-       and a row m = q - 1 is tested with one float64 division of the rows by
-       all of them at once, m / p == floor(m / p), exact for m < 2^53;
+     - below it, the j-th prime ORs bit j into the code of each of its
+       multiples, by one strided slice (the leading primes up to _WHEEL by
+       one copy from a periodic table), and an integer with code 0 is
+       unmarked; a row m = q - 1 reads its small primes off its code;
      - above it, an index array holds the window offset of every multiple of
        every such prime: a stride pattern of j*p, built once for the plan's
        largest segment, plus the segment's first-multiple offsets. The same
@@ -334,9 +353,20 @@ class SegmentKernel:
        padding that is never read, so no entry is dropped.
     Marking multiples >= 2p is correct with any base prime, so the plan's
     primes up to isqrt(hi) serve every segment; base primes inside the window
-    are set back to prime. One sort of the keys row * len(base) + prime index
-    lists each row's primes ascending. What is left of a row once the powers
-    of its base primes are divided out is 1 or one prime above them all.
+    are set back to prime.
+
+    Every prime of m < hi is a base prime but at most one, P > isqrt(hi) >=
+    base[-1]: two such would make m > hi. P can divide m only if m >= rad_b *
+    P > rad_b * base[-1], with rad_b the product of m's base primes. So
+    omega_upper = (the code's count + the gathered large primes) + [log m +
+    _LOG_MARGIN >= (the code's sum of logs + the gathered primes' logs) +
+    log base[-1]], capped at the column count, is >= omega(m); _LOG_MARGIN
+    argues the float test. A caller's skip test sees it for every row, and
+    only the rows it keeps are factored: one sort of the keys row *
+    len(base) + prime index lists each row's primes ascending, the power of
+    2 in m is m & -m, and the powers of the odd primes grow by one loop.
+    What is left of a row once the powers of its base primes are divided out
+    is 1 or P.
 
     The factor rows `segment` returns are a view of the workspace, valid
     until its next call. Segments may come in any order and start at 2.
@@ -346,9 +376,15 @@ class SegmentKernel:
         base, size = plan.base, plan.size
         self.base, self.higher, self.hi, self.size = base, plan.higher, plan.hi, size
         self.cut = int(np.searchsorted(base, _SMALL_CUT))
-        self.small = base[:self.cut].astype(np.float64)
+        # a code's primes as a row of cut flags, their count and their sum of logs
+        codes = np.arange(1 << self.cut)
+        self.code_cols = (codes[:, None] >> np.arange(self.cut) & 1).astype(bool)
+        self.code_omega = self.code_cols.sum(axis=1)
+        self.code_log = self.code_cols @ np.log(base[:self.cut])
         large = base[self.cut:]
         self.large = large
+        self.large_log = np.log(large)
+        self.top_log = float(np.log(base[-1])) if base.size else 0.0
         reach = -(-(size + 1) // large)  # the most multiples of p a window holds
         self.owner = np.repeat(np.arange(large.size), reach)  # intp, for take
         self.index = np.empty(self.owner.size, dtype=np.int64)
@@ -361,14 +397,21 @@ class SegmentKernel:
         self.gathered = np.empty(self.owner.size, dtype=np.int32)
         self.hit = np.empty(self.owner.size, dtype=bool)
         window = size + 1 + (int(large[-1]) if large.size else 0)  # and padding
+        self.bits = np.empty(size + 1, dtype=np.uint16)
+        # the codes of 0, 1, 2, ... over the spokes, the leading small primes
+        # whose product, the wheel, is at most _WHEEL: bits[i] of a window
+        # from start is wheel_codes[start % wheel + i]
+        small = base[:self.cut].tolist()
+        self.spokes = bisect_right(list(accumulate(small, operator.mul)), _WHEEL)
+        self.wheel = prod(small[:self.spokes])
+        self.wheel_codes = np.zeros(self.wheel + size + 1, dtype=np.uint16)
+        for j, p in enumerate(small[:self.spokes]):
+            self.wheel_codes[::p] |= 1 << j
         self.flags = np.empty(window, dtype=bool)
         self.row_of = np.full(window, -1, dtype=np.int32)
         # a segment of size integers holds at most (size + 1) // 2 odd ones
         # and size.bit_length() + 1 powers of 2
         rows = (size + 1) // 2 + size.bit_length() + 1
-        self.quot = np.empty((rows, self.cut))
-        self.floor = np.empty((rows, self.cut))
-        self.divides = np.empty((rows, self.cut), dtype=bool)
         self.buf = np.empty((rows, bisect_right(_PRIMORIALS, max(plan.hi - 1, 1))),
                             dtype=np.int64)
 
@@ -378,11 +421,12 @@ class SegmentKernel:
         if seg_lo < 2 or seg_hi - seg_lo > self.size or seg_hi > self.hi + 1:
             raise ValueError(f"segment [{seg_lo}, {seg_hi}) is outside the kernel's plan")
         start, span = seg_lo - 1, seg_hi - seg_lo + 1
-        flags, base = self.flags, self.base
-        flags[:span] = True
-        window = flags[:span]
-        for p in base[:self.cut].tolist():
-            window[-start % p::p] = False
+        flags, base, bits = self.flags, self.base, self.bits[:span]
+        turn = start % self.wheel
+        bits[:] = self.wheel_codes[turn:turn + span]
+        for j, p in enumerate(base[self.spokes:self.cut].tolist(), self.spokes):
+            bits[-start % p::p] |= 1 << j
+        window = np.equal(bits, 0, out=flags[:span])
         np.remainder(-start, self.large, out=self.first)
         np.take(self.first, self.owner, out=self.index, mode="clip")
         np.add(self.index, self.pattern, out=self.index)
@@ -399,30 +443,49 @@ class SegmentKernel:
             q, p, k = np.insert(q, at, hq), np.insert(p, at, hp), np.insert(k, at, hk)
         return q, p, k
 
-    def segment(self, seg_lo: int, seg_hi: int):
-        """(q, p, k, primes, omega) for the segment [seg_lo, seg_hi): the
-        prime powers as in `prime_powers`, and primes[i, :omega[i]] the
-        distinct primes of q[i] - 1, ascending, 0 past them. primes has one
-        column per prime the largest omega below seg_hi - 1 allows. Needs
-        hi < 2^42, so that each p times a power of p dividing m stays
-        below 2^63."""
+    def segment(self, seg_lo: int, seg_hi: int, skip=None):
+        """(q, p, k, primes, omega) for the kept prime powers of the segment
+        [seg_lo, seg_hi): q, p, k as in `prime_powers`, and primes[i, :omega[i]]
+        the distinct primes of q[i] - 1, ascending, 0 past them. primes has
+        one column per prime the largest omega below seg_hi - 1 allows. Needs
+        hi < 2^42, so that each p times a power of p dividing m stays below
+        2^63.
+
+        With skip None every row is kept. Otherwise skip(q, omega_upper)
+        gets every prime power q of the segment with a bound omega_upper >=
+        omega(q - 1), and returns a bool array; the rows it marks are dropped
+        before any factor row is built."""
         q, p, k = self.prime_powers(seg_lo, seg_hi)
         m, n, base = q - 1, q.size, self.base
+        width = bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))
         offsets = q - seg_lo  # of m = q - 1 in the window from seg_lo - 1
         self.row_of[offsets] = np.arange(n, dtype=np.int32)
         np.take(self.row_of, self.index, out=self.gathered, mode="clip")
         self.row_of[offsets] = -1
         np.greater_equal(self.gathered, 0, out=self.hit)
         hit = np.flatnonzero(self.hit)
-        quot = np.divide(m[:, None], self.small, out=self.quot[:n])
-        divides = np.equal(quot, np.floor(quot, out=self.floor[:n]), out=self.divides[:n])
-        flat = np.flatnonzero(divides)  # row * cut + index of a small prime
+        hit_rows = self.gathered[hit]
+        code = self.bits[offsets]
+        if skip is not None:
+            omega = self.code_omega[code] + np.bincount(hit_rows, minlength=n)
+            logs = self.code_log[code] + np.bincount(
+                hit_rows, self.large_log[self.owner[hit]], minlength=n)
+            omega += np.log(m) + _LOG_MARGIN >= logs + self.top_log  # P may divide m
+            keep = np.flatnonzero(~skip(q, np.minimum(omega, width, out=omega)))
+            q, p, k, m, code = q[keep], p[keep], k[keep], m[keep], code[keep]
+            renumber = np.full(n, -1, dtype=np.int32)
+            renumber[keep] = np.arange(keep.size, dtype=np.int32)
+            hit_rows = renumber[hit_rows]
+            kept = np.flatnonzero(hit_rows >= 0)
+            hit, hit_rows, n = hit[kept], hit_rows[kept], keep.size
+        flat = np.flatnonzero(self.code_cols[code])  # row * cut + index of a small prime
         keys = np.concatenate((flat + flat // self.cut * (base.size - self.cut),
-                               self.gathered[hit].astype(np.int64) * base.size
+                               hit_rows.astype(np.int64) * base.size
                                + (self.owner[hit] + self.cut)))
         keys.sort()
         rows = keys // base.size
-        ps = base[keys - rows * base.size]
+        which = keys - rows * base.size
+        ps = base[which]
         buf = self.buf[:n]
         buf.fill(0)
         cnt = np.bincount(rows, minlength=n)
@@ -430,10 +493,12 @@ class SegmentKernel:
         buf[rows, np.arange(rows.size) - row_start[rows]] = ps
         power = ps.copy()  # grows to the largest power of p dividing the row's m
         mult = m[rows]
-        sub = np.flatnonzero(mult % (power * ps) == 0)
+        even = np.flatnonzero(which == 0)  # base[0] = 2: its power is m & -m
+        power[even] = mult[even] & -mult[even]
+        sub = np.flatnonzero(which)
         while sub.size:
-            power[sub] *= ps[sub]
             sub = sub[mult[sub] % (power[sub] * ps[sub]) == 0]
+            power[sub] *= ps[sub]
         rem = m.copy()
         factored = np.flatnonzero(cnt)
         if factored.size:
@@ -441,7 +506,7 @@ class SegmentKernel:
         left = np.flatnonzero(rem > 1)
         buf[left, cnt[left]] = rem[left]
         cnt[left] += 1
-        return q, p, k, buf[:, :bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))], cnt
+        return q, p, k, buf[:, :width], cnt
 
 
 def prime_power_iter(lo: int, hi: int):

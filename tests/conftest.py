@@ -1,8 +1,9 @@
 import functools
 
+import numpy as np
 import pytest
 
-from primpair.ffcore import field_make, prime_power_iter
+from primpair.ffcore import factorize, field_make, prime_power_iter
 
 
 @functools.lru_cache(maxsize=None)
@@ -23,3 +24,30 @@ def prime_powers():
     def _pps(lo, hi):
         return list(prime_power_iter(lo, hi))
     return _pps
+
+
+@pytest.fixture(scope="session")
+def skipped_segment():
+    """skipped_segment(kernel, segment) -> the kernel's (q, p, k, primes,
+    omega) for segment with no skip, copied, after checking a call with a
+    skip against it: the skip sees every row with factorize's omega(q - 1)
+    <= omega_upper <= the number of columns, and the rows it keeps, every
+    other one, come out as the same rows of the full call."""
+    def _check(kernel, segment):
+        full = [a.copy() for a in kernel.segment(*segment)]
+        seen = []
+
+        def skip(q, omega_upper):
+            seen.append((q.tolist(), omega_upper.tolist()))
+            return np.arange(q.size) % 2 == 1
+
+        kept = kernel.segment(*segment, skip)
+        (qs, upper), = seen
+        assert qs == full[0].tolist()
+        width = full[3].shape[1]
+        for q, w in zip(qs, upper):
+            assert factorize(q - 1).omega <= w <= width, q
+        for a, b in zip(kept, full):
+            assert a.shape == b[::2].shape and (a == b[::2]).all(), segment
+        return full
+    return _check

@@ -353,15 +353,16 @@ class TestPrimePowerIter:
         assert qs == expected
 
     @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000])
-    def test_segment_marker_matches_trial_division(self, size):
+    def test_segment_marker_matches_trial_division(self, size, skipped_segment):
         # segment edges on, before and after primes and higher prime powers;
-        # the kernel takes segments from lo = 2, below a plan's floor
+        # the kernel takes segments from lo = 2, below a plan's floor, and
+        # a skip keeps the same rows as the full call
         hi = 5000
         kernel = SegmentKernel(prime_power_segments(3, hi, size))
         got = []
         for lo in range(2, hi + 1, size):
             segment = lo, min(lo + size, hi + 1)
-            q, p, k, primes, omega = kernel.segment(*segment)
+            q, p, k, primes, omega = skipped_segment(kernel, segment)
             assert q.dtype == p.dtype == k.dtype == np.int64
             assert all((a == b).all() for a, b in zip((q, p, k), kernel.prime_powers(*segment)))
             got += zip(q.tolist(), p.tolist(), k.tolist())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from primpair import bounds, ffcore, polyrat, search
-from primpair.bounds import best_prefix, certain_prefix_pass
+from primpair.bounds import best_prefix, certain_prefix_pass, direct_pass
 from primpair.ffcore import SegmentKernel, factorize, field_make, prime_power_segments
 from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 from primpair.search import (
@@ -466,10 +466,10 @@ class TestExceptionScan:
             run_scan(3, SCAN_HI_MAX + 1)
         assert list(exception_scan(SCAN_HI_MAX, SCAN_HI_MAX, emit="all")) == []
 
-    def test_segment_just_below_ceiling(self):
+    def test_segment_just_below_ceiling(self, skipped_segment):
         # the factor buffer is as wide as the largest omega below the
         # segment's top: 10 columns at the ceiling, 9 just below the first
-        # 10-prime value
+        # 10-prime value; a skip sees omega_upper within those columns
         records = list(exception_scan(SCAN_HI_MAX - 3000, SCAN_HI_MAX, emit="all"))
         assert records and all(r.q <= SCAN_HI_MAX for r in records)
         for r in records:
@@ -477,13 +477,14 @@ class TestExceptionScan:
             assert r.omega == len(r.factors)
         segment = SCAN_HI_MAX - 3000, SCAN_HI_MAX + 1
         plan = prime_power_segments(segment[0], SCAN_HI_MAX, 3001)
-        q, _, _, buf, _ = SegmentKernel(plan).segment(*segment)
+        q, _, _, buf, _ = skipped_segment(SegmentKernel(plan), segment)
         assert q.tolist() == [r.q for r in records]
         assert buf.shape == (len(records), 10)
         # the prime q = 11 * (2 * 3 * ... * 29) + 1 has omega(q - 1) = 10
         q10 = 71166625531
         segment = q10 - 5, q10 + 1
-        q, _, _, buf, cnt = SegmentKernel(prime_power_segments(q10 - 5, q10, 6)).segment(*segment)
+        q, _, _, buf, cnt = skipped_segment(
+            SegmentKernel(prime_power_segments(q10 - 5, q10, 6)), segment)
         assert q[-1] == q10 and buf.shape[1] == 10 and cnt[-1] == 10
         assert buf[-1].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         # every q - 1 below 2 * 3 * ... * 29 fits 9 columns
@@ -532,16 +533,17 @@ class TestScanSieve:
     @pytest.mark.parametrize("lo", [2**16 - 300, 2**31 - 300, 2**33 - 300,
                                     251**2 - 300, 257**2 - 300, 7919**2 - 300,
                                     65521**2 - 300])
-    def test_factor_rows_match_factorize(self, lo):
+    def test_factor_rows_match_factorize(self, lo, skipped_segment):
         # segments whose q - 1 lie in windows around 2^k and p^2, for p on
         # both sides of the segment's span (several multiples in a segment,
-        # or at most one), as one segment and as segments of 7
+        # or at most one), as one segment and as segments of 7; a skip keeps
+        # the same rows as the full call
         for size in (600, 7):
             plan = prime_power_segments(lo + 1, lo + 600, size)
             kernel = SegmentKernel(plan)
             rows = 0
             for segment in plan:
-                q, _, _, buf, cnt = kernel.segment(*segment)
+                q, _, _, buf, cnt = skipped_segment(kernel, segment)
                 rows += q.size
                 for i, v in enumerate(q.tolist()):
                     assert buf[i, :cnt[i]].tolist() == list(factorize(v - 1).primes), v
@@ -571,16 +573,36 @@ class TestScanSieve:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_direct_bound_edge_is_exact(self, n, monkeypatch):
         # q = n^2 * 16^omega sits on the direct bound and fails it, q + 1
-        # passes; a margin no sweep can clear leaves the decision to the
-        # direct test alone
+        # passes, in direct_pass and in certain_prefix_pass; a margin no
+        # sweep can clear leaves the latter's decision to the direct test
         monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
         primes = [2, 3, 5, 7]
         omega = np.array([w for w in range(len(primes) + 1) for _ in (0, 1)])
         edge = np.array([n * n * 16**w + dq for w in range(len(primes) + 1)
                          for dq in (0, 1)], dtype=np.int64)
         buf = np.array([primes] * edge.size, dtype=np.int64)
-        sure = certain_prefix_pass(edge, buf, omega, n)
-        assert sure.tolist() == [False, True] * (len(primes) + 1)
+        for sure in (direct_pass(edge, omega, n), certain_prefix_pass(edge, buf, omega, n)):
+            assert sure.tolist() == [False, True] * (len(primes) + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("lo, hi", [(2, 10**6), (4 * 10**8, 4 * 10**8 + 10**5)])
+    def test_direct_skip_drops_only_sure_rows(self, n, lo, hi):
+        # every row that direct_pass skips on the kernel's bound omega_upper
+        # is one certain_prefix_pass marks sure on its true omega
+        plan = prime_power_segments(lo, hi, hi - lo + 1)
+        kernel = SegmentKernel(plan)
+        q, _, _, buf, cnt = kernel.segment(lo, hi + 1)
+        sure = certain_prefix_pass(q, buf, cnt, n)
+        skipped = []
+
+        def skip(q, omega_upper):
+            skipped.append(direct_pass(q, omega_upper, n))
+            return skipped[0]
+
+        kept = kernel.segment(lo, hi + 1, skip)[0]
+        assert 0 < skipped[0].sum() < q.size
+        assert sure[skipped[0]].all()
+        assert kept.tolist() == q[~skipped[0]].tolist()
 
     def test_wide_margin_sends_every_row_to_exact_kernel(self, monkeypatch, prime_powers):
         calls = [0]
