@@ -15,8 +15,8 @@ One integer kernel, `sieve_pass_prefix`, decides the criterion for a core
 made of the least primes of q-1; `best_prefix` sweeps it over every core
 size and `prefix_terms` reads delta, Delta and the threshold off it. Scans,
 `check-bound` and the worst-case grid hold no other copy of the criterion.
-`direct_pass` tests the direct bound q > n^2 * 16^omega in int64; a scan
-applies it to an upper bound of omega before it factors q - 1, and
+`omega_pass` compares q with the least worst-case threshold^2 for omega; a
+scan applies it to an upper bound of omega before it factors q - 1, and
 `certain_prefix_pass`, a scan's prefilter, to the true omega beside the same
 sweep in float64, only to skip rows that certainly pass.
 `SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import prod, sqrt
 
@@ -49,6 +50,7 @@ PRIMES_BELOW_64 = tuple(int(p) for p in sieve_primes(63))
 _FIRST_PRIMES = tuple(int(p) for p in sieve_primes(200))  # plenty for omega <= 46
 
 BEST_SIEVE_OMEGA_CAP = 20
+OMEGA_MAX = 10  # a scanned q - 1 has at most 10 primes: 11 multiply past the scan ceiling
 
 
 class InapplicableCriterion(ValueError):
@@ -261,32 +263,45 @@ def prefix_terms(primes, core_size: int, n: int) -> tuple[Fraction, Fraction, Fr
 SWEEP_MARGIN = 1e-6
 
 
-def direct_pass(q: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
-    """Rows with q above the direct bound n^2 * 16^omega, exact in int64.
+@lru_cache(maxsize=None)
+def omega_thresholds(n: int) -> np.ndarray:
+    """T[w] for w = 0..OMEGA_MAX, read-only int64: the floor of the least
+    threshold^2 that `best_prefix` finds on the first w primes, the least of
+    `worst_case_pass(n, w, w, r)` over r, clipped at 2^63 - 1.
 
-    The bound grows with omega, so an omega at or above omega(q - 1) gives
-    True only to a q whose true omega passes too.
+    If omega(q - 1) = w and the integer q > T[w], q passes with its least r
+    primes as core, r the size that attains T[w]: its i-th sieved prime is at
+    least the i-th worst-case one, so delta >= delta_worst > 0 and Delta <=
+    Delta_worst. r = w sieves nothing: T[w] <= n^2 * 16^w, the direct bound.
+    T never decreases, so any w >= omega(q - 1) will do: at w + 1 each r <= w
+    sieves one more prime, lowering delta and raising Delta, and r = w + 1
+    has 16 times r = w's bound.
     """
-    # clipped to int64: a bound past it is past every q, so the test stays exact
-    direct = np.array([min(n * n << 4 * w, 2**63 - 1)
-                       for w in range(int(omega.max(initial=0)) + 1)])
-    return q > direct[omega]
+    least = [best_prefix(0, _FIRST_PRIMES[:w], n)[2:] for w in range(OMEGA_MAX + 1)]
+    table = np.array([min(a * a // (b * b), 2**63 - 1) for a, b in least], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def omega_pass(q: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
+    """Rows with q > omega_thresholds(n)[omega], exact in int64."""
+    return q > omega_thresholds(n)[omega]
 
 
 def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
                         n: int) -> np.ndarray:
-    """Rows that pass `direct_pass`, and rows that some prefix core passes
+    """Rows that pass `omega_pass`, and rows that some prefix core passes
     with SWEEP_MARGIN to spare.
 
     Row i has q[i] and the primes primes[i, :omega[i]] of q[i]-1, ascending
-    (later columns are ignored). Rows at or below the direct bound get the
+    (later columns are ignored). Rows that `omega_pass` leaves get the
     float64 sweep of `best_prefix`: with the r least primes as core, the
     sieved tail sums 1/p by a suffix sum along the row. True means q
     certainly passes (its verdict is pass_thm31 or pass_sieve); False
     decides nothing, and only `best_prefix` may give such a row a verdict.
     """
     width = primes.shape[1]
-    sure = direct_pass(q, omega, n)
+    sure = omega_pass(q, omega, n)
     rows = np.flatnonzero(~sure)
     q, primes, omega = q[rows], primes[rows], omega[rows]
     cols = np.arange(width)

@@ -69,19 +69,11 @@ MAX_SEGMENT = 1 << 22
 # be most of a segment's index array: instead, the sieve ORs bit j of each
 # integer's code for the j-th of them, so a row's code is its set of small
 # primes. There are at most 11, so a code fits a uint16 and a table of
-# 2^11 entries maps it to its primes, their count and their sum of logs.
+# 2^11 entries maps it to its primes and their count.
 _SMALL_CUT = 32
 # The codes of the leading small primes whose product is at most this repeat
 # with that period, and are copied into a window from one table.
 _WHEEL = 30030
-# Room by which log m must miss the sum of the logs of m's base primes and
-# of the largest base prime before a row is said to have no prime above the
-# base. A prime P above it that divides m leaves a gap of log(P / base[-1])
-# >= log(1 + 1 / base[-1]) > 4.7e-7, since base[-1] < 2^21 when hi < 2^42.
-# Every log is below 30 and within a few ulps, and a sum has at most 11
-# terms, so the computed gap is within 1e-12 of the true one: the test errs
-# only towards "may divide", and the margin adds room on that side.
-_LOG_MARGIN = 1e-9
 # Primorials 2, 2*3, 2*3*5, ... below 2^63: an m <= n has at most
 # bisect_right(_PRIMORIALS, n) distinct prime factors.
 _PRIMORIALS = tuple(accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47),
@@ -355,36 +347,28 @@ class SegmentKernel:
     primes up to isqrt(hi) serve every segment; base primes inside the window
     are set back to prime.
 
-    Every prime of m < hi is a base prime but at most one, P > isqrt(hi) >=
-    base[-1]: two such would make m > hi. P can divide m only if m >= rad_b *
-    P > rad_b * base[-1], with rad_b the product of m's base primes. So
-    omega_upper = (the code's count + the gathered large primes) + [log m +
-    _LOG_MARGIN >= (the code's sum of logs + the gathered primes' logs) +
-    log base[-1]], capped at the column count, is >= omega(m); _LOG_MARGIN
-    argues the float test. A caller's skip test sees it for every row, and
-    only the rows it keeps are factored: one sort of the keys row *
-    len(base) + prime index lists each row's primes ascending, the power of
-    2 in m is m & -m, and the powers of the odd primes grow by one loop.
-    What is left of a row once the powers of its base primes are divided out
-    is 1 or P.
+    Every prime of m < hi is a base prime but at most one, P > isqrt(hi):
+    two such would make m > hi. So omega_upper = the code's count + the
+    gathered large primes + 1, capped at the column count, is >= omega(m).
+    A caller's skip test sees it for every row, and only the rows it keeps
+    are factored: one sort of the keys row * len(base) + prime index lists
+    each row's primes ascending, the power of 2 in m is m & -m, and the
+    powers of the odd primes grow by one loop. What is left of a row once
+    the powers of its base primes are divided out is 1 or P.
 
     The factor rows `segment` returns are a view of the workspace, valid
-    until its next call. Segments may come in any order and start at 2.
+    until its next call. Segments may come in any order, inside the plan's [lo, hi].
     """
 
     def __init__(self, plan: SegmentPlan):
         base, size = plan.base, plan.size
-        self.base, self.higher, self.hi, self.size = base, plan.higher, plan.hi, size
+        self.plan, self.base, self.higher, self.size = plan, base, plan.higher, size
         self.cut = int(np.searchsorted(base, _SMALL_CUT))
-        # a code's primes as a row of cut flags, their count and their sum of logs
+        # a code's primes as a row of cut flags, and their count
         codes = np.arange(1 << self.cut)
         self.code_cols = (codes[:, None] >> np.arange(self.cut) & 1).astype(bool)
         self.code_omega = self.code_cols.sum(axis=1)
-        self.code_log = self.code_cols @ np.log(base[:self.cut])
-        large = base[self.cut:]
-        self.large = large
-        self.large_log = np.log(large)
-        self.top_log = float(np.log(base[-1])) if base.size else 0.0
+        self.large = large = base[self.cut:]
         reach = -(-(size + 1) // large)  # the most multiples of p a window holds
         self.owner = np.repeat(np.arange(large.size), reach)  # intp, for take
         self.index = np.empty(self.owner.size, dtype=np.int64)
@@ -418,7 +402,7 @@ class SegmentKernel:
     def prime_powers(self, seg_lo: int, seg_hi: int):
         """Every prime power q = p^k in [seg_lo, seg_hi), ascending, as int64
         arrays (q, p, k)."""
-        if seg_lo < 2 or seg_hi - seg_lo > self.size or seg_hi > self.hi + 1:
+        if seg_lo < self.plan.lo or seg_hi - seg_lo > self.size or seg_hi > self.plan.hi + 1:
             raise ValueError(f"segment [{seg_lo}, {seg_hi}) is outside the kernel's plan")
         start, span = seg_lo - 1, seg_hi - seg_lo + 1
         flags, base, bits = self.flags, self.base, self.bits[:span]
@@ -468,9 +452,7 @@ class SegmentKernel:
         code = self.bits[offsets]
         if skip is not None:
             omega = self.code_omega[code] + np.bincount(hit_rows, minlength=n)
-            logs = self.code_log[code] + np.bincount(
-                hit_rows, self.large_log[self.owner[hit]], minlength=n)
-            omega += np.log(m) + _LOG_MARGIN >= logs + self.top_log  # P may divide m
+            omega += 1  # one prime of m may lie above isqrt(hi)
             keep = np.flatnonzero(~skip(q, np.minimum(omega, width, out=omega)))
             q, p, k, m, code = q[keep], p[keep], k[keep], m[keep], code[keep]
             renumber = np.full(n, -1, dtype=np.int32)
@@ -593,6 +575,8 @@ class _Table:
     every attribute of an object about 30% slower once its __dict__ is
     asked for, self.p and self.k in each scalar operation included (`mul`
     on F_199: 93 ns, 123 ns after a cached_property table was read).
+    A `__getattr__` hook in its place slows every FieldCtx attribute load:
+    `mul` went from 84 to 195 ns on F_199, and from 531 to 685 ns on F_3^5.
     """
 
     def __set_name__(self, owner, name):

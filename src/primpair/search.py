@@ -24,7 +24,7 @@ Three layers:
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment marks the prime powers, drops
-   those that `bounds.direct_pass` passes on an upper bound of omega(q-1)
+   those that `bounds.omega_pass` passes on an upper bound of omega(q-1)
    read off the sieve's marks, and factors the q-1 of the rest alone; then
    `bounds.certain_prefix_pass` spares the exact kernel the rows that
    certainly pass), then full exhaustive classification of
@@ -51,7 +51,7 @@ from math import gcd
 
 import numpy as np
 
-from .bounds import best_prefix, certain_prefix_pass, direct_pass
+from .bounds import best_prefix, certain_prefix_pass, omega_pass
 from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, SegmentKernel,
                      field_make, prime_power_segments)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
@@ -531,14 +531,14 @@ def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
     of the kernel's plan, ascending.
 
     Only the q - 1 of prime powers are factored. With emit="candidates" a row
-    is dropped, before its q - 1 is factored, when `bounds.direct_pass`
+    is dropped, before its q - 1 is factored, when `bounds.omega_pass`
     passes it on the kernel's upper bound of omega(q - 1), and after, when
     `bounds.certain_prefix_pass` marks it a certain pass. Both drop only
     rows whose verdict is a pass. Every other row, and every row under
     emit="all", gets its verdict from the exact kernel `best_prefix`.
     """
     n = cfg.n
-    skip = partial(direct_pass, n=n) if cfg.emit == "candidates" else None
+    skip = partial(omega_pass, n=n) if cfg.emit == "candidates" else None
     q, p, k, buf, cnt = kernel.segment(*segment, skip)
     if cfg.emit == "candidates":
         rows = np.flatnonzero(~certain_prefix_pass(q, buf, cnt, n))

@@ -31,8 +31,9 @@ def skipped_segment():
     """skipped_segment(kernel, segment) -> the kernel's (q, p, k, primes,
     omega) for segment with no skip, copied, after checking a call with a
     skip against it: the skip sees every row with factorize's omega(q - 1)
-    <= omega_upper <= the number of columns, and the rows it keeps, every
-    other one, come out as the same rows of the full call."""
+    <= omega_upper <= min(omega(q - 1) + 1, the number of columns), and the
+    rows it keeps, every other one, come out as the same rows of the full
+    call."""
     def _check(kernel, segment):
         full = [a.copy() for a in kernel.segment(*segment)]
         seen = []
@@ -46,7 +47,8 @@ def skipped_segment():
         assert qs == full[0].tolist()
         width = full[3].shape[1]
         for q, w in zip(qs, upper):
-            assert factorize(q - 1).omega <= w <= width, q
+            omega = factorize(q - 1).omega
+            assert omega <= w <= min(omega + 1, width), q
         for a, b in zip(kept, full):
             assert a.shape == b[::2].shape and (a == b[::2]).all(), segment
         return full

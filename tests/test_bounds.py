@@ -7,6 +7,7 @@ import pytest
 from primpair.bounds import (
     GENERIC_CN_TARGETS,
     InapplicableCriterion,
+    OMEGA_MAX,
     PASS_TARGETS,
     SieveParams,
     best_prefix,
@@ -16,6 +17,8 @@ from primpair.bounds import (
     check_pass_target,
     generic_cn,
     generic_cn_ok,
+    omega_pass,
+    omega_thresholds,
     sieve_check,
     sieve_pass_prefix,
     direct_criterion_check,
@@ -259,6 +262,50 @@ class TestWorstCasePass:
             worst_case_pass(2, 3, 2, 4)
         with pytest.raises(ValueError):
             worst_case_pass(1, 3, 8, 3)
+
+
+class TestOmegaThresholds:
+    @staticmethod
+    def _oracle(n, omega):
+        # the floor of the least threshold^2 over the applicable cores made
+        # of the least primes of a q - 1 whose primes are the first omega
+        primes = tuple(int(p) for p in sieve_primes(300)[:omega])
+        qm1 = Factorization(prod(primes), tuple((p, 1) for p in primes))
+        thresholds = []
+        for r in range(omega + 1):
+            params = SieveParams.from_core(qm1.value + 1, qm1, primes[:r])
+            if params.applicable:
+                thresholds.append(params.threshold(n))
+        thr = min(thresholds)
+        return min(thr.numerator**2 // thr.denominator**2, 2**63 - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10**6])
+    def test_matches_fraction_oracle(self, n):
+        table = omega_thresholds(n)
+        assert table.dtype == np.int64 and table.size == OMEGA_MAX + 1
+        assert not table.flags.writeable
+        assert table.tolist() == [self._oracle(n, w) for w in range(OMEGA_MAX + 1)]
+        # never decreasing, so an upper bound on omega is enough to skip a
+        # row; never above the direct bound n^2 * 16^omega
+        assert (np.diff(table) >= 0).all()
+        assert all(t <= n * n * 16**w for w, t in enumerate(table.tolist()))
+
+    def test_huge_degree_clips(self):
+        # n^2 * 16^omega and every sieved threshold^2 pass 2^63 for n = 10^6
+        table = omega_thresholds(10**6)
+        assert table[0] == 10**12 and table[-1] == 2**63 - 1
+        assert not omega_pass(np.array([2**63 - 1]), np.array([OMEGA_MAX]), 10**6).any()
+
+    @pytest.mark.parametrize("n, omega, ceiling", [
+        (2, 8, 58_588_517), (3, 9, 442_496_199), (4, 9, 786_659_909),
+        (5, 9, 1_229_156_107)])
+    def test_binding_entries_are_scan_ceilings(self, n, omega, ceiling):
+        # the entry that binds each n's scan ceiling, the largest threshold^2
+        # above the least q with that many primes, is one below it
+        table = omega_thresholds(n)
+        assert table[omega] == ceiling - 1
+        assert omega_pass(np.array([ceiling - 1, ceiling]), np.array([omega] * 2),
+                          n).tolist() == [False, True]
 
 
 class TestGenericCn:

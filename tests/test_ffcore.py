@@ -354,11 +354,10 @@ class TestPrimePowerIter:
 
     @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000])
     def test_segment_marker_matches_trial_division(self, size, skipped_segment):
-        # segment edges on, before and after primes and higher prime powers;
-        # the kernel takes segments from lo = 2, below a plan's floor, and
-        # a skip keeps the same rows as the full call
+        # segment edges on, before and after primes and higher prime powers,
+        # from lo = 2; a skip keeps the same rows as the full call
         hi = 5000
-        kernel = SegmentKernel(prime_power_segments(3, hi, size))
+        kernel = SegmentKernel(prime_power_segments(2, hi, size))
         got = []
         for lo in range(2, hi + 1, size):
             segment = lo, min(lo + size, hi + 1)
@@ -402,6 +401,20 @@ class TestPrimePowerIter:
     def test_segment_size_below_one_refused(self):
         with pytest.raises(ValueError, match="segment_size must be >= 1"):
             prime_power_segments(3, 100, 0)
+
+    def test_segment_outside_plan_refused(self):
+        # the higher prime powers 4, 8, 9, ..., 81 below the plan's lo are
+        # not in its list, so a segment there is refused, not walked
+        # without them; so is one past hi or longer than the plan's size
+        kernel = SegmentKernel(prime_power_segments(100, 1000, 200))
+        for segment in ((2, 100), (99, 101), (901, 1002), (100, 301)):
+            with pytest.raises(ValueError, match="outside the kernel's plan"):
+                kernel.prime_powers(*segment)
+            with pytest.raises(ValueError, match="outside the kernel's plan"):
+                kernel.segment(*segment)
+        q = kernel.prime_powers(100, 300)[0].tolist()
+        assert q[:8] == [101, 103, 107, 109, 113, 121, 125, 127]
+        assert kernel.prime_powers(801, 1001)[0][-1] == 997
 
     def test_segment_above_limit_refused(self):
         # the largest actual segment decides, not the segment size asked for

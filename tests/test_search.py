@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from primpair import bounds, ffcore, polyrat, search
-from primpair.bounds import best_prefix, certain_prefix_pass, direct_pass
+from primpair.bounds import (OMEGA_MAX, best_prefix, certain_prefix_pass, omega_pass,
+                             omega_thresholds)
 from primpair.ffcore import SegmentKernel, factorize, field_make, prime_power_segments
 from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 from primpair.search import (
@@ -497,8 +498,8 @@ class TestExceptionScan:
             assert buf[i, :cnt[i]].tolist() == list(factorize(v - 1).primes)
 
     def test_huge_degree_keeps_direct_bound_exact(self, prime_powers):
-        # n^2 * 16^omega passes 2^63 for n = 10^6; no q <= 10^5 can pass, so
-        # every prime power must come out as a candidate
+        # the omega table passes 2^63 for n = 10^6 and is clipped there; no
+        # q <= 10^5 can pass, so every prime power must come out a candidate
         n = 10**6
         expected = [_oracle_record(q, p, k, n) for p, k, q in prime_powers(3, 100_000)]
         assert all(r.verdict == "candidate" for r in expected)
@@ -572,36 +573,43 @@ class TestScanSieve:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_direct_bound_edge_is_exact(self, n, monkeypatch):
-        # q = n^2 * 16^omega sits on the direct bound and fails it, q + 1
-        # passes, in direct_pass and in certain_prefix_pass; a margin no
-        # sweep can clear leaves the latter's decision to the direct test
+        # q = T[omega] sits on the table's bound and fails it, q + 1 passes,
+        # in omega_pass and in certain_prefix_pass; a margin no sweep can
+        # clear leaves the latter's decision to the table
         monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
-        primes = [2, 3, 5, 7]
-        omega = np.array([w for w in range(len(primes) + 1) for _ in (0, 1)])
-        edge = np.array([n * n * 16**w + dq for w in range(len(primes) + 1)
-                         for dq in (0, 1)], dtype=np.int64)
+        primes = [int(p) for p in ffcore.sieve_primes(29)]
+        omega = np.array([w for w in range(OMEGA_MAX + 1) for _ in (0, 1)])
+        edge = omega_thresholds(n)[omega] + np.array([0, 1] * (OMEGA_MAX + 1))
         buf = np.array([primes] * edge.size, dtype=np.int64)
-        for sure in (direct_pass(edge, omega, n), certain_prefix_pass(edge, buf, omega, n)):
-            assert sure.tolist() == [False, True] * (len(primes) + 1)
+        for sure in (omega_pass(edge, omega, n), certain_prefix_pass(edge, buf, omega, n)):
+            assert sure.tolist() == [False, True] * (OMEGA_MAX + 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    @pytest.mark.parametrize("lo, hi", [(2, 10**6), (4 * 10**8, 4 * 10**8 + 10**5)])
+    @pytest.mark.parametrize("lo, hi", [(2, 10**6), (5 * 10**7, 5 * 10**7 + 10**5),
+                                        (4 * 10**8, 4 * 10**8 + 10**5)])
     def test_direct_skip_drops_only_sure_rows(self, n, lo, hi):
-        # every row that direct_pass skips on the kernel's bound omega_upper
-        # is one certain_prefix_pass marks sure on its true omega
+        # every row that omega_pass skips on the kernel's bound omega_upper
+        # passes the exact kernel. The bands up to 5 * 10^7 lie below each
+        # n's scan ceiling and keep some rows. Near 4 * 10^8 n = 2 keeps
+        # none: T[9] = 196,664,977 is below it, and no q - 1 there has 10
+        # primes. n = 3 and 5 keep none there either, by the data alone.
         plan = prime_power_segments(lo, hi, hi - lo + 1)
         kernel = SegmentKernel(plan)
-        q, _, _, buf, cnt = kernel.segment(lo, hi + 1)
-        sure = certain_prefix_pass(q, buf, cnt, n)
+        q, _, _, buf, cnt = (a.copy() for a in kernel.segment(lo, hi + 1))
         skipped = []
 
         def skip(q, omega_upper):
-            skipped.append(direct_pass(q, omega_upper, n))
+            skipped.append(omega_pass(q, omega_upper, n))
             return skipped[0]
 
         kept = kernel.segment(lo, hi + 1, skip)[0]
-        assert 0 < skipped[0].sum() < q.size
-        assert sure[skipped[0]].all()
+        if lo == 4 * 10**8:
+            assert skipped[0].all()
+        else:
+            assert 0 < skipped[0].sum() < q.size
+        for qi, omega, row in zip(q[skipped[0]].tolist(), cnt[skipped[0]].tolist(),
+                                  buf[skipped[0]].tolist()):
+            assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
         assert kept.tolist() == q[~skipped[0]].tolist()
 
     def test_wide_margin_sends_every_row_to_exact_kernel(self, monkeypatch, prime_powers):
@@ -618,11 +626,12 @@ class TestScanSieve:
         monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
         wide = list(exception_scan(3, 300_000, 2, segment_size=1 << 15))
         assert wide == default
-        # every row at or below the direct bound n^2 * 16^omega
-        past_direct = sum(1 for _, _, q in prime_powers(3, 300_000)
-                          if q <= 4 * 16 ** factorize(q - 1).omega)
-        assert calls[0] == past_direct
-        assert len(default) <= default_calls < past_direct
+        # every row at or below the table's bound T[omega(q - 1)]
+        table = omega_thresholds(2)
+        past_table = sum(1 for _, _, q in prime_powers(3, 300_000)
+                         if q <= table[factorize(q - 1).omega])
+        assert calls[0] == past_table
+        assert len(default) <= default_calls < past_table
 
 
 class TestRunScan:
