@@ -11,14 +11,14 @@ Everything that decides a certification is exact: delta and D are rationals
 and the square-root comparison is done on cleared denominators, so a float
 can never flip a verdict at a boundary. Floats appear only in reports.
 
-One integer kernel, `sieve_pass_prefix`, decides the criterion for a core
-made of the least primes of q-1; `best_prefix` sweeps it over every core
-size and `prefix_terms` reads delta, Delta and the threshold off it. Scans,
-`check-bound` and the worst-case grid hold no other copy of the criterion.
-`omega_pass` compares q with the least worst-case threshold^2 for omega; a
-scan applies it to an upper bound of omega before it factors q - 1, and
-`certain_prefix_pass`, a scan's prefilter, to the true omega beside the same
-sweep in float64, only to skip rows that certainly pass.
+One integer kernel decides the criterion for a core made of the least
+primes of q-1: `sieve_pass_prefix` on one core size, `best_prefix` on every
+size in one sweep, and `prefix_terms` reads delta, Delta and the threshold
+off it. Scans, `check-bound` and the worst-case grid hold no other copy of
+the criterion. `omega_thresholds` gives the least worst-case threshold^2 for
+each omega(q-1), and `code_thresholds` the same once the primes of q-1 below
+a cut are known; a scan drops the rows above the latter on an upper bound of
+omega, in int64, before it factors them. No float takes part in a scan.
 `SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
 
 The module also carries the worst-case passes that the `tables` subcommand
@@ -190,29 +190,43 @@ def best_sieve(q: int, n: int, qm1: Factorization | None = None) -> tuple[bool, 
     return best.passes(n), best
 
 
+def _prefix_threshold(n: int, core_size: int, s: int, big_p: int,
+                      tail: int) -> tuple[int, int] | None:
+    """(thr_num, thr_den) with n * Delta * W(l)^2 = thr_num / thr_den for a
+    core of core_size primes and s sieved ones, whose product is big_p and
+    tail = sum(big_p // p) over them; None when delta <= 0.
+
+    With A = big_p * delta = big_p - 2 * tail, Delta = ((2s-1) * big_p + 2A) / A;
+    sieving nothing gives Delta = 1, the direct criterion.
+    """
+    if s == 0:
+        a = b = 1
+    else:
+        a = big_p - 2 * tail
+        if a <= 0:
+            return None
+        b = (2 * s - 1) * big_p + 2 * a
+    return n * (1 << (2 * core_size)) * b, a
+
+
 def sieve_pass_prefix(q: int, primes: list[int], core_size: int,
                       n: int) -> tuple[bool, int, int] | None:
     """The criterion with the core_size least primes of q-1 (ascending) as core.
 
     None when delta <= 0 (inapplicable), else (passes, thr_num, thr_den) with
-    n * Delta * W(l)^2 = thr_num / thr_den. With P the sieved primes' product
-    and A = P * delta, Delta = ((2s-1) * P + 2A) / A; sieving nothing gives
-    Delta = 1, the direct criterion. passes is q * thr_den^2 > thr_num^2.
+    n * Delta * W(l)^2 = thr_num / thr_den (see `_prefix_threshold`); passes
+    is q * thr_den^2 > thr_num^2.
     """
     if n < 2:
         raise ValueError("degree n must be >= 2")
     sieved = primes[core_size:]
-    s = len(sieved)
-    if s == 0:
-        a = b = 1
-    else:
-        big_p = prod(sieved)
-        a = big_p - 2 * sum(big_p // p for p in sieved)
-        if a <= 0:
-            return None
-        b = (2 * s - 1) * big_p + 2 * a
-    thr_num = n * (1 << (2 * core_size)) * b
-    return q * a * a > thr_num * thr_num, thr_num, a
+    big_p = prod(sieved)
+    res = _prefix_threshold(n, core_size, len(sieved), big_p,
+                            sum(big_p // p for p in sieved))
+    if res is None:
+        return None
+    num, den = res
+    return q * den * den > num * num, num, den
 
 
 def best_prefix(q: int, primes: list[int], n: int) -> tuple[str, int, int, int]:
@@ -223,22 +237,28 @@ def best_prefix(q: int, primes: list[int], n: int) -> tuple[str, int, int, int]:
     so this agrees with the all-subsets `best_sieve` in verdict and best core.
     verdict: pass_thm31 if the full core (direct criterion) passes, else
     pass_sieve if any prefix passes, else candidate.
+
+    One sweep from core size omega down to 0 carries the sieved primes'
+    product and its `_prefix_threshold` tail: adding p to the sieved primes
+    takes (P, tail) to (P * p, tail * p + P). delta only falls as the core
+    shrinks, so the sweep stops at the first inapplicable size.
     """
+    if n < 2:
+        raise ValueError("degree n must be >= 2")
     omega = len(primes)
-    best = None
-    passed_sieve = False
-    for r in range(omega + 1):
-        res = sieve_pass_prefix(q, primes, r, n)
+    big_p, tail = 1, 0
+    best, verdict = None, "candidate"
+    for r in range(omega, -1, -1):
+        if r < omega:
+            big_p, tail = big_p * primes[r], tail * primes[r] + big_p
+        res = _prefix_threshold(n, r, omega - r, big_p, tail)
         if res is None:
-            continue
-        passes, num, den = res
-        if best is None or num * best[2] < best[1] * den:
+            break
+        num, den = res
+        if best is None or num * best[2] <= best[1] * den:
             best = (r, num, den)
-        if passes and r < omega:
-            passed_sieve = True
-    # the last res is the full core: sieving nothing is always applicable
-    verdict = ("pass_thm31" if res[0] else
-               "pass_sieve" if passed_sieve else "candidate")
+        if verdict == "candidate" and q * den * den > num * num:
+            verdict = "pass_thm31" if r == omega else "pass_sieve"
     return (verdict, *best)
 
 
@@ -254,13 +274,11 @@ def prefix_terms(primes, core_size: int, n: int) -> tuple[Fraction, Fraction, Fr
             threshold / (n << 2 * core_size), threshold)
 
 
-# Relative room by which sqrt(q) must clear a threshold in the float64 sweep.
-# The sweep's own error is far smaller. Below the scan ceiling a row has at
-# most 10 primes, so a suffix sum of 1/p is off by under 10 * 2^-53 < 1.2e-15.
-# A core that passes there has 2 * Delta <= n * Delta * W(l)^2 < sqrt(q)
-# < 4.5e5 and Delta >= 1/delta, so delta > 4.4e-6: delta, Delta and the
-# threshold are then within a relative 1e-9 of their exact values.
-SWEEP_MARGIN = 1e-6
+def _least_threshold_sq(primes, n: int) -> int:
+    """The floor of the least threshold^2 that `best_prefix` finds on primes,
+    clipped at 2^63 - 1 so that it fits int64."""
+    num, den = best_prefix(0, list(primes), n)[2:]
+    return min(num * num // (den * den), 2**63 - 1)
 
 
 @lru_cache(maxsize=None)
@@ -269,55 +287,80 @@ def omega_thresholds(n: int) -> np.ndarray:
     threshold^2 that `best_prefix` finds on the first w primes, the least of
     `worst_case_pass(n, w, w, r)` over r, clipped at 2^63 - 1.
 
-    If omega(q - 1) = w and the integer q > T[w], q passes with its least r
-    primes as core, r the size that attains T[w]: its i-th sieved prime is at
-    least the i-th worst-case one, so delta >= delta_worst > 0 and Delta <=
-    Delta_worst. r = w sieves nothing: T[w] <= n^2 * 16^w, the direct bound.
-    T never decreases, so any w >= omega(q - 1) will do: at w + 1 each r <= w
-    sieves one more prime, lowering delta and raising Delta, and r = w + 1
-    has 16 times r = w's bound.
+    T[w] is the `CodeThresholds` entry of the code of the first w primes
+    (for any cut >= w), and at least every entry for w, so the proofs there
+    hold for it: an integer q > T[w] with omega(q - 1) <= w passes, whatever
+    its primes, and T never decreases. r = w sieves nothing, so T[w] <=
+    n^2 * 16^w, the direct bound.
     """
-    least = [best_prefix(0, _FIRST_PRIMES[:w], n)[2:] for w in range(OMEGA_MAX + 1)]
-    table = np.array([min(a * a // (b * b), 2**63 - 1) for a, b in least], dtype=np.int64)
+    table = np.array([_least_threshold_sq(_FIRST_PRIMES[:w], n)
+                      for w in range(OMEGA_MAX + 1)], dtype=np.int64)
     table.flags.writeable = False
     return table
 
 
-def omega_pass(q: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
-    """Rows with q > omega_thresholds(n)[omega], exact in int64."""
-    return q > omega_thresholds(n)[omega]
+class CodeThresholds:
+    """T_c[code, w] for a code over the first `cut` primes, filled on first
+    use: the floor of the least threshold^2 that `best_prefix` finds on S
+    united with the w - |S| least primes past the cut-th prime, S the set
+    of primes whose bits the code sets, clipped at 2^63 - 1. w runs from
+    |S| to OMEGA_MAX.
 
+    Dominance. Let q - 1 have exactly the primes S among the first cut
+    primes, and omega(q - 1) = w. Its other primes x_1 < ... < x_j,
+    j = w - |S|, are past the cut-th prime and distinct, so x_i is at least
+    the i-th prime past it, y_i. Lowering each x_i to y_i lowers no order
+    statistic, so the i-th least prime of q - 1 is at least the i-th of
+    L = S + (y_1, ..., y_j), sorted. With r the core size that attains
+    T_c[code, w] on L, q - 1 has the same number of sieved primes, each at
+    least its counterpart in L: delta >= delta_L > 0 and Delta <= Delta_L,
+    while W(l) = 2^r is the same. So q > T_c[code, w] (an integer above the
+    floor of threshold_L^2) gives sqrt(q) > threshold_L >= q's threshold for
+    core r: q passes.
 
-def certain_prefix_pass(q: np.ndarray, primes: np.ndarray, omega: np.ndarray,
-                        n: int) -> np.ndarray:
-    """Rows that pass `omega_pass`, and rows that some prefix core passes
-    with SWEEP_MARGIN to spare.
+    Monotonicity. T_c[code, w + 1] >= T_c[code, w]: L grows by y_{j+1},
+    which is past every prime of L, so for each core size r <= w the core is
+    the same and the sieved primes gain y_{j+1}, lowering delta (or making
+    it <= 0) and raising Delta, and core size w + 1 sieves nothing with a
+    core one prime longer, 16 times the threshold^2 of core size w. Floor
+    and clip keep the order. So any w >= omega(q - 1) will do.
 
-    Row i has q[i] and the primes primes[i, :omega[i]] of q[i]-1, ascending
-    (later columns are ignored). Rows that `omega_pass` leaves get the
-    float64 sweep of `best_prefix`: with the r least primes as core, the
-    sieved tail sums 1/p by a suffix sum along the row. True means q
-    certainly passes (its verdict is pass_thm31 or pass_sieve); False
-    decides nothing, and only `best_prefix` may give such a row a verdict.
+    Any w primes, sorted, are at least the first w primes, one by one, so by
+    the same dominance T_c[code, w] <= omega_thresholds(n)[w], with equality
+    at the code of the first w primes, where L is those primes.
     """
-    width = primes.shape[1]
-    sure = omega_pass(q, omega, n)
-    rows = np.flatnonzero(~sure)
-    q, primes, omega = q[rows], primes[rows], omega[rows]
-    cols = np.arange(width)
-    inv = np.where(cols < omega[:, None], 1.0 / np.maximum(primes, 1), 0.0)
-    tail = np.zeros((q.size, width + 1))  # tail[:, r]: sum of 1/p over primes[r:]
-    tail[:, :width] = np.cumsum(inv[:, ::-1], axis=1)[:, ::-1]
-    r = np.arange(width + 1)
-    s = omega[:, None] - r  # sieved count; negative past the row's omega
-    delta = 1.0 - 2.0 * tail
-    with np.errstate(divide="ignore"):
-        big_delta = np.where(s > 0, (2 * s - 1) / delta + 2, 1.0)
-    thr = n * big_delta * 4.0 ** r
-    passes = (s >= 0) & (delta > 0)  # delta is 1 when nothing is sieved
-    passes &= np.sqrt(q.astype(np.float64))[:, None] > thr * (1 + SWEEP_MARGIN)
-    sure[rows] = passes.any(axis=1)
-    return sure
+
+    def __init__(self, n: int, cut: int):
+        self.n = n
+        self.code_primes, self.past = _FIRST_PRIMES[:cut], _FIRST_PRIMES[cut:]
+        self.table = np.full((1 << cut, OMEGA_MAX + 1), -1, dtype=np.int64)
+
+    def __call__(self, code: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """T_c[code[i], w[i]] for each i, filling the entries not yet met."""
+        got = self.table[code, w]
+        missing = np.flatnonzero(got < 0)
+        if missing.size:
+            for c, v in set(zip(code[missing].tolist(), w[missing].tolist())):
+                primes = [p for j, p in enumerate(self.code_primes) if c >> j & 1]
+                if v < len(primes):
+                    raise ValueError(f"w = {v} is below the {len(primes)} primes of code {c}")
+                self.table[c, v] = _least_threshold_sq(primes + list(self.past[:v - len(primes)]),
+                                                       self.n)
+            got = self.table[code, w]
+        return got
+
+    def passes(self, q: np.ndarray, code: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Rows with q > T_c[code, w], exact in int64: each passes if
+        w >= omega(q - 1) and q - 1 has exactly the code's primes among the
+        first cut."""
+        return q > self(code, w)
+
+
+@lru_cache(maxsize=None)
+def code_thresholds(n: int, cut: int) -> CodeThresholds:
+    """The `CodeThresholds` of degree n over the first cut primes, one per
+    (n, cut) and process."""
+    return CodeThresholds(n, cut)
 
 
 def worst_case_pass(n: int, min_omega: int, max_omega: int,

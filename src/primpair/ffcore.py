@@ -23,11 +23,12 @@ sits on three primitives built here:
  - ``SegmentKernel``: the walk over the prime powers of a range, one segment
    at a time, that `prime_power_segments` plans. One call per segment sieves
    the prime powers q, leaving each q - 1 its set of primes below
-   ``_SMALL_CUT`` as a bit code, bounds omega(q - 1) from the sieve's marks
-   alone, and lists the distinct primes of every q - 1 that a caller's skip
-   test does not drop on that bound. All of it runs in numpy with no Python
-   loop over the base primes above ``_SMALL_CUT``, in arrays allocated once
-   per walk and reused for every segment.
+   ``_SMALL_CUT`` as a bit code, and factors every q - 1 that a caller's
+   skip test does not drop: first on a bound of omega(q - 1) from the code
+   alone, then on one from the large primes gathered for the rows left. All
+   of it runs in numpy with no Python loop over the base primes above
+   ``_SMALL_CUT``, in arrays allocated once per walk and reused for every
+   segment.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -59,11 +60,12 @@ _GEN_BLOCK = 16  # generator candidates in field_make's first block
 # fastest at this size of 2^15..2^20, and in the least memory.
 DEFAULT_SEGMENT = 1 << 16
 # The most integers one segment may hold. Near the scan ceiling a segment's
-# workspace takes about 32 bytes per integer for the multiples of the base
-# primes above _SMALL_CUT (1.27 index entries of 25 bytes each) and 9 for
-# the codes, the wheel table, the flags and the row map, beside the factor
-# rows: one segment at this limit peaks near 270 MB there (max RSS of one
-# process), 220 MB when a skip drops most rows before they are factored.
+# workspace takes about 21 bytes per integer for the odd and even multiples
+# of the base primes above _SMALL_CUT (0.64 entries per half, 33 bytes per
+# entry of both halves) and 9 for the codes, the wheel table, the flags and
+# the row map, beside the factor rows: one segment at this limit peaks near
+# 240 MB there when every row is factored (max RSS of one process), 155 MB
+# when a skip drops every row before its large primes are gathered.
 MAX_SEGMENT = 1 << 22
 # Base primes below this divide most factor rows, and their multiples would
 # be most of a segment's index array: instead, the sieve ORs bit j of each
@@ -327,7 +329,7 @@ def prime_power_segments(lo: int, hi: int, segment_size: int) -> SegmentPlan:
 
 
 class SegmentKernel:
-    """The prime powers q of a segment and the distinct primes of each q - 1,
+    """The prime powers q of a segment and the factorization of each q - 1,
     in a workspace allocated once per plan and reused for every segment.
 
     A segment [seg_lo, seg_hi) works on the window [seg_lo - 1, seg_hi), which
@@ -337,24 +339,33 @@ class SegmentKernel:
        multiples, by one strided slice (the leading primes up to _WHEEL by
        one copy from a periodic table), and an integer with code 0 is
        unmarked; a row m = q - 1 reads its small primes off its code;
-     - above it, an index array holds the window offset of every multiple of
-       every such prime: a stride pattern of j*p, built once for the plan's
-       largest segment, plus the segment's first-multiple offsets. The same
-       array marks composites and, through a map from window offset to row,
-       gathers the rows each prime divides. Offsets past the window land in
-       padding that is never read, so no entry is dropped.
+     - above it, two index arrays hold the window offsets of the odd and of
+       the even multiples of every such prime p: one stride pattern of
+       j * 2p, built once for the plan's largest segment, plus the segment's
+       first odd or even multiple. The odd half marks composites, since
+       every even integer but 2 has a code. The even half gathers, through a
+       map from window offset to row, the rows each prime divides: every
+       m = q - 1 is even but for q = 2^k, whose odd m reads the odd half.
+       Offsets past the window land in padding that is never read, so no
+       entry is dropped.
     Marking multiples >= 2p is correct with any base prime, so the plan's
     primes up to isqrt(hi) serve every segment; base primes inside the window
     are set back to prime.
 
     Every prime of m < hi is a base prime but at most one, P > isqrt(hi):
-    two such would make m > hi. So omega_upper = the code's count + the
-    gathered large primes + 1, capped at the column count, is >= omega(m).
-    A caller's skip test sees it for every row, and only the rows it keeps
-    are factored: one sort of the keys row * len(base) + prime index lists
-    each row's primes ascending, the power of 2 in m is m & -m, and the
-    powers of the odd primes grow by one loop. What is left of a row once
-    the powers of its base primes are divided out is 1 or P.
+    two such would make m > hi. A caller's skip test sees each row twice,
+    with an upper bound w >= omega(m) each time, and the rows it drops are
+    gone from what follows. The first bound comes from the code alone: m's
+    primes outside the code's set S are distinct and past the code's
+    primes, so there are at most l of them, l the most of the primes past
+    the code whose product is at most m // prod(S), and w = |S| + l. Only
+    the rows it keeps are gathered, and the even half is built only if some
+    row is left. The second bound is min(w, the code's count + the gathered
+    large primes + 1). Only the rows kept then are factored: one sort of the
+    keys row * len(base) + prime index lists each row's primes ascending, the
+    power of 2 in m is m & -m, and the powers of the odd primes grow by one
+    loop, which counts their exponents. What is left of a row once the
+    powers of its base primes are divided out is 1 or P.
 
     The factor rows `segment` returns are a view of the workspace, valid
     until its next call. Segments may come in any order, inside the plan's [lo, hi].
@@ -364,28 +375,36 @@ class SegmentKernel:
         base, size = plan.base, plan.size
         self.plan, self.base, self.higher, self.size = plan, base, plan.higher, size
         self.cut = int(np.searchsorted(base, _SMALL_CUT))
-        # a code's primes as a row of cut flags, and their count
+        small = base[:self.cut].tolist()
+        # a code's primes as a row of cut flags, their count and product
         codes = np.arange(1 << self.cut)
         self.code_cols = (codes[:, None] >> np.arange(self.cut) & 1).astype(bool)
         self.code_omega = self.code_cols.sum(axis=1)
+        self.code_prod = np.where(self.code_cols, base[:self.cut], 1).prod(axis=1)
+        # products of the first 1, 2, ... primes past the code's, below 2^63
+        past = _SMALL_PRIMES_LIST[self.cut:]
+        self.past_products = np.array(
+            list(takewhile(lambda v: v < 1 << 63, accumulate(past, operator.mul))),
+            dtype=np.int64)
         self.large = large = base[self.cut:]
-        reach = -(-(size + 1) // large)  # the most multiples of p a window holds
+        self.stride = 2 * large
+        reach = -(-(size + 1) // self.stride)  # the most multiples of 2p a window holds
         self.owner = np.repeat(np.arange(large.size), reach)  # intp, for take
-        self.index = np.empty(self.owner.size, dtype=np.int64)
-        # pattern[i] = j * p for the j-th multiple of p = large[owner[i]],
-        # built through index so that no other array of that length is made
+        self.odd = np.empty(self.owner.size, dtype=np.int64)
+        self.even = np.empty(self.owner.size, dtype=np.int64)
+        # pattern[i] = j * 2p for the j-th entry of p = large[owner[i]],
+        # built through odd so that no other array of that length is made
         self.pattern = np.arange(self.owner.size, dtype=np.int32)
-        self.pattern -= np.take(np.cumsum(reach) - reach, self.owner, out=self.index)
-        self.pattern *= np.take(large, self.owner, out=self.index)
+        self.pattern -= np.take(np.cumsum(reach) - reach, self.owner, out=self.odd)
+        self.pattern *= np.take(self.stride, self.owner, out=self.odd)
         self.first = np.empty(large.size, dtype=np.int64)
         self.gathered = np.empty(self.owner.size, dtype=np.int32)
         self.hit = np.empty(self.owner.size, dtype=bool)
-        window = size + 1 + (int(large[-1]) if large.size else 0)  # and padding
+        window = size + 1 + (2 * int(large[-1]) if large.size else 0)  # and padding
         self.bits = np.empty(size + 1, dtype=np.uint16)
         # the codes of 0, 1, 2, ... over the spokes, the leading small primes
         # whose product, the wheel, is at most _WHEEL: bits[i] of a window
         # from start is wheel_codes[start % wheel + i]
-        small = base[:self.cut].tolist()
         self.spokes = bisect_right(list(accumulate(small, operator.mul)), _WHEEL)
         self.wheel = prod(small[:self.spokes])
         self.wheel_codes = np.zeros(self.wheel + size + 1, dtype=np.uint16)
@@ -396,8 +415,10 @@ class SegmentKernel:
         # a segment of size integers holds at most (size + 1) // 2 odd ones
         # and size.bit_length() + 1 powers of 2
         rows = (size + 1) // 2 + size.bit_length() + 1
-        self.buf = np.empty((rows, bisect_right(_PRIMORIALS, max(plan.hi - 1, 1))),
-                            dtype=np.int64)
+        width = bisect_right(_PRIMORIALS, max(plan.hi - 1, 1))
+        self.buf = np.empty((rows, width), dtype=np.int64)
+        self.exps = np.empty((rows, width), dtype=np.int8)
+        self.powers_of_2 = 1 << np.arange(63, dtype=np.int64)  # searchsorted: exponent
 
     def prime_powers(self, seg_lo: int, seg_hi: int):
         """Every prime power q = p^k in [seg_lo, seg_hi), ascending, as int64
@@ -411,49 +432,78 @@ class SegmentKernel:
         for j, p in enumerate(base[self.spokes:self.cut].tolist(), self.spokes):
             bits[-start % p::p] |= 1 << j
         window = np.equal(bits, 0, out=flags[:span])
-        np.remainder(-start, self.large, out=self.first)
-        np.take(self.first, self.owner, out=self.index, mode="clip")
-        np.add(self.index, self.pattern, out=self.index)
-        flags[self.index] = False
+        self._multiples(self.large - start, self.odd)
+        flags[self.odd] = False
         inside = base[np.searchsorted(base, seg_lo):np.searchsorted(base, seg_hi)]
         flags[inside - start] = True
         q = np.flatnonzero(window[1:]) + seg_lo
-        p, k = q.copy(), np.ones_like(q)
+        qpk = np.stack((q, q, np.ones_like(q)))
         powers = self.higher[bisect_left(self.higher, (seg_lo,)):
                              bisect_left(self.higher, (seg_hi,))]
         if powers:
-            hq, hp, hk = np.array(powers, dtype=np.int64).T
-            at = np.searchsorted(q, hq)
-            q, p, k = np.insert(q, at, hq), np.insert(p, at, hp), np.insert(k, at, hk)
+            higher = np.array(powers, dtype=np.int64).T
+            qpk = np.insert(qpk, np.searchsorted(q, higher[0]), higher, axis=1)
+        q, p, k = qpk
         return q, p, k
 
-    def segment(self, seg_lo: int, seg_hi: int, skip=None):
-        """(q, p, k, primes, omega) for the kept prime powers of the segment
-        [seg_lo, seg_hi): q, p, k as in `prime_powers`, and primes[i, :omega[i]]
-        the distinct primes of q[i] - 1, ascending, 0 past them. primes has
-        one column per prime the largest omega below seg_hi - 1 allows. Needs
-        hi < 2^42, so that each p times a power of p dividing m stays below
-        2^63.
+    def _multiples(self, shift, out: np.ndarray):
+        """Fill out with the window offsets shift mod 2p + j * 2p of each large
+        prime p: shift = p - start gives its odd multiples and -start its
+        even ones, for a window from start."""
+        np.remainder(shift, self.stride, out=self.first)
+        np.take(self.first, self.owner, out=out, mode="clip")
+        np.add(out, self.pattern, out=out)
 
-        With skip None every row is kept. Otherwise skip(q, omega_upper)
-        gets every prime power q of the segment with a bound omega_upper >=
-        omega(q - 1), and returns a bool array; the rows it marks are dropped
-        before any factor row is built."""
-        q, p, k = self.prime_powers(seg_lo, seg_hi)
-        m, n, base = q - 1, q.size, self.base
-        width = bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))
-        offsets = q - seg_lo  # of m = q - 1 in the window from seg_lo - 1
-        self.row_of[offsets] = np.arange(n, dtype=np.int32)
-        np.take(self.row_of, self.index, out=self.gathered, mode="clip")
-        self.row_of[offsets] = -1
+    def _gather(self, index: np.ndarray):
+        """(i, row) for each entry i of index, a multiple of large[owner[i]],
+        that lands on a row."""
+        np.take(self.row_of, index, out=self.gathered, mode="clip")
         np.greater_equal(self.gathered, 0, out=self.hit)
         hit = np.flatnonzero(self.hit)
-        hit_rows = self.gathered[hit]
-        code = self.bits[offsets]
+        return hit, self.gathered[hit]
+
+    def segment(self, seg_lo: int, seg_hi: int, skip=None):
+        """(q, p, k, primes, exps, omega) for the kept prime powers of the
+        segment [seg_lo, seg_hi): q, p, k as in `prime_powers`, and
+        primes[i, :omega[i]] the distinct primes of q[i] - 1, ascending, with
+        their exponents in exps[i, :omega[i]] (int8), 0 past them. primes and
+        exps have one column per prime the largest omega below seg_hi - 1
+        allows. Needs hi < 2^42, so that each p times a power of p dividing
+        m stays below 2^63.
+
+        With skip None every row is kept. Otherwise skip(q, code, w) gets
+        prime powers q, the codes of their q - 1 (bit j for the j-th base
+        prime, for the first `cut`) and bounds w >= omega(q - 1), and returns
+        a bool array; the rows it marks are dropped. It is called once
+        before any large prime is gathered and, if a row is left, once more
+        on the rows it kept, with a bound no larger."""
+        q, p, k = self.prime_powers(seg_lo, seg_hi)
+        m, base = q - 1, self.base
+        width = bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))
+        code = self.bits[q - seg_lo]  # m's offset in the window from seg_lo - 1
+        if skip is not None:
+            w = self.code_omega[code] + np.searchsorted(
+                self.past_products, m // self.code_prod[code], side="right")
+            keep = np.flatnonzero(~skip(q, code, w))
+            q, p, k, m, code, w = q[keep], p[keep], k[keep], m[keep], code[keep], w[keep]
+        n = q.size
+        if not n:
+            return q, p, k, self.buf[:0, :width], self.exps[:0, :width], np.zeros(0, np.intp)
+        offsets = q - seg_lo
+        self.row_of[offsets] = np.arange(n, dtype=np.int32)
+        hits = []
+        odd_m = m & 1
+        if not odd_m.all():
+            self._multiples(1 - seg_lo, self.even)
+            hits.append(self._gather(self.even))
+        if odd_m.any():
+            hits.append(self._gather(self.odd))
+        self.row_of[offsets] = -1
+        hit, hit_rows = (np.concatenate(a) for a in zip(*hits))
         if skip is not None:
             omega = self.code_omega[code] + np.bincount(hit_rows, minlength=n)
             omega += 1  # one prime of m may lie above isqrt(hi)
-            keep = np.flatnonzero(~skip(q, np.minimum(omega, width, out=omega)))
+            keep = np.flatnonzero(~skip(q, code, np.minimum(omega, w, out=omega)))
             q, p, k, m, code = q[keep], p[keep], k[keep], m[keep], code[keep]
             renumber = np.full(n, -1, dtype=np.int32)
             renumber[keep] = np.arange(keep.size, dtype=np.int32)
@@ -468,27 +518,34 @@ class SegmentKernel:
         rows = keys // base.size
         which = keys - rows * base.size
         ps = base[which]
-        buf = self.buf[:n]
+        buf, exps = self.buf[:n], self.exps[:n]
         buf.fill(0)
+        exps.fill(0)
         cnt = np.bincount(rows, minlength=n)
         row_start = np.cumsum(cnt) - cnt
-        buf[rows, np.arange(rows.size) - row_start[rows]] = ps
+        cols = np.arange(rows.size) - row_start[rows]
+        buf[rows, cols] = ps
         power = ps.copy()  # grows to the largest power of p dividing the row's m
+        e = np.ones(ps.size, dtype=np.int8)
         mult = m[rows]
         even = np.flatnonzero(which == 0)  # base[0] = 2: its power is m & -m
         power[even] = mult[even] & -mult[even]
+        e[even] = np.searchsorted(self.powers_of_2, power[even])
         sub = np.flatnonzero(which)
         while sub.size:
             sub = sub[mult[sub] % (power[sub] * ps[sub]) == 0]
             power[sub] *= ps[sub]
+            e[sub] += 1
+        exps[rows, cols] = e
         rem = m.copy()
         factored = np.flatnonzero(cnt)
         if factored.size:
             rem[factored] //= np.multiply.reduceat(power, row_start[factored])
         left = np.flatnonzero(rem > 1)
         buf[left, cnt[left]] = rem[left]
+        exps[left, cnt[left]] = 1
         cnt[left] += 1
-        return q, p, k, buf[:, :width], cnt
+        return q, p, k, buf[:, :width], exps[:, :width], cnt
 
 
 def prime_power_iter(lo: int, hi: int):

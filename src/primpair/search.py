@@ -24,15 +24,15 @@ Three layers:
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment marks the prime powers, drops
-   those that `bounds.omega_pass` passes on an upper bound of omega(q-1)
-   read off the sieve's marks, and factors the q-1 of the rest alone; then
-   `bounds.certain_prefix_pass` spares the exact kernel the rows that
-   certainly pass), then full exhaustive classification of
-   the survivors. One driver, `_scan_segments`, walks the segments that
-   `ffcore.prime_power_segments` plans, for all three, in one process or a
-   worker pool, with one kernel workspace per scan and process. A scan's
-   range is [lo, hi] with lo >= SCAN_FLOOR = 2, and from lo = 2 the kernel
-   and the criterion decide F_2's record like every other.
+   those that `bounds.code_thresholds` passes on the primes of q-1 below 32,
+   read off the sieve's codes, and an upper bound of omega(q-1), once before
+   and once after it gathers their large primes, and factors the q-1 of the
+   rest alone; `bounds.best_prefix` decides them), then full exhaustive
+   classification of the survivors. One driver, `_scan_segments`, walks the
+   segments that `ffcore.prime_power_segments` plans, for all three, in one
+   process or a worker pool, with one kernel workspace per scan and process.
+   A scan's range is [lo, hi] with lo >= SCAN_FLOOR = 2, and from lo = 2 the
+   kernel and the criterion decide F_2's record like every other.
 
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and checkpoints allow byte-identical
@@ -51,7 +51,7 @@ from math import gcd
 
 import numpy as np
 
-from .bounds import best_prefix, certain_prefix_pass, omega_pass
+from .bounds import best_prefix, code_thresholds
 from .ffcore import (DEFAULT_SEGMENT, DEFAULT_TABLE_CAP, FieldCtx, SegmentKernel,
                      field_make, prime_power_segments)
 from .polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
@@ -514,45 +514,32 @@ class ScanRecord:
         return f"{self.q},{self.p},{self.k},{self.omega},{facs},{self.verdict},{core}"
 
 
-def _exponents_of(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
-    out = []
-    for p in primes:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return tuple(out)
-
-
 def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
                   segment: tuple[int, int]) -> list[ScanRecord]:
     """The records of the prime powers q in one segment [seg_lo, seg_hi)
     of the kernel's plan, ascending.
 
-    Only the q - 1 of prime powers are factored. With emit="candidates" a row
-    is dropped, before its q - 1 is factored, when `bounds.omega_pass`
-    passes it on the kernel's upper bound of omega(q - 1), and after, when
-    `bounds.certain_prefix_pass` marks it a certain pass. Both drop only
-    rows whose verdict is a pass. Every other row, and every row under
-    emit="all", gets its verdict from the exact kernel `best_prefix`.
+    Only the q - 1 of prime powers are factored. With emit="candidates" the
+    kernel drops a row, before its large primes are gathered and again
+    before its q - 1 is factored, when `bounds.code_thresholds` passes it on
+    the primes of q - 1 below the code's cut and an upper bound of omega(q - 1).
+    That drops only rows whose verdict is a pass. Every other row, and every
+    row under emit="all", gets its verdict from the exact kernel `best_prefix`.
     """
     n = cfg.n
-    skip = partial(omega_pass, n=n) if cfg.emit == "candidates" else None
-    q, p, k, buf, cnt = kernel.segment(*segment, skip)
-    if cfg.emit == "candidates":
-        rows = np.flatnonzero(~certain_prefix_pass(q, buf, cnt, n))
-    else:
-        rows = np.arange(q.size)
+    skip = code_thresholds(n, kernel.cut).passes if cfg.emit == "candidates" else None
+    q, p, k, primes, exps, cnt = kernel.segment(*segment, skip)
+    if not q.size:
+        return []
     records = []
-    for qi, pi, ki, omega, row in zip(q[rows].tolist(), p[rows].tolist(), k[rows].tolist(),
-                                      cnt[rows].tolist(), buf[rows].tolist()):
-        primes = row[:omega]
-        verdict, r, _, _ = best_prefix(qi, primes, n)
+    for qi, pi, ki, omega, row, erow in zip(q.tolist(), p.tolist(), k.tolist(), cnt.tolist(),
+                                            primes.tolist(), exps.tolist()):
+        row = row[:omega]
+        verdict, r, _, _ = best_prefix(qi, row, n)
         if cfg.emit == "candidates" and verdict != "candidate":
             continue
-        records.append(ScanRecord(
-            qi, pi, ki, omega, _exponents_of(qi - 1, primes), verdict, tuple(primes[:r])))
+        records.append(ScanRecord(qi, pi, ki, omega, tuple(zip(row, erow)), verdict,
+                                  tuple(row[:r])))
     return records
 
 

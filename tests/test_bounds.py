@@ -17,7 +17,8 @@ from primpair.bounds import (
     check_pass_target,
     generic_cn,
     generic_cn_ok,
-    omega_pass,
+    CodeThresholds,
+    code_thresholds,
     omega_thresholds,
     sieve_check,
     sieve_pass_prefix,
@@ -294,7 +295,7 @@ class TestOmegaThresholds:
         # n^2 * 16^omega and every sieved threshold^2 pass 2^63 for n = 10^6
         table = omega_thresholds(10**6)
         assert table[0] == 10**12 and table[-1] == 2**63 - 1
-        assert not omega_pass(np.array([2**63 - 1]), np.array([OMEGA_MAX]), 10**6).any()
+        assert not (np.array([2**63 - 1]) > table[OMEGA_MAX]).any()
 
     @pytest.mark.parametrize("n, omega, ceiling", [
         (2, 8, 58_588_517), (3, 9, 442_496_199), (4, 9, 786_659_909),
@@ -304,8 +305,73 @@ class TestOmegaThresholds:
         # above the least q with that many primes, is one below it
         table = omega_thresholds(n)
         assert table[omega] == ceiling - 1
-        assert omega_pass(np.array([ceiling - 1, ceiling]), np.array([omega] * 2),
-                          n).tolist() == [False, True]
+        assert (np.array([ceiling - 1, ceiling]) > table[omega]).tolist() == [False, True]
+
+
+def _code_primes(code: int, cut: int) -> list[int]:
+    return [p for j, p in enumerate(sieve_primes(200)[:cut].tolist()) if code >> j & 1]
+
+
+class TestCodeThresholds:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_monotone_and_bounded_by_omega_table(self, n):
+        # every entry of the 11-prime code (primes below 32): never
+        # decreasing in w, at most the omega table's entry, and equal to it
+        # at the code of the first w primes
+        thresholds = CodeThresholds(n, 11)
+        omega_table = omega_thresholds(n).tolist()
+        for code in range(1 << 11):
+            size = bin(code).count("1")
+            ws = np.arange(size, OMEGA_MAX + 1)
+            row = thresholds(np.full(ws.size, code), ws).tolist()
+            assert row == sorted(row), code
+            assert all(t <= omega_table[w] for w, t in zip(ws.tolist(), row)), code
+        for w in range(OMEGA_MAX + 1):
+            assert thresholds(np.array([(1 << w) - 1]), np.array([w]))[0] == omega_table[w]
+
+    @pytest.mark.parametrize("cut", [0, 4, 8, 11])
+    def test_matches_fraction_oracle(self, cut):
+        # the floor of the least threshold^2 over the applicable prefix cores
+        # of S and the least primes past the code's cut-th prime, exact in
+        # Fraction arithmetic, for n = 2 and 5; cut < 11 is the code of a
+        # scan with hi < 961
+        primes = sieve_primes(200).tolist()
+        rng = np.random.default_rng(cut)
+        codes = rng.integers(0, 1 << cut, size=40)
+        for n in (2, 5):
+            thresholds = CodeThresholds(n, cut)
+            for code in codes.tolist():
+                s = _code_primes(code, cut)
+                for w in range(len(s), OMEGA_MAX + 1):
+                    ps = tuple(s + primes[cut:cut + w - len(s)])
+                    qm1 = Factorization(prod(ps), tuple((p, 1) for p in ps))
+                    thrs = [params.threshold(n) for r in range(w + 1)
+                            if (params := SieveParams.from_core(qm1.value + 1, qm1,
+                                                                ps[:r])).applicable]
+                    thr = min(thrs)
+                    expected = min(thr.numerator**2 // thr.denominator**2, 2**63 - 1)
+                    assert thresholds(np.array([code]), np.array([w]))[0] == expected
+
+    def test_filled_on_first_use(self):
+        # only the entries asked for are filled, and a w below the code's
+        # own count of primes is refused
+        thresholds = CodeThresholds(3, 11)
+        assert (thresholds.table < 0).all()
+        got = thresholds(np.array([0b101, 0b101, 1]), np.array([2, 4, 1]))
+        assert (got > 0).all() and (thresholds.table >= 0).sum() == 3
+        with pytest.raises(ValueError, match="below"):
+            thresholds(np.array([0b111]), np.array([2]))
+        assert code_thresholds(3, 11) is code_thresholds(3, 11)
+        assert code_thresholds(3, 11) is not code_thresholds(3, 8)
+
+    def test_huge_degree_clips(self):
+        # n^2 * 16^w passes 2^63 for n = 10^6; entries are clipped there and
+        # the comparison stays exact in int64
+        thresholds = CodeThresholds(10**6, 11)
+        code, w = np.array([0, (1 << 10) - 1]), np.array([0, OMEGA_MAX])
+        assert thresholds(code, w).tolist() == [10**12, 2**63 - 1]
+        assert thresholds.passes(np.array([10**12 + 1, 2**63 - 1]), code,
+                                 w).tolist() == [True, False]
 
 
 class TestGenericCn:

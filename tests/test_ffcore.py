@@ -361,13 +361,13 @@ class TestPrimePowerIter:
         got = []
         for lo in range(2, hi + 1, size):
             segment = lo, min(lo + size, hi + 1)
-            q, p, k, primes, omega = skipped_segment(kernel, segment)
+            q, p, k, primes, exps, omega = skipped_segment(kernel, segment)
             assert q.dtype == p.dtype == k.dtype == np.int64
             assert all((a == b).all() for a, b in zip((q, p, k), kernel.prime_powers(*segment)))
             got += zip(q.tolist(), p.tolist(), k.tolist())
-            for qi, row, w in zip(q.tolist(), primes.tolist(), omega.tolist()):
-                assert row[:w] == [ell for ell, _ in trial_division(qi - 1)], qi
-                assert not any(row[w:]), qi
+            for qi, row, e, w in zip(q.tolist(), primes.tolist(), exps.tolist(), omega.tolist()):
+                assert tuple(zip(row[:w], e[:w])) == trial_division(qi - 1), qi
+                assert not any(row[w:]) and not any(e[w:]), qi
         expected = []
         for q in range(2, hi + 1):
             fac = trial_division(q)
@@ -391,12 +391,12 @@ class TestPrimePowerIter:
             fresh = SegmentKernel(plan).segment(*segment)
             for a, b in zip(got, fresh):
                 assert a.shape == b.shape and (a == b).all(), segment
-            q, p, k, primes, omega = got
+            q, p, k, primes, exps, omega = got
             assert q.tolist() == [v for v in range(*segment) if len(trial_division(v)) == 1]
-            for qi, pi, ki, row, w in zip(q.tolist(), p.tolist(), k.tolist(),
-                                          primes.tolist(), omega.tolist()):
+            for qi, pi, ki, row, e, w in zip(q.tolist(), p.tolist(), k.tolist(),
+                                             primes.tolist(), exps.tolist(), omega.tolist()):
                 assert trial_division(qi) == ((pi, ki),)
-                assert row[:w] == list(factorize(qi - 1).primes), qi
+                assert tuple(zip(row[:w], e[:w])) == factorize(qi - 1).factors, qi
 
     def test_segment_size_below_one_refused(self):
         with pytest.raises(ValueError, match="segment_size must be >= 1"):

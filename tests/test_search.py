@@ -3,15 +3,15 @@ import functools
 import hashlib
 import json
 import multiprocessing
-from itertools import zip_longest
-from math import gcd
+from itertools import accumulate, zip_longest
+from math import gcd, prod
+from operator import mul
 
 import numpy as np
 import pytest
 
-from primpair import bounds, ffcore, polyrat, search
-from primpair.bounds import (OMEGA_MAX, best_prefix, certain_prefix_pass, omega_pass,
-                             omega_thresholds)
+from primpair import ffcore, polyrat, search
+from primpair.bounds import OMEGA_MAX, best_prefix, code_thresholds, omega_thresholds
 from primpair.ffcore import SegmentKernel, factorize, field_make, prime_power_segments
 from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 from primpair.search import (
@@ -478,24 +478,28 @@ class TestExceptionScan:
             assert r.omega == len(r.factors)
         segment = SCAN_HI_MAX - 3000, SCAN_HI_MAX + 1
         plan = prime_power_segments(segment[0], SCAN_HI_MAX, 3001)
-        q, _, _, buf, _ = skipped_segment(SegmentKernel(plan), segment)
+        q, _, _, buf, exps, cnt = skipped_segment(SegmentKernel(plan), segment)
         assert q.tolist() == [r.q for r in records]
-        assert buf.shape == (len(records), 10)
+        assert buf.shape == exps.shape == (len(records), 10)
+        for i, r in enumerate(records):
+            assert tuple(zip(buf[i, :cnt[i]].tolist(), exps[i, :cnt[i]].tolist())) == r.factors
         # the prime q = 11 * (2 * 3 * ... * 29) + 1 has omega(q - 1) = 10
         q10 = 71166625531
         segment = q10 - 5, q10 + 1
-        q, _, _, buf, cnt = skipped_segment(
+        q, _, _, buf, exps, cnt = skipped_segment(
             SegmentKernel(prime_power_segments(q10 - 5, q10, 6)), segment)
         assert q[-1] == q10 and buf.shape[1] == 10 and cnt[-1] == 10
         assert buf[-1].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert exps[-1].tolist() == [1] * 4 + [2] + [1] * 5
         # every q - 1 below 2 * 3 * ... * 29 fits 9 columns
         primorial_10 = 6469693230
         segment = primorial_10 - 3000, primorial_10 + 1
         plan = prime_power_segments(segment[0], primorial_10, 3001)
-        q, _, _, buf, cnt = SegmentKernel(plan).segment(*segment)
-        assert q.size and buf.shape == (q.size, 9)
+        q, _, _, buf, exps, cnt = SegmentKernel(plan).segment(*segment)
+        assert q.size and buf.shape == exps.shape == (q.size, 9)
         for i, v in enumerate(q.tolist()):
-            assert buf[i, :cnt[i]].tolist() == list(factorize(v - 1).primes)
+            assert (tuple(zip(buf[i, :cnt[i]].tolist(), exps[i, :cnt[i]].tolist()))
+                    == factorize(v - 1).factors)
 
     def test_huge_degree_keeps_direct_bound_exact(self, prime_powers):
         # the omega table passes 2^63 for n = 10^6 and is clipped there; no
@@ -522,14 +526,33 @@ class TestExceptionScan:
         assert rec128.csv_line() == "128,2,7,1,127^1,pass_thm31,"
 
 
+@functools.lru_cache(maxsize=None)
+def _factors(m: int):
+    return factorize(m)
+
+
+_BELOW_32 = [int(p) for p in ffcore.sieve_primes(31)]
+_PAST_32 = list(accumulate(ffcore.sieve_primes(100)[11:].tolist(), mul))
+
+
+def _code_bound(q: int) -> tuple[int, int]:
+    """(code, w) for q - 1 as the scan kernel's first skip should see them,
+    read off factorize: the set S of its primes below 32 as bits, and |S| +
+    the most primes from 37 on whose product is at most (q - 1) // prod(S)."""
+    s = [p for p in _factors(q - 1).primes if p < 32]
+    left = (q - 1) // prod(s)
+    return (sum(1 << _BELOW_32.index(p) for p in s),
+            len(s) + sum(1 for v in _PAST_32 if v <= left))
+
+
 def _oracle_record(q: int, p: int, k: int, n: int) -> search.ScanRecord:
-    fac = factorize(q - 1)
+    fac = _factors(q - 1)
     verdict, r, _, _ = best_prefix(q, list(fac.primes), n)
     return search.ScanRecord(q, p, k, fac.omega, fac.factors, verdict, fac.primes[:r])
 
 
 class TestScanSieve:
-    """The segment kernel and the float64 prefix sweep."""
+    """The segment kernel and the scan's skip on the code table."""
 
     @pytest.mark.parametrize("lo", [2**16 - 300, 2**31 - 300, 2**33 - 300,
                                     251**2 - 300, 257**2 - 300, 7919**2 - 300,
@@ -537,17 +560,18 @@ class TestScanSieve:
     def test_factor_rows_match_factorize(self, lo, skipped_segment):
         # segments whose q - 1 lie in windows around 2^k and p^2, for p on
         # both sides of the segment's span (several multiples in a segment,
-        # or at most one), as one segment and as segments of 7; a skip keeps
-        # the same rows as the full call
+        # or at most one), as one segment and as segments of 7, primes and
+        # exponents; a skip keeps the same rows as the full call
         for size in (600, 7):
             plan = prime_power_segments(lo + 1, lo + 600, size)
             kernel = SegmentKernel(plan)
             rows = 0
             for segment in plan:
-                q, _, _, buf, cnt = skipped_segment(kernel, segment)
+                q, _, _, buf, exps, cnt = skipped_segment(kernel, segment)
                 rows += q.size
                 for i, v in enumerate(q.tolist()):
-                    assert buf[i, :cnt[i]].tolist() == list(factorize(v - 1).primes), v
+                    assert (tuple(zip(buf[i, :cnt[i]].tolist(), exps[i, :cnt[i]].tolist()))
+                            == factorize(v - 1).factors), v
             assert rows
 
     @pytest.mark.parametrize("segment", [1, 97, 1000])
@@ -561,58 +585,73 @@ class TestScanSieve:
             assert r == _oracle_record(r.q, r.p, r.k, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_float_sweep_certifies_only_passes(self, n):
-        # every prime power q <= 10^6 the sweep lets skip the exact kernel
-        # really passes
-        hi = 10**6
-        q, _, _, buf, cnt = SegmentKernel(prime_power_segments(3, hi, hi)).segment(3, hi + 1)
-        sure = certain_prefix_pass(q, buf, cnt, n)
-        assert 0 < sure.sum() < q.size
-        for qi, omega, row in zip(q[sure].tolist(), cnt[sure].tolist(), buf[sure].tolist()):
-            assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
+    def test_code_table_certifies_only_passes(self, n, prime_powers):
+        # the kernel's first skip sees, for every prime power q <= 10^6, the
+        # code and the bound w that _code_bound reads off factorize; every q
+        # the code table passes on that w really passes
+        expected = [(q, *_code_bound(q)) for _, _, q in prime_powers(2, 10**6)]
+        kernel = SegmentKernel(prime_power_segments(2, 10**6, 10**6))
+        seen = []
+
+        def skip(q, code, w):
+            seen.append(list(zip(q.tolist(), code.tolist(), w.tolist())))
+            return np.zeros(q.size, dtype=bool)
+
+        kernel.segment(2, 10**6 + 1, skip)
+        assert seen[0] == expected
+        q, code, w = (np.array(a) for a in zip(*expected))
+        passed = code_thresholds(n, kernel.cut).passes(q, code, w)
+        assert 0 < passed.sum() < q.size
+        for qi in q[passed].tolist():
+            assert best_prefix(qi, list(_factors(qi - 1).primes), n)[0] != "candidate", qi
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_direct_bound_edge_is_exact(self, n, monkeypatch):
-        # q = T[omega] sits on the table's bound and fails it, q + 1 passes,
-        # in omega_pass and in certain_prefix_pass; a margin no sweep can
-        # clear leaves the latter's decision to the table
-        monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
-        primes = [int(p) for p in ffcore.sieve_primes(29)]
-        omega = np.array([w for w in range(OMEGA_MAX + 1) for _ in (0, 1)])
-        edge = omega_thresholds(n)[omega] + np.array([0, 1] * (OMEGA_MAX + 1))
-        buf = np.array([primes] * edge.size, dtype=np.int64)
-        for sure in (omega_pass(edge, omega, n), certain_prefix_pass(edge, buf, omega, n)):
-            assert sure.tolist() == [False, True] * (OMEGA_MAX + 1)
+    def test_direct_bound_edge_is_exact(self, n):
+        # q = T_c[code, w] sits on the table's bound and fails it, q + 1
+        # passes: at the code of the first w primes, where T_c is the omega
+        # table's entry, and at the codes of 2 alone and of 31 alone
+        pairs = [(code, max(w, bin(code).count("1"))) for w in range(OMEGA_MAX + 1)
+                 for code in ((1 << w) - 1, 1, 1 << 10)]
+        code, w = (np.repeat(a, 2) for a in zip(*pairs))
+        thresholds = code_thresholds(n, 11)
+        edge = thresholds(code, w) + np.tile([0, 1], len(pairs))
+        assert thresholds.passes(edge, code, w).tolist() == [False, True] * len(pairs)
+        assert (edge[::6] == omega_thresholds(n)).all()
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("lo, hi", [(2, 10**6), (5 * 10**7, 5 * 10**7 + 10**5),
                                         (4 * 10**8, 4 * 10**8 + 10**5)])
     def test_direct_skip_drops_only_sure_rows(self, n, lo, hi):
-        # every row that omega_pass skips on the kernel's bound omega_upper
-        # passes the exact kernel. The bands up to 5 * 10^7 lie below each
-        # n's scan ceiling and keep some rows. Near 4 * 10^8 n = 2 keeps
-        # none: T[9] = 196,664,977 is below it, and no q - 1 there has 10
-        # primes. n = 3 and 5 keep none there either, by the data alone.
+        # every row that the code table drops, before the large primes are
+        # gathered or after, passes the exact kernel, and the rows left are
+        # the rest. Below 10^6 rows are left after both stages; the kept
+        # counts are pinned. From 5 * 10^7 on the first stage, on the codes
+        # alone, drops every row for n = 2, 3 and 5 alike.
         plan = prime_power_segments(lo, hi, hi - lo + 1)
         kernel = SegmentKernel(plan)
-        q, _, _, buf, cnt = (a.copy() for a in kernel.segment(lo, hi + 1))
-        skipped = []
+        q, _, _, buf, _, cnt = (a.copy() for a in kernel.segment(lo, hi + 1))
+        thresholds = code_thresholds(n, kernel.cut)
+        dropped = []
 
-        def skip(q, omega_upper):
-            skipped.append(omega_pass(q, omega_upper, n))
-            return skipped[0]
+        def skip(q, code, w):
+            drop = thresholds.passes(q, code, w)
+            dropped.extend(q[drop].tolist())
+            return drop
 
         kept = kernel.segment(lo, hi + 1, skip)[0]
-        if lo == 4 * 10**8:
-            assert skipped[0].all()
-        else:
-            assert 0 < skipped[0].sum() < q.size
-        for qi, omega, row in zip(q[skipped[0]].tolist(), cnt[skipped[0]].tolist(),
-                                  buf[skipped[0]].tolist()):
+        gone = np.isin(q, dropped)
+        assert gone.sum() == len(dropped)
+        for qi, omega, row in zip(q[gone].tolist(), cnt[gone].tolist(), buf[gone].tolist()):
             assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
-        assert kept.tolist() == q[~skipped[0]].tolist()
+        assert kept.tolist() == q[~gone].tolist()
+        assert kept.size == {2: 4947, 3: 9239, 5: 18519}[n] if lo == 2 else not kept.size
 
-    def test_wide_margin_sends_every_row_to_exact_kernel(self, monkeypatch, prime_powers):
+    def test_exact_kernel_sees_only_rows_the_table_keeps(self, monkeypatch, prime_powers):
+        # best_prefix is called once per row the code table keeps on the
+        # kernel's final bound w = min(|S| + l, |S| + the primes of q - 1 in
+        # (31, isqrt(hi)] + 1), read off factorize here; it keeps every row
+        # at or below T_c at the true omega(q - 1), and the scan's output
+        # is the same
         calls = [0]
         real = search.best_prefix
 
@@ -621,17 +660,47 @@ class TestScanSieve:
             return real(*args)
 
         monkeypatch.setattr(search, "best_prefix", counting)
-        default = list(exception_scan(3, 300_000, 2, segment_size=1 << 15))
-        default_calls, calls[0] = calls[0], 0
-        monkeypatch.setattr(bounds, "SWEEP_MARGIN", 1e9)
-        wide = list(exception_scan(3, 300_000, 2, segment_size=1 << 15))
-        assert wide == default
-        # every row at or below the table's bound T[omega(q - 1)]
-        table = omega_thresholds(2)
-        past_table = sum(1 for _, _, q in prime_powers(3, 300_000)
-                         if q <= table[factorize(q - 1).omega])
-        assert calls[0] == past_table
-        assert len(default) <= default_calls < past_table
+        hi = 300_000
+        got = list(exception_scan(3, hi, 2, segment_size=1 << 15))
+        assert got == [r for r in (_oracle_record(q, p, k, 2) for p, k, q in prime_powers(3, hi))
+                       if r.verdict == "candidate"]
+        thresholds = code_thresholds(2, 11)
+        keep = at_omega = 0
+        for _, _, q in prime_powers(3, hi):
+            code, w_code = _code_bound(q)
+            primes = _factors(q - 1).primes
+            below_isqrt = sum(1 for p in primes if p <= 547)  # isqrt(300000) = 547
+            w = min(w_code, below_isqrt + 1)
+            keep += int(q <= thresholds(np.array([code]), np.array([w]))[0])
+            at_omega += int(q <= thresholds(np.array([code]), np.array([len(primes)]))[0])
+        assert calls[0] == keep
+        assert len(got) <= at_omega <= keep
+
+    @pytest.mark.parametrize("hi", [500, 960])
+    def test_scans_below_31_squared(self, hi, prime_powers):
+        # below 961 the plan's base primes stop short of 31, so the code
+        # holds fewer than the 11 primes below 32 and the table's worst-case
+        # primes start past the last of them
+        plan = prime_power_segments(2, hi, hi)
+        assert SegmentKernel(plan).cut < 11
+        for n in (2, 3, 5):
+            expected = [_oracle_record(q, p, k, n) for p, k, q in prime_powers(2, hi)]
+            assert list(exception_scan(2, hi, n, emit="all")) == expected
+            assert list(exception_scan(2, hi, n)) == [r for r in expected
+                                                      if r.verdict == "candidate"]
+
+    def test_segments_at_powers_of_two(self):
+        # q = 2^k has an odd q - 1, whose large primes come from the odd
+        # multiples of the base primes, as the composites do; every other
+        # q - 1 is even. Windows around 2^k for k = 2..37
+        for k in range(2, 38):
+            lo, hi = max(2, 2**k - 40), 2**k + 40
+            expected = [_oracle_record(v, *_factors(v).factors[0], 2) for v in range(lo, hi + 1)
+                        if _factors(v).omega == 1]
+            assert 2**k in [r.q for r in expected]
+            assert list(exception_scan(lo, hi, 2, emit="all")) == expected, k
+            assert list(exception_scan(lo, hi, 2)) == [r for r in expected
+                                                       if r.verdict == "candidate"], k
 
 
 class TestRunScan:
