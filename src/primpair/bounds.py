@@ -17,8 +17,9 @@ size in one sweep, and `prefix_terms` reads delta, Delta and the threshold
 off it. Scans, `check-bound` and the worst-case grid hold no other copy of
 the criterion. `omega_thresholds` gives the least worst-case threshold^2 for
 each omega(q-1), and `code_thresholds` the same once the primes of q-1 below
-a cut are known; a scan drops the rows above the latter on an upper bound of
-omega, in int64, before it factors them. No float takes part in a scan.
+a cut are known; its `passes` bounds omega(q-1) from q and those primes
+alone, and a scan drops the rows it passes, in int64, before it factors
+them. No float takes part in a scan.
 `SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
 
 The module also carries the worst-case passes that the `tables` subcommand
@@ -36,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, takewhile
 from math import prod, sqrt
+from operator import mul
 
 import numpy as np
 
@@ -304,7 +306,7 @@ class CodeThresholds:
     use: the floor of the least threshold^2 that `best_prefix` finds on S
     united with the w - |S| least primes past the cut-th prime, S the set
     of primes whose bits the code sets, clipped at 2^63 - 1. w runs from
-    |S| to OMEGA_MAX.
+    |S| to OMEGA_MAX. `passes` reads w off q and the code alone.
 
     Dominance. Let q - 1 have exactly the primes S among the first cut
     primes, and omega(q - 1) = w. Its other primes x_1 < ... < x_j,
@@ -325,6 +327,11 @@ class CodeThresholds:
     core one prime longer, 16 times the threshold^2 of core size w. Floor
     and clip keep the order. So any w >= omega(q - 1) will do.
 
+    The bound on omega. The product x_1 * ... * x_j divides (q - 1) / prod(S),
+    and is at least y_1 * ... * y_j, so j <= l, the most primes past the
+    cut-th whose product is at most (q - 1) // prod(S), and
+    w = |S| + l >= omega(q - 1).
+
     Any w primes, sorted, are at least the first w primes, one by one, so by
     the same dominance T_c[code, w] <= omega_thresholds(n)[w], with equality
     at the code of the first w primes, where L is those primes.
@@ -334,9 +341,19 @@ class CodeThresholds:
         self.n = n
         self.code_primes, self.past = _FIRST_PRIMES[:cut], _FIRST_PRIMES[cut:]
         self.table = np.full((1 << cut, OMEGA_MAX + 1), -1, dtype=np.int64)
+        # each code's |S| and prod(S), and the products of the first 1, 2, ...
+        # primes past the cut, below 2^63
+        cols = np.arange(1 << cut)[:, None] >> np.arange(cut) & 1
+        self.size = cols.sum(axis=1)
+        self.prod = np.where(cols, self.code_primes, 1).prod(axis=1)
+        self.past_products = np.array(
+            list(takewhile(lambda v: v < 1 << 63, accumulate(self.past, mul))), dtype=np.int64)
 
     def __call__(self, code: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """T_c[code[i], w[i]] for each i, filling the entries not yet met."""
+        """T_c[code[i], w[i]] for each i, filling the entries not yet met.
+        ValueError for a w above OMEGA_MAX or below the code's primes."""
+        if (w > OMEGA_MAX).any():
+            raise ValueError(f"w = {w.max()} is above OMEGA_MAX = {OMEGA_MAX}")
         got = self.table[code, w]
         missing = np.flatnonzero(got < 0)
         if missing.size:
@@ -349,10 +366,11 @@ class CodeThresholds:
             got = self.table[code, w]
         return got
 
-    def passes(self, q: np.ndarray, code: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Rows with q > T_c[code, w], exact in int64: each passes if
-        w >= omega(q - 1) and q - 1 has exactly the code's primes among the
-        first cut."""
+    def passes(self, q: np.ndarray, code: np.ndarray) -> np.ndarray:
+        """Rows with q > T_c[code, |S| + l], exact in int64: each passes if
+        q - 1 has exactly the code's primes among the first cut."""
+        w = self.size[code] + np.searchsorted(self.past_products, (q - 1) // self.prod[code],
+                                              side="right")
         return q > self(code, w)
 
 

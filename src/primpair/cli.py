@@ -290,6 +290,9 @@ def cmd_qmember(args) -> int:
 def cmd_weil_audit(args) -> int:
     if args.qmax < 3:
         raise ValueError(f"--qmax must be >= 3, the smallest field audited; got {args.qmax}")
+    if args.qmax > ffcore.DEFAULT_TABLE_CAP:
+        raise ValueError(f"--qmax must be <= {ffcore.DEFAULT_TABLE_CAP} "
+                         f"(ffcore.DEFAULT_TABLE_CAP), the largest field built; got {args.qmax}")
     if args.degmax < 1:
         raise ValueError(f"--degmax must be >= 1, got {args.degmax}")
     from . import charsums  # only this subcommand needs it

@@ -24,11 +24,9 @@ sits on three primitives built here:
    at a time, that `prime_power_segments` plans. One call per segment sieves
    the prime powers q, leaving each q - 1 its set of primes below
    ``_SMALL_CUT`` as a bit code, and factors every q - 1 that a caller's
-   skip test does not drop: first on a bound of omega(q - 1) from the code
-   alone, then on one from the large primes gathered for the rows left. All
-   of it runs in numpy with no Python loop over the base primes above
-   ``_SMALL_CUT``, in arrays allocated once per walk and reused for every
-   segment.
+   skip test, on q and the code alone, does not drop. All of it runs in
+   numpy with no Python loop over the base primes above ``_SMALL_CUT``, in
+   arrays allocated once per walk and reused for every segment.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -44,7 +42,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -71,7 +69,7 @@ MAX_SEGMENT = 1 << 22
 # be most of a segment's index array: instead, the sieve ORs bit j of each
 # integer's code for the j-th of them, so a row's code is its set of small
 # primes. There are at most 11, so a code fits a uint16 and a table of
-# 2^11 entries maps it to its primes and their count.
+# 2^11 rows maps it to its primes.
 _SMALL_CUT = 32
 # The codes of the leading small primes whose product is at most this repeat
 # with that period, and are copied into a window from one table.
@@ -224,8 +222,9 @@ class Factorization:
 def factorize(m: int) -> Factorization:
     """Exact prime factorization of m, 1 <= m <= 2^63.
 
-    Trial division by primes below 1000 strips small factors; remaining
-    cofactors fall to deterministic Miller-Rabin plus Brent's rho method.
+    Trial division by primes below 1000 strips small factors. Once it stops
+    on p^2 > m, the cofactor m is 1 or a prime; a cofactor left after every
+    prime below 1000 falls to deterministic Miller-Rabin plus Brent's rho.
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"expected an integer, got {type(m).__name__}")
@@ -233,13 +232,17 @@ def factorize(m: int) -> Factorization:
         raise ValueError(f"factorize: m must satisfy 1 <= m <= 2^63, got {m}")
     value = m
     found: dict[int, int] = {}
+    stack = []
     for p in _SMALL_PRIMES_LIST:
         if p * p > m:
+            if m > 1:
+                found[m] = 1  # no prime below p divides it
             break
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    stack = [m] if m > 1 else []
+    else:
+        stack = [m] if m > 1 else []
     while stack:
         n = stack.pop()
         if is_prime(n):
@@ -353,16 +356,11 @@ class SegmentKernel:
     are set back to prime.
 
     Every prime of m < hi is a base prime but at most one, P > isqrt(hi):
-    two such would make m > hi. A caller's skip test sees each row twice,
-    with an upper bound w >= omega(m) each time, and the rows it drops are
-    gone from what follows. The first bound comes from the code alone: m's
-    primes outside the code's set S are distinct and past the code's
-    primes, so there are at most l of them, l the most of the primes past
-    the code whose product is at most m // prod(S), and w = |S| + l. Only
-    the rows it keeps are gathered, and the even half is built only if some
-    row is left. The second bound is min(w, the code's count + the gathered
-    large primes + 1). Only the rows kept then are factored: one sort of the
-    keys row * len(base) + prime index lists each row's primes ascending, the
+    two such would make m > hi. A caller's skip test sees each row once,
+    with its q and code, before any large prime is gathered. Only the rows
+    it keeps are gathered, the even half is built only if some row is left,
+    and every row gathered is factored: one sort of the keys
+    row * len(base) + prime index lists each row's primes ascending, the
     power of 2 in m is m & -m, and the powers of the odd primes grow by one
     loop, which counts their exponents. What is left of a row once the
     powers of its base primes are divided out is 1 or P.
@@ -376,16 +374,9 @@ class SegmentKernel:
         self.plan, self.base, self.higher, self.size = plan, base, plan.higher, size
         self.cut = int(np.searchsorted(base, _SMALL_CUT))
         small = base[:self.cut].tolist()
-        # a code's primes as a row of cut flags, their count and product
+        # a code's primes as a row of cut flags
         codes = np.arange(1 << self.cut)
         self.code_cols = (codes[:, None] >> np.arange(self.cut) & 1).astype(bool)
-        self.code_omega = self.code_cols.sum(axis=1)
-        self.code_prod = np.where(self.code_cols, base[:self.cut], 1).prod(axis=1)
-        # products of the first 1, 2, ... primes past the code's, below 2^63
-        past = _SMALL_PRIMES_LIST[self.cut:]
-        self.past_products = np.array(
-            list(takewhile(lambda v: v < 1 << 63, accumulate(past, operator.mul))),
-            dtype=np.int64)
         self.large = large = base[self.cut:]
         self.stride = 2 * large
         reach = -(-(size + 1) // self.stride)  # the most multiples of 2p a window holds
@@ -471,22 +462,19 @@ class SegmentKernel:
         allows. Needs hi < 2^42, so that each p times a power of p dividing
         m stays below 2^63.
 
-        With skip None every row is kept. Otherwise skip(q, code, w) gets
-        prime powers q, the codes of their q - 1 (bit j for the j-th base
-        prime, for the first `cut`) and bounds w >= omega(q - 1), and returns
-        a bool array; the rows it marks are dropped. It is called once
-        before any large prime is gathered and, if a row is left, once more
-        on the rows it kept, with a bound no larger."""
+        With skip None every row is kept. Otherwise skip(q, code) gets the
+        segment's prime powers q and the codes of their q - 1 (bit j for the
+        j-th base prime, for the first `cut`), and returns a bool array; the
+        rows it marks are dropped. It is called once, before any large prime
+        is gathered."""
         q, p, k = self.prime_powers(seg_lo, seg_hi)
-        m, base = q - 1, self.base
+        base = self.base
         width = bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))
-        code = self.bits[q - seg_lo]  # m's offset in the window from seg_lo - 1
+        code = self.bits[q - seg_lo]  # q - 1's offset in the window from seg_lo - 1
         if skip is not None:
-            w = self.code_omega[code] + np.searchsorted(
-                self.past_products, m // self.code_prod[code], side="right")
-            keep = np.flatnonzero(~skip(q, code, w))
-            q, p, k, m, code, w = q[keep], p[keep], k[keep], m[keep], code[keep], w[keep]
-        n = q.size
+            keep = np.flatnonzero(~skip(q, code))
+            q, p, k, code = q[keep], p[keep], k[keep], code[keep]
+        m, n = q - 1, q.size
         if not n:
             return q, p, k, self.buf[:0, :width], self.exps[:0, :width], np.zeros(0, np.intp)
         offsets = q - seg_lo
@@ -500,16 +488,6 @@ class SegmentKernel:
             hits.append(self._gather(self.odd))
         self.row_of[offsets] = -1
         hit, hit_rows = (np.concatenate(a) for a in zip(*hits))
-        if skip is not None:
-            omega = self.code_omega[code] + np.bincount(hit_rows, minlength=n)
-            omega += 1  # one prime of m may lie above isqrt(hi)
-            keep = np.flatnonzero(~skip(q, code, np.minimum(omega, w, out=omega)))
-            q, p, k, m, code = q[keep], p[keep], k[keep], m[keep], code[keep]
-            renumber = np.full(n, -1, dtype=np.int32)
-            renumber[keep] = np.arange(keep.size, dtype=np.int32)
-            hit_rows = renumber[hit_rows]
-            kept = np.flatnonzero(hit_rows >= 0)
-            hit, hit_rows, n = hit[kept], hit_rows[kept], keep.size
         flat = np.flatnonzero(self.code_cols[code])  # row * cut + index of a small prime
         keys = np.concatenate((flat + flat // self.cut * (base.size - self.cut),
                                hit_rows.astype(np.int64) * base.size

@@ -24,13 +24,13 @@ Three layers:
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment marks the prime powers, drops
-   those that `bounds.code_thresholds` passes on the primes of q-1 below 32,
-   read off the sieve's codes, and an upper bound of omega(q-1), once before
-   and once after it gathers their large primes, and factors the q-1 of the
-   rest alone; `bounds.best_prefix` decides them), then full exhaustive
-   classification of the survivors. One driver, `_scan_segments`, walks the
-   segments that `ffcore.prime_power_segments` plans, for all three, in one
-   process or a worker pool, with one kernel workspace per scan and process.
+   those that `bounds.code_thresholds` passes on q and the primes of q-1
+   below 32, read off the sieve's codes, before it gathers their large
+   primes, and factors the q-1 of the rest alone; `bounds.best_prefix`
+   decides them), then full exhaustive classification of the survivors.
+   One driver, `_scan_segments`, walks the segments that
+   `ffcore.prime_power_segments` plans, for all three, in one process or a
+   worker pool, with one kernel workspace per scan and process.
    A scan's range is [lo, hi] with lo >= SCAN_FLOOR = 2, and from lo = 2 the
    kernel and the criterion decide F_2's record like every other.
 
@@ -520,10 +520,9 @@ def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
     of the kernel's plan, ascending.
 
     Only the q - 1 of prime powers are factored. With emit="candidates" the
-    kernel drops a row, before its large primes are gathered and again
-    before its q - 1 is factored, when `bounds.code_thresholds` passes it on
-    the primes of q - 1 below the code's cut and an upper bound of omega(q - 1).
-    That drops only rows whose verdict is a pass. Every other row, and every
+    kernel drops a row, before its large primes are gathered, when
+    `bounds.code_thresholds` passes it on q and the primes of q - 1 below
+    the code's cut. That drops only rows whose verdict is a pass. Every other row, and every
     row under emit="all", gets its verdict from the exact kernel `best_prefix`.
     """
     n = cfg.n

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from primpair.ffcore import factorize, field_make, prime_power_iter
+from primpair.ffcore import field_make, prime_power_iter
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,38 +30,26 @@ def prime_powers():
 def skipped_segment():
     """skipped_segment(kernel, segment) -> the kernel's (q, p, k, primes,
     exps, omega) for segment with no skip, copied, after checking a call
-    with a skip against it. The skip sees every row first, then the rows it
-    kept; each time with the code of the row's q - 1 over the kernel's first
-    `cut` base primes and a w >= factorize's omega(q - 1), within the
-    columns, and the second time with w <= min(omega(q - 1) + 1, the first
-    w). It drops every third row at each stage, and the rows kept come out as
-    the same rows of the full call."""
+    with a skip against it. The skip is called once, on every row, with
+    the code of each row's q - 1 over the kernel's first `cut` base primes.
+    It drops every third row, and the rows kept come out as the same rows
+    of the full call."""
     def _check(kernel, segment):
         full = [a.copy() for a in kernel.segment(*segment)]
-        width = full[3].shape[1]
         position = {q: i for i, q in enumerate(full[0].tolist())}
         seen = []
 
-        def skip(q, code, w):
-            stage = len(seen)
+        def skip(q, code):
             seen.append(q.tolist())
-            for qi, c, wi in zip(q.tolist(), code.tolist(), w.tolist()):
-                omega = factorize(qi - 1).omega
+            for qi, c in zip(q.tolist(), code.tolist()):
                 assert c == sum(1 << j for j, ell in enumerate(kernel.base[:kernel.cut].tolist())
                                 if (qi - 1) % ell == 0), qi
-                assert omega <= wi <= width, qi
-                if stage:
-                    assert wi <= min(omega + 1, first_w[qi]), qi
-                else:
-                    first_w[qi] = wi
-            return np.array([position[qi] % 3 == 1 + stage for qi in q.tolist()], dtype=bool)
+            return np.array([position[qi] % 3 == 1 for qi in q.tolist()], dtype=bool)
 
-        first_w = {}
         kept = kernel.segment(*segment, skip)
-        assert seen[0] == full[0].tolist()
-        assert seen[1:] == ([[v for v in seen[0] if position[v] % 3 != 1]] if kept[0].size
-                            else [])
+        assert seen == [full[0].tolist()]
         for a, b in zip(kept, full):
-            assert a.shape == b[::3].shape and (a == b[::3]).all(), segment
+            keep = np.arange(len(b)) % 3 != 1
+            assert a.shape == b[keep].shape and (a == b[keep]).all(), segment
         return full
     return _check

@@ -1,5 +1,8 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from primpair.bounds import (
     wm_bound_check,
     worst_case_pass,
 )
-from primpair.ffcore import Factorization, factorize, sieve_primes
+from primpair.ffcore import Factorization, factorize, prime_power_iter, sieve_primes
 
 
 class TestDirectCriterion:
@@ -312,6 +315,27 @@ def _code_primes(code: int, cut: int) -> list[int]:
     return [p for j, p in enumerate(sieve_primes(200)[:cut].tolist()) if code >> j & 1]
 
 
+_BELOW_32 = sieve_primes(31).tolist()
+_PAST_32 = list(accumulate(sieve_primes(200)[11:].tolist(), mul))
+
+
+def _code_bound(q: int) -> tuple[int, int]:
+    """(code, w) for q - 1 as `CodeThresholds.passes` should read them, off
+    factorize: the set S of its primes below 32 as bits, and |S| + the most
+    primes from 37 on whose product is at most (q - 1) // prod(S)."""
+    s = [p for p in factorize(q - 1).primes if p < 32]
+    left = (q - 1) // prod(s)
+    return (sum(1 << _BELOW_32.index(p) for p in s),
+            len(s) + sum(1 for v in _PAST_32 if v <= left))
+
+
+@lru_cache(maxsize=None)
+def _code_bounds_below(hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, code, w) of `_code_bound` for every prime power q <= hi."""
+    q = [v for _, _, v in prime_power_iter(2, hi)]
+    return np.array(q), *(np.array(a) for a in zip(*map(_code_bound, q)))
+
+
 class TestCodeThresholds:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_monotone_and_bounded_by_omega_table(self, n):
@@ -364,14 +388,29 @@ class TestCodeThresholds:
         assert code_thresholds(3, 11) is code_thresholds(3, 11)
         assert code_thresholds(3, 11) is not code_thresholds(3, 8)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_passes_reads_w_off_q_and_code(self, n):
+        # for every prime power q <= 10^6, passes(q, code) is q > T_c at the
+        # w that _code_bound reads off factorize, and some q pass
+        q, code, w = _code_bounds_below(10**6)
+        thresholds = CodeThresholds(n, 11)
+        passed = thresholds.passes(q, code)
+        assert (passed == (q > thresholds(code, w))).all()
+        assert 0 < passed.sum() < q.size
+
     def test_huge_degree_clips(self):
         # n^2 * 16^w passes 2^63 for n = 10^6; entries are clipped there and
         # the comparison stays exact in int64
         thresholds = CodeThresholds(10**6, 11)
         code, w = np.array([0, (1 << 10) - 1]), np.array([0, OMEGA_MAX])
         assert thresholds(code, w).tolist() == [10**12, 2**63 - 1]
-        assert thresholds.passes(np.array([10**12 + 1, 2**63 - 1]), code,
-                                 w).tolist() == [True, False]
+        assert not (np.array([2**63 - 1]) > thresholds(code, w)[1:]).any()
+        # q - 1 = 6 * 10^17 has room for 2, 3 and the 9 primes from 37 to
+        # 71: 11 primes, above OMEGA_MAX, where the table has no entry
+        with pytest.raises(ValueError, match="OMEGA_MAX"):
+            thresholds.passes(np.array([6 * 10**17 + 1]), np.array([0b11]))
+        with pytest.raises(ValueError, match="OMEGA_MAX"):
+            thresholds(np.array([0]), np.array([OMEGA_MAX + 1]))
 
 
 class TestGenericCn:

@@ -456,13 +456,16 @@ class TestWeilAudit:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--qmax", "2", "--qmax must be >= 3"),
+        ("--qmax", str(ffcore.DEFAULT_TABLE_CAP + 1), "--qmax must be <= 16777216"),
+        ("--qmax", str(10**10), "--qmax must be <= 16777216"),
         ("--degmax", "0", "--degmax must be >= 1"),
     ])
     def test_out_of_range_is_usage_error(self, capsys, monkeypatch, flag, value, message):
         def never(*args, **kwargs):
-            raise AssertionError("weil-audit built a field before refusing")
+            raise AssertionError("weil-audit listed or built a field before refusing")
 
         monkeypatch.setattr(ffcore, "field_make", never)
+        monkeypatch.setattr(ffcore, "prime_power_iter", never)
         code, out, err = run(capsys, "weil-audit", flag, value)
         assert code == 2
         assert out == ""

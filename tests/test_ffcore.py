@@ -111,6 +111,22 @@ class TestFactorize:
             assert prod(p**e for p, e in f.factors) == m
         assert factorize(999_983).factors == ((999_983, 1),)
 
+    def test_primality_test_only_past_trial_division(self, monkeypatch):
+        # trial division that stops on p^2 > m leaves 1 or a prime, which
+        # needs no Miller-Rabin; a cofactor left after every prime below
+        # 1000 still takes Miller-Rabin and rho
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(ffcore, "is_prime", counting)
+        assert factorize(2 * 104729).factors == ((2, 1), (104729, 1))
+        assert calls == []
+        assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
+        assert calls[0] == 1009 * 1013 and sorted(calls[1:]) == [1009, 1013]
+
     def test_recompose_random_large(self):
         rng = random.Random(1)
         for _ in range(10_000):

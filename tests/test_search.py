@@ -3,15 +3,14 @@ import functools
 import hashlib
 import json
 import multiprocessing
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from math import gcd, prod
-from operator import mul
 
 import numpy as np
 import pytest
 
 from primpair import ffcore, polyrat, search
-from primpair.bounds import OMEGA_MAX, best_prefix, code_thresholds, omega_thresholds
+from primpair.bounds import best_prefix, code_thresholds, omega_thresholds
 from primpair.ffcore import SegmentKernel, factorize, field_make, prime_power_segments
 from primpair.polyrat import Poly, RationalFunc, enumerate_family, is_exceptional
 from primpair.search import (
@@ -470,7 +469,7 @@ class TestExceptionScan:
     def test_segment_just_below_ceiling(self, skipped_segment):
         # the factor buffer is as wide as the largest omega below the
         # segment's top: 10 columns at the ceiling, 9 just below the first
-        # 10-prime value; a skip sees omega_upper within those columns
+        # 10-prime value; a skip keeps the same rows as the full call
         records = list(exception_scan(SCAN_HI_MAX - 3000, SCAN_HI_MAX, emit="all"))
         assert records and all(r.q <= SCAN_HI_MAX for r in records)
         for r in records:
@@ -532,17 +531,12 @@ def _factors(m: int):
 
 
 _BELOW_32 = [int(p) for p in ffcore.sieve_primes(31)]
-_PAST_32 = list(accumulate(ffcore.sieve_primes(100)[11:].tolist(), mul))
 
 
-def _code_bound(q: int) -> tuple[int, int]:
-    """(code, w) for q - 1 as the scan kernel's first skip should see them,
-    read off factorize: the set S of its primes below 32 as bits, and |S| +
-    the most primes from 37 on whose product is at most (q - 1) // prod(S)."""
-    s = [p for p in _factors(q - 1).primes if p < 32]
-    left = (q - 1) // prod(s)
-    return (sum(1 << _BELOW_32.index(p) for p in s),
-            len(s) + sum(1 for v in _PAST_32 if v <= left))
+def _code(q: int) -> int:
+    """The code of q - 1 as the scan kernel's skip should see it, read off
+    factorize: the set of its primes below 32 as bits."""
+    return sum(1 << _BELOW_32.index(p) for p in _factors(q - 1).primes if p < 32)
 
 
 def _oracle_record(q: int, p: int, k: int, n: int) -> search.ScanRecord:
@@ -586,21 +580,21 @@ class TestScanSieve:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_code_table_certifies_only_passes(self, n, prime_powers):
-        # the kernel's first skip sees, for every prime power q <= 10^6, the
-        # code and the bound w that _code_bound reads off factorize; every q
-        # the code table passes on that w really passes
-        expected = [(q, *_code_bound(q)) for _, _, q in prime_powers(2, 10**6)]
+        # the kernel's skip sees, for every prime power q <= 10^6, the code
+        # that _code reads off factorize; every q the code table passes on
+        # q and that code really passes
+        expected = [(q, _code(q)) for _, _, q in prime_powers(2, 10**6)]
         kernel = SegmentKernel(prime_power_segments(2, 10**6, 10**6))
         seen = []
 
-        def skip(q, code, w):
-            seen.append(list(zip(q.tolist(), code.tolist(), w.tolist())))
+        def skip(q, code):
+            seen.append(list(zip(q.tolist(), code.tolist())))
             return np.zeros(q.size, dtype=bool)
 
         kernel.segment(2, 10**6 + 1, skip)
-        assert seen[0] == expected
-        q, code, w = (np.array(a) for a in zip(*expected))
-        passed = code_thresholds(n, kernel.cut).passes(q, code, w)
+        assert seen == [expected]
+        q, code = (np.array(a) for a in zip(*expected))
+        passed = code_thresholds(n, kernel.cut).passes(q, code)
         assert 0 < passed.sum() < q.size
         for qi in q[passed].tolist():
             assert best_prefix(qi, list(_factors(qi - 1).primes), n)[0] != "candidate", qi
@@ -608,33 +602,35 @@ class TestScanSieve:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_direct_bound_edge_is_exact(self, n):
         # q = T_c[code, w] sits on the table's bound and fails it, q + 1
-        # passes: at the code of the first w primes, where T_c is the omega
-        # table's entry, and at the codes of 2 alone and of 31 alone
-        pairs = [(code, max(w, bin(code).count("1"))) for w in range(OMEGA_MAX + 1)
-                 for code in ((1 << w) - 1, 1, 1 << 10)]
-        code, w = (np.repeat(a, 2) for a in zip(*pairs))
+        # passes, at codes where (q - 1) // prod(S) < 37 leaves no room for a
+        # prime past 31, so that passes reads w = |S| back off both: the
+        # empty code, 31 alone, and the first omega primes at the omega where
+        # the scan ceiling binds, whose entry is the omega table's
+        omega = {2: 8, 3: 9, 5: 9}[n]
+        code, w = np.array([0, 1 << 10, (1 << omega) - 1]), np.array([0, 1, omega])
         thresholds = code_thresholds(n, 11)
-        edge = thresholds(code, w) + np.tile([0, 1], len(pairs))
-        assert thresholds.passes(edge, code, w).tolist() == [False, True] * len(pairs)
-        assert (edge[::6] == omega_thresholds(n)).all()
+        edge = thresholds(code, w)
+        assert edge[2] == omega_thresholds(n)[omega]
+        assert (edge // [1, 31, prod(_BELOW_32[:omega])] < 37).all()
+        assert thresholds.passes(np.repeat(edge, 2) + np.tile([0, 1], 3),
+                                 np.repeat(code, 2)).tolist() == [False, True] * 3
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("lo, hi", [(2, 10**6), (5 * 10**7, 5 * 10**7 + 10**5),
                                         (4 * 10**8, 4 * 10**8 + 10**5)])
     def test_direct_skip_drops_only_sure_rows(self, n, lo, hi):
-        # every row that the code table drops, before the large primes are
-        # gathered or after, passes the exact kernel, and the rows left are
-        # the rest. Below 10^6 rows are left after both stages; the kept
-        # counts are pinned. From 5 * 10^7 on the first stage, on the codes
-        # alone, drops every row for n = 2, 3 and 5 alike.
+        # every row that the code table drops passes the exact kernel, and
+        # the rows left are the rest. Below 10^6 rows are left; the kept
+        # counts are pinned. From 5 * 10^7 on the code table drops every
+        # row for n = 2, 3 and 5 alike.
         plan = prime_power_segments(lo, hi, hi - lo + 1)
         kernel = SegmentKernel(plan)
         q, _, _, buf, _, cnt = (a.copy() for a in kernel.segment(lo, hi + 1))
         thresholds = code_thresholds(n, kernel.cut)
         dropped = []
 
-        def skip(q, code, w):
-            drop = thresholds.passes(q, code, w)
+        def skip(q, code):
+            drop = thresholds.passes(q, code)
             dropped.extend(q[drop].tolist())
             return drop
 
@@ -644,12 +640,11 @@ class TestScanSieve:
         for qi, omega, row in zip(q[gone].tolist(), cnt[gone].tolist(), buf[gone].tolist()):
             assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
         assert kept.tolist() == q[~gone].tolist()
-        assert kept.size == {2: 4947, 3: 9239, 5: 18519}[n] if lo == 2 else not kept.size
+        assert kept.size == {2: 5648, 3: 10907, 5: 23721}[n] if lo == 2 else not kept.size
 
     def test_exact_kernel_sees_only_rows_the_table_keeps(self, monkeypatch, prime_powers):
-        # best_prefix is called once per row the code table keeps on the
-        # kernel's final bound w = min(|S| + l, |S| + the primes of q - 1 in
-        # (31, isqrt(hi)] + 1), read off factorize here; it keeps every row
+        # best_prefix is called once per row the code table keeps, on its
+        # code read off factorize and w = |S| + l alone; it keeps every row
         # at or below T_c at the true omega(q - 1), and the scan's output
         # is the same
         calls = [0]
@@ -664,15 +659,12 @@ class TestScanSieve:
         got = list(exception_scan(3, hi, 2, segment_size=1 << 15))
         assert got == [r for r in (_oracle_record(q, p, k, 2) for p, k, q in prime_powers(3, hi))
                        if r.verdict == "candidate"]
+        q = np.array([v for _, _, v in prime_powers(3, hi)])
+        code = np.array([_code(v) for v in q.tolist()])
+        omega = np.array([_factors(v - 1).omega for v in q.tolist()])
         thresholds = code_thresholds(2, 11)
-        keep = at_omega = 0
-        for _, _, q in prime_powers(3, hi):
-            code, w_code = _code_bound(q)
-            primes = _factors(q - 1).primes
-            below_isqrt = sum(1 for p in primes if p <= 547)  # isqrt(300000) = 547
-            w = min(w_code, below_isqrt + 1)
-            keep += int(q <= thresholds(np.array([code]), np.array([w]))[0])
-            at_omega += int(q <= thresholds(np.array([code]), np.array([len(primes)]))[0])
+        keep = int((~thresholds.passes(q, code)).sum())
+        at_omega = int((q <= thresholds(code, omega)).sum())
         assert calls[0] == keep
         assert len(got) <= at_omega <= keep
 
