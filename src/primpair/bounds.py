@@ -17,9 +17,10 @@ size in one sweep, and `prefix_terms` reads delta, Delta and the threshold
 off it. Scans, `check-bound` and the worst-case grid hold no other copy of
 the criterion. `omega_thresholds` gives the least worst-case threshold^2 for
 each omega(q-1), and `code_thresholds` the same once the primes of q-1 below
-a cut are known; its `passes` bounds omega(q-1) from q and those primes
-alone, and a scan drops the rows it passes, in int64, before it factors
-them. No float takes part in a scan.
+a cut are known; its `ceilings` bounds omega(q-1) from a bound on q - 1 and
+those primes alone, one entry per code, and a scan drops the rows above
+their code's entry, in int64, before it sieves out their primality. No float
+takes part in a scan.
 `SieveParams` and the all-subsets `best_sieve` are the kernel's Fraction oracle.
 
 The module also carries the worst-case passes that the `tables` subcommand
@@ -34,6 +35,7 @@ explicit general bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -306,7 +308,7 @@ class CodeThresholds:
     use: the floor of the least threshold^2 that `best_prefix` finds on S
     united with the w - |S| least primes past the cut-th prime, S the set
     of primes whose bits the code sets, clipped at 2^63 - 1. w runs from
-    |S| to OMEGA_MAX. `passes` reads w off q and the code alone.
+    |S| to OMEGA_MAX. `ceilings` reads w off a bound on q - 1 and the code.
 
     Dominance. Let q - 1 have exactly the primes S among the first cut
     primes, and omega(q - 1) = w. Its other primes x_1 < ... < x_j,
@@ -328,9 +330,12 @@ class CodeThresholds:
     and clip keep the order. So any w >= omega(q - 1) will do.
 
     The bound on omega. The product x_1 * ... * x_j divides (q - 1) / prod(S),
-    and is at least y_1 * ... * y_j, so j <= l, the most primes past the
-    cut-th whose product is at most (q - 1) // prod(S), and
-    w = |S| + l >= omega(q - 1).
+    and is at least y_1 * ... * y_j, so j <= l(q - 1), where l(m) is the
+    most primes past the cut-th whose product is at most m // prod(S). l
+    never decreases in m, so for any m_max >= q - 1,
+    w = |S| + l(m_max) >= omega(q - 1), and by monotonicity q above
+    T_c[code, w] passes. A code with prod(S) > m_max belongs to no q - 1 up
+    to m_max.
 
     Any w primes, sorted, are at least the first w primes, one by one, so by
     the same dominance T_c[code, w] <= omega_thresholds(n)[w], with equality
@@ -341,13 +346,22 @@ class CodeThresholds:
         self.n = n
         self.code_primes, self.past = _FIRST_PRIMES[:cut], _FIRST_PRIMES[cut:]
         self.table = np.full((1 << cut, OMEGA_MAX + 1), -1, dtype=np.int64)
-        # each code's |S| and prod(S), and the products of the first 1, 2, ...
-        # primes past the cut, below 2^63
+        # each code's |S| and prod(S)
         cols = np.arange(1 << cut)[:, None] >> np.arange(cut) & 1
         self.size = cols.sum(axis=1)
         self.prod = np.where(cols, self.code_primes, 1).prod(axis=1)
-        self.past_products = np.array(
-            list(takewhile(lambda v: v < 1 << 63, accumulate(self.past, mul))), dtype=np.int64)
+        # a code's w is |S| from m = prod(S) on and steps up at prod(S) times
+        # each past product: the steps below 2^63, ascending, with their codes
+        times = np.array([1, *takewhile(lambda v: v < 1 << 63, accumulate(self.past, mul))])
+        fits = times <= (2**63 - 1) // self.prod[:, None]
+        steps = (self.prod[:, None] * np.where(fits, times, 0))[fits]
+        order = np.argsort(steps, kind="stable")
+        self.steps, self.step_codes = steps[order].tolist(), np.nonzero(fits)[0][order]
+        # a `ceilings` state: steps passed, each code's w (|S| - 1 before its
+        # first step) and the table; before the first step no code is possible
+        none = np.full(1 << cut, 2**63 - 1, dtype=np.int64)
+        none.flags.writeable = False
+        self.first = self.last = 0, self.size - 1, none
 
     def __call__(self, code: np.ndarray, w: np.ndarray) -> np.ndarray:
         """T_c[code[i], w[i]] for each i, filling the entries not yet met.
@@ -366,12 +380,27 @@ class CodeThresholds:
             got = self.table[code, w]
         return got
 
-    def passes(self, q: np.ndarray, code: np.ndarray) -> np.ndarray:
-        """Rows with q > T_c[code, |S| + l], exact in int64: each passes if
-        q - 1 has exactly the code's primes among the first cut."""
-        w = self.size[code] + np.searchsorted(self.past_products, (q - 1) // self.prod[code],
-                                              side="right")
-        return q > self(code, w)
+    def ceilings(self, m_max: int) -> np.ndarray:
+        """One int64 per code: T_c[code, |S| + l(m_max)], so that a q above
+        the entry of its code passes when q - 1 <= m_max has exactly the
+        code's primes among the first cut; 2^63 - 1, which passes no q, for
+        a code with prod(S) > m_max. ValueError where that w is above
+        OMEGA_MAX. The table is read-only and shared by every m_max between
+        two steps; from the last call's on, only codes with a step between
+        are read again."""
+        at = bisect_right(self.steps, m_max)
+        done, w, out = self.last
+        if at != done:
+            if at < done:
+                done, w, out = self.first
+            passed = np.bincount(self.step_codes[done:at], minlength=w.size)
+            w = w + passed
+            changed = np.flatnonzero(passed)
+            out = out.copy()
+            out[changed] = self(changed, w[changed])
+            out.flags.writeable = False
+            self.last = at, w, out
+        return out
 
 
 @lru_cache(maxsize=None)

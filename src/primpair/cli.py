@@ -147,6 +147,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.hi < args.lo:
+        raise ValueError(f"--hi must be >= --lo, got --lo {args.lo} --hi {args.hi}")
     result, records = search.run_scan(
         args.lo, args.hi, args.n, emit=args.emit,
         workers=args.workers, csv_path=args.out,
@@ -295,6 +297,8 @@ def cmd_weil_audit(args) -> int:
                          f"(ffcore.DEFAULT_TABLE_CAP), the largest field built; got {args.qmax}")
     if args.degmax < 1:
         raise ValueError(f"--degmax must be >= 1, got {args.degmax}")
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     from . import charsums  # only this subcommand needs it
     rng = random.Random(args.seed)
     fields = [(p, kk) for p, kk, q in ffcore.prime_power_iter(3, args.qmax)]

@@ -21,12 +21,13 @@ sits on three primitives built here:
    multiplication matrix raised to every cofactor (q-1)/l at once, and each
    doubling step is a k x k matrix product over F_p.
  - ``SegmentKernel``: the walk over the prime powers of a range, one segment
-   at a time, that `prime_power_segments` plans. One call per segment sieves
-   the prime powers q, leaving each q - 1 its set of primes below
-   ``_SMALL_CUT`` as a bit code, and factors every q - 1 that a caller's
-   skip test, on q and the code alone, does not drop. All of it runs in
-   numpy with no Python loop over the base primes above ``_SMALL_CUT``, in
-   arrays allocated once per walk and reused for every segment.
+   at a time, that `prime_power_segments` plans. One call per segment gives
+   each integer its set of primes below ``_SMALL_CUT`` as a bit code, drops
+   the q above a caller's ceiling for the code of q - 1, and only then
+   sieves the prime powers among the rest and factors their q - 1. All of
+   it runs in numpy with no Python loop over the base primes above
+   ``_SMALL_CUT``, in arrays allocated once per walk and reused for every
+   segment.
 
 Elements are packed integers: the coefficient vector (c_0, ..., c_{k-1}) of a
 residue mod the field modulus is stored as c_0 + c_1*p + ... + c_{k-1}*p^{k-1}.
@@ -62,8 +63,8 @@ DEFAULT_SEGMENT = 1 << 16
 # of the base primes above _SMALL_CUT (0.64 entries per half, 33 bytes per
 # entry of both halves) and 9 for the codes, the wheel table, the flags and
 # the row map, beside the factor rows: one segment at this limit peaks near
-# 240 MB there when every row is factored (max RSS of one process), 155 MB
-# when a skip drops every row before its large primes are gathered.
+# 240 MB there when every row is factored (max RSS of one process), 136 MB
+# when a table of ceilings drops every row before any large prime is marked.
 MAX_SEGMENT = 1 << 22
 # Base primes below this divide most factor rows, and their multiples would
 # be most of a segment's index array: instead, the sieve ORs bit j of each
@@ -340,13 +341,14 @@ class SegmentKernel:
     _SMALL_CUT:
      - below it, the j-th prime ORs bit j into the code of each of its
        multiples, by one strided slice (the leading primes up to _WHEEL by
-       one copy from a periodic table), and an integer with code 0 is
-       unmarked; a row m = q - 1 reads its small primes off its code;
+       one copy from a periodic table), and an integer with code 0 has no
+       prime below the cut; a row m = q - 1 reads its small primes off its
+       code;
      - above it, two index arrays hold the window offsets of the odd and of
        the even multiples of every such prime p: one stride pattern of
        j * 2p, built once for the plan's largest segment, plus the segment's
-       first odd or even multiple. The odd half marks composites, since
-       every even integer but 2 has a code. The even half gathers, through a
+       first odd or even multiple. The odd half marks the composites of
+       code 0, which are all odd. The even half gathers, through a
        map from window offset to row, the rows each prime divides: every
        m = q - 1 is even but for q = 2^k, whose odd m reads the odd half.
        Offsets past the window land in padding that is never read, so no
@@ -355,11 +357,13 @@ class SegmentKernel:
     primes up to isqrt(hi) serve every segment; base primes inside the window
     are set back to prime.
 
+    A caller's table of ceilings, one per code, drops the candidate q above
+    the entry of their q - 1's code before either half is built (see
+    `prime_powers`); a segment with no row left is done. Only the rows kept
+    are marked and gathered, the even half only if some m is even.
+
     Every prime of m < hi is a base prime but at most one, P > isqrt(hi):
-    two such would make m > hi. A caller's skip test sees each row once,
-    with its q and code, before any large prime is gathered. Only the rows
-    it keeps are gathered, the even half is built only if some row is left,
-    and every row gathered is factored: one sort of the keys
+    two such would make m > hi. One sort of the keys
     row * len(base) + prime index lists each row's primes ascending, the
     power of 2 in m is m & -m, and the powers of the odd primes grow by one
     loop, which counts their exponents. What is left of a row once the
@@ -377,6 +381,7 @@ class SegmentKernel:
         # a code's primes as a row of cut flags
         codes = np.arange(1 << self.cut)
         self.code_cols = (codes[:, None] >> np.arange(self.cut) & 1).astype(bool)
+        self.code_prod = np.where(self.code_cols, small, 1).prod(axis=1)  # of its primes
         self.large = large = base[self.cut:]
         self.stride = 2 * large
         reach = -(-(size + 1) // self.stride)  # the most multiples of 2p a window holds
@@ -411,9 +416,19 @@ class SegmentKernel:
         self.exps = np.empty((rows, width), dtype=np.int8)
         self.powers_of_2 = 1 << np.arange(63, dtype=np.int64)  # searchsorted: exponent
 
-    def prime_powers(self, seg_lo: int, seg_hi: int):
+    def prime_powers(self, seg_lo: int, seg_hi: int, ceilings=None):
         """Every prime power q = p^k in [seg_lo, seg_hi), ascending, as int64
-        arrays (q, p, k)."""
+        arrays (q, p, k), and the codes of the window in self.bits: bit j
+        of bits[q - seg_lo] is set when the j-th base prime divides q - 1,
+        for the first `cut`.
+
+        With ceilings, only the q at or below table[code of q - 1] are
+        kept, for the int64 table = ceilings(seg_hi - 2), one entry per
+        code. The candidates are the small base primes, the higher powers
+        and the q of code 0 whose q - 1 the primes shared by every live code
+        (entry >= seg_lo, product of primes <= seg_hi - 2) divide: 1 in
+        30030 in the n = 2 scan past 3.2e7. When none is kept, the large
+        primes are never touched."""
         if seg_lo < self.plan.lo or seg_hi - seg_lo > self.size or seg_hi > self.plan.hi + 1:
             raise ValueError(f"segment [{seg_lo}, {seg_hi}) is outside the kernel's plan")
         start, span = seg_lo - 1, seg_hi - seg_lo + 1
@@ -422,19 +437,33 @@ class SegmentKernel:
         bits[:] = self.wheel_codes[turn:turn + span]
         for j, p in enumerate(base[self.spokes:self.cut].tolist(), self.spokes):
             bits[-start % p::p] |= 1 << j
-        window = np.equal(bits, 0, out=flags[:span])
+        step = 1  # the q - 1 of every candidate of code 0 is a multiple of step
+        if ceilings is not None:
+            table = ceilings(seg_hi - 2)
+            live = np.flatnonzero((table >= seg_lo) & (self.code_prod <= seg_hi - 2))
+            if not live.size:
+                return (np.zeros(0, dtype=np.int64),) * 3
+            step = int(self.code_prod[np.bitwise_and.reduce(live)])
+        # code 0: primes past the cut, their powers and their composites
+        offset = -start % step
+        q = np.flatnonzero(bits[offset + 1::step] == 0) * step + (seg_lo + offset)
+        first, last = np.searchsorted(base, (seg_lo, seg_hi))  # base primes inside
+        sure = [(v, v, 1) for v in base[min(first, self.cut):min(last, self.cut)].tolist()]
+        sure = np.array(sure + self.higher[bisect_left(self.higher, (seg_lo,)):
+                                           bisect_left(self.higher, (seg_hi,))],
+                        dtype=np.int64).reshape(-1, 3).T
+        if ceilings is not None:
+            q = q[q <= table[bits[q - seg_lo]]]
+            sure = sure[:, sure[0] <= table[bits[sure[0] - seg_lo]]]
+            if not q.size and not sure.shape[1]:
+                return q, q, q
+        flags[q - start] = True
         self._multiples(self.large - start, self.odd)
-        flags[self.odd] = False
-        inside = base[np.searchsorted(base, seg_lo):np.searchsorted(base, seg_hi)]
-        flags[inside - start] = True
-        q = np.flatnonzero(window[1:]) + seg_lo
-        qpk = np.stack((q, q, np.ones_like(q)))
-        powers = self.higher[bisect_left(self.higher, (seg_lo,)):
-                             bisect_left(self.higher, (seg_hi,))]
-        if powers:
-            higher = np.array(powers, dtype=np.int64).T
-            qpk = np.insert(qpk, np.searchsorted(q, higher[0]), higher, axis=1)
-        q, p, k = qpk
+        flags[self.odd] = False  # offsets past the window land in the padding
+        flags[base[first:last] - start] = True
+        q = q[flags[q - start]]
+        qpk = np.concatenate((np.stack((q, q, np.ones_like(q))), sure), axis=1)
+        q, p, k = qpk[:, np.argsort(qpk[0])]
         return q, p, k
 
     def _multiples(self, shift, out: np.ndarray):
@@ -453,7 +482,7 @@ class SegmentKernel:
         hit = np.flatnonzero(self.hit)
         return hit, self.gathered[hit]
 
-    def segment(self, seg_lo: int, seg_hi: int, skip=None):
+    def segment(self, seg_lo: int, seg_hi: int, ceilings=None):
         """(q, p, k, primes, exps, omega) for the kept prime powers of the
         segment [seg_lo, seg_hi): q, p, k as in `prime_powers`, and
         primes[i, :omega[i]] the distinct primes of q[i] - 1, ascending, with
@@ -462,18 +491,12 @@ class SegmentKernel:
         allows. Needs hi < 2^42, so that each p times a power of p dividing
         m stays below 2^63.
 
-        With skip None every row is kept. Otherwise skip(q, code) gets the
-        segment's prime powers q and the codes of their q - 1 (bit j for the
-        j-th base prime, for the first `cut`), and returns a bool array; the
-        rows it marks are dropped. It is called once, before any large prime
-        is gathered."""
-        q, p, k = self.prime_powers(seg_lo, seg_hi)
+        ceilings, called once, drops rows as in `prime_powers`; with None
+        every row is kept."""
+        q, p, k = self.prime_powers(seg_lo, seg_hi, ceilings)
         base = self.base
         width = bisect_right(_PRIMORIALS, max(seg_hi - 2, 1))
         code = self.bits[q - seg_lo]  # q - 1's offset in the window from seg_lo - 1
-        if skip is not None:
-            keep = np.flatnonzero(~skip(q, code))
-            q, p, k, code = q[keep], p[keep], k[keep], code[keep]
         m, n = q - 1, q.size
         if not n:
             return q, p, k, self.buf[:0, :width], self.exps[:0, :width], np.zeros(0, np.intp)

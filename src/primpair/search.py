@@ -23,11 +23,11 @@ Three layers:
    the engine's test oracle.
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
-   `ffcore.SegmentKernel` call per segment marks the prime powers, drops
-   those that `bounds.code_thresholds` passes on q and the primes of q-1
-   below 32, read off the sieve's codes, before it gathers their large
-   primes, and factors the q-1 of the rest alone; `bounds.best_prefix`
-   decides them), then full exhaustive classification of the survivors.
+   `ffcore.SegmentKernel` call per segment drops the q above the
+   `bounds.code_thresholds` ceiling of q-1's primes below 32, read off the
+   sieve's codes, before its large primes sieve out the composites, and
+   factors the q-1 of the rest alone; `bounds.best_prefix` decides them),
+   then full exhaustive classification of the survivors.
    One driver, `_scan_segments`, walks the segments that
    `ffcore.prime_power_segments` plans, for all three, in one process or a
    worker pool, with one kernel workspace per scan and process.
@@ -520,14 +520,14 @@ def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
     of the kernel's plan, ascending.
 
     Only the q - 1 of prime powers are factored. With emit="candidates" the
-    kernel drops a row, before its large primes are gathered, when
-    `bounds.code_thresholds` passes it on q and the primes of q - 1 below
-    the code's cut. That drops only rows whose verdict is a pass. Every other row, and every
-    row under emit="all", gets its verdict from the exact kernel `best_prefix`.
+    kernel drops a row, before any large prime is marked or gathered, when
+    q is above the `bounds.code_thresholds` ceiling of q - 1's primes below
+    the cut. That drops only rows whose verdict is a pass. Every other row,
+    and every row under emit="all", gets its verdict from `best_prefix`.
     """
     n = cfg.n
-    skip = code_thresholds(n, kernel.cut).passes if cfg.emit == "candidates" else None
-    q, p, k, primes, exps, cnt = kernel.segment(*segment, skip)
+    ceilings = code_thresholds(n, kernel.cut).ceilings if cfg.emit == "candidates" else None
+    q, p, k, primes, exps, cnt = kernel.segment(*segment, ceilings)
     if not q.size:
         return []
     records = []

@@ -29,27 +29,35 @@ def prime_powers():
 @pytest.fixture(scope="session")
 def skipped_segment():
     """skipped_segment(kernel, segment) -> the kernel's (q, p, k, primes,
-    exps, omega) for segment with no skip, copied, after checking a call
-    with a skip against it. The skip is called once, on every row, with
-    the code of each row's q - 1 over the kernel's first `cut` base primes.
-    It drops every third row, and the rows kept come out as the same rows
-    of the full call."""
+    exps, omega) for segment with no ceilings, copied, after checking a call
+    with ceilings against it. Each row's code in the kernel's bits is the set
+    of its q - 1's primes among the kernel's first `cut` base primes. Two
+    calls with ceilings follow, each calling it once, with an m_max of at
+    least seg_hi - 2. The first table keeps some rows of the segment and
+    drops others; the second keeps the same rows among those whose q - 1 is
+    a multiple of 6 and drops every other row. The rows kept come out as
+    the rows of the full call with q <= table[code]."""
     def _check(kernel, segment):
         full = [a.copy() for a in kernel.segment(*segment)]
-        position = {q: i for i, q in enumerate(full[0].tolist())}
-        seen = []
+        seg_lo, seg_hi = segment
+        small = kernel.base[:kernel.cut].tolist()
+        code = np.array([sum(1 << j for j, ell in enumerate(small) if (qi - 1) % ell == 0)
+                         for qi in full[0].tolist()], dtype=np.int64)
+        assert (kernel.bits[full[0] - seg_lo] == code).all(), segment
+        codes = np.arange(1 << kernel.cut)
+        mixed = seg_lo + 7919 * codes % (seg_hi - seg_lo)
+        six = (codes & 3) == (3 & codes[-1])  # 2 and 3, as far as the cut holds them
+        for table in (mixed, np.where(six, mixed, seg_lo - 1)):
+            seen = []
 
-        def skip(q, code):
-            seen.append(q.tolist())
-            for qi, c in zip(q.tolist(), code.tolist()):
-                assert c == sum(1 << j for j, ell in enumerate(kernel.base[:kernel.cut].tolist())
-                                if (qi - 1) % ell == 0), qi
-            return np.array([position[qi] % 3 == 1 for qi in q.tolist()], dtype=bool)
+            def ceilings(m_max):
+                seen.append(m_max)
+                return table
 
-        kept = kernel.segment(*segment, skip)
-        assert seen == [full[0].tolist()]
-        for a, b in zip(kept, full):
-            keep = np.arange(len(b)) % 3 != 1
-            assert a.shape == b[keep].shape and (a == b[keep]).all(), segment
+            kept = kernel.segment(*segment, ceilings)
+            assert len(seen) == 1 and seen[0] >= seg_hi - 2, segment
+            keep = full[0] <= table[code]
+            for a, b in zip(kept, full):
+                assert a.shape == b[keep].shape and (a == b[keep]).all(), segment
         return full
     return _check

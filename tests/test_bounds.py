@@ -30,6 +30,7 @@ from primpair.bounds import (
     worst_case_pass,
 )
 from primpair.ffcore import Factorization, factorize, prime_power_iter, sieve_primes
+from primpair.search import SCAN_HI_MAX
 
 
 class TestDirectCriterion:
@@ -389,14 +390,47 @@ class TestCodeThresholds:
         assert code_thresholds(3, 11) is not code_thresholds(3, 8)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_passes_reads_w_off_q_and_code(self, n):
-        # for every prime power q <= 10^6, passes(q, code) is q > T_c at the
-        # w that _code_bound reads off factorize, and some q pass
+    def test_ceilings_read_w_off_m(self, n):
+        # for every prime power q <= 10^6, ceilings(q - 1)[code] is T_c at
+        # the w that _code_bound reads off factorize
         q, code, w = _code_bounds_below(10**6)
         thresholds = CodeThresholds(n, 11)
-        passed = thresholds.passes(q, code)
-        assert (passed == (q > thresholds(code, w))).all()
-        assert 0 < passed.sum() < q.size
+        got = np.array([thresholds.ceilings(m)[c] for m, c in zip((q - 1).tolist(),
+                                                                   code.tolist())])
+        assert (got == thresholds(code, w)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rows_above_ceilings_pass(self, n):
+        # every prime power q above ceilings(m)[code] with q - 1 <= m passes
+        # the exact kernel, for a few m, and some q are above
+        q, code, _ = _code_bounds_below(10**6)
+        thresholds = CodeThresholds(n, 11)
+        for m in (5_000, 54_321, 10**6 - 1):
+            above = (q - 1 <= m) & (q > thresholds.ceilings(m)[code])
+            assert above.any(), m
+            for qi in q[above].tolist():
+                assert best_prefix(qi, list(factorize(qi - 1).primes), n)[0] != "candidate", qi
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_ceilings_monotone_and_impossible_codes(self, n):
+        # a code with prod(S) > m reads 2^63 - 1; from the least m where it
+        # is possible, each code's entry never decreases as m grows, up to
+        # the scan ceiling, where no w passes OMEGA_MAX and every code but
+        # that of the 11 primes below 32, whose product is past SCAN_HI_MAX,
+        # is possible
+        thresholds = CodeThresholds(n, 11)
+        steps = [v for v in thresholds.steps if v < SCAN_HI_MAX][::25]
+        ms = sorted({*np.geomspace(1, SCAN_HI_MAX - 1, 300).astype(np.int64).tolist(),
+                     *steps, *(v - 1 for v in steps), SCAN_HI_MAX - 1})
+        earlier = None
+        for m in ms:
+            table = thresholds.ceilings(m)
+            possible = thresholds.prod <= m
+            assert ((table == 2**63 - 1) == ~possible).all(), m
+            if earlier is not None:
+                assert (table[was] >= earlier[was]).all(), m
+            earlier, was = table, possible
+        assert possible[:-1].all() and not possible[-1]
 
     def test_huge_degree_clips(self):
         # n^2 * 16^w passes 2^63 for n = 10^6; entries are clipped there and
@@ -408,7 +442,7 @@ class TestCodeThresholds:
         # q - 1 = 6 * 10^17 has room for 2, 3 and the 9 primes from 37 to
         # 71: 11 primes, above OMEGA_MAX, where the table has no entry
         with pytest.raises(ValueError, match="OMEGA_MAX"):
-            thresholds.passes(np.array([6 * 10**17 + 1]), np.array([0b11]))
+            thresholds.ceilings(6 * 10**17)
         with pytest.raises(ValueError, match="OMEGA_MAX"):
             thresholds(np.array([0]), np.array([OMEGA_MAX + 1]))
 

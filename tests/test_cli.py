@@ -118,6 +118,16 @@ class TestScan:
         assert code == 2
         assert "starts at" in err
 
+    def test_hi_below_lo(self, capsys, tmp_path):
+        # refused before any CSV is written, not scanned as an empty range
+        out_csv = tmp_path / "empty.csv"
+        code, out, err = run(capsys, "scan", "--lo", "100", "--hi", "99",
+                             "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --hi must be >= --lo")
+        assert not out_csv.exists()
+
     def test_range_above_ceiling(self, capsys):
         code, _, err = run(capsys, "scan", "--lo", "200560490130", "--hi", "200560490130")
         assert code == 2
@@ -459,6 +469,7 @@ class TestWeilAudit:
         ("--qmax", str(ffcore.DEFAULT_TABLE_CAP + 1), "--qmax must be <= 16777216"),
         ("--qmax", str(10**10), "--qmax must be <= 16777216"),
         ("--degmax", "0", "--degmax must be >= 1"),
+        ("--count", "-1", "--count must be >= 0"),
     ])
     def test_out_of_range_is_usage_error(self, capsys, monkeypatch, flag, value, message):
         def never(*args, **kwargs):

@@ -414,6 +414,50 @@ class TestPrimePowerIter:
                 assert trial_division(qi) == ((pi, ki),)
                 assert tuple(zip(row[:w], e[:w])) == factorize(qi - 1).factors, qi
 
+    def test_segment_dropping_every_row_marks_nothing(self, monkeypatch):
+        # a table that drops every row, from the small base primes and the
+        # higher powers on [2, 2000] to a band of 5 * 10^7, ends each
+        # segment before any large prime's multiples are built; the arrays
+        # are empty, with one column per prime the largest omega allows
+        calls = []
+        real = SegmentKernel._multiples
+
+        def spy(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(SegmentKernel, "_multiples", spy)
+        for lo, hi, width in ((2, 2000, 4), (5 * 10**7, 5 * 10**7 + 10**5, 8)):
+            plan = prime_power_segments(lo, hi, 1 << 16)
+            kernel = SegmentKernel(plan)
+            drop_all = np.zeros(1 << kernel.cut, dtype=np.int64)
+            for segment in plan:
+                q, p, k, primes, exps, omega = kernel.segment(*segment, lambda m: drop_all)
+                assert q.shape == p.shape == k.shape == omega.shape == (0,), segment
+                assert primes.shape == exps.shape == (0, width), segment
+            assert not calls
+            assert kernel.segment(*segment)[0].size and calls  # the spy sees a full call
+            calls.clear()
+
+    def test_ceilings_that_drop_nothing_keep_every_row(self):
+        # q = 2, the primes 3..31 and the powers 2^k and 3^k have a nonzero
+        # code of q, so they come from the small base primes and the higher
+        # powers, not from the rows of code 0; all come out as in the full
+        # call, on [2, 10^5]
+        plan = prime_power_segments(2, 10**5, 1 << 16)
+        kernel = SegmentKernel(plan)
+        keep_all = np.full(1 << kernel.cut, 2**63 - 1, dtype=np.int64)
+        rows = []
+        for segment in plan:
+            full = [a.copy() for a in kernel.segment(*segment)]
+            kept = kernel.segment(*segment, lambda m: keep_all)
+            for a, b in zip(kept, full):
+                assert a.shape == b.shape and (a == b).all(), segment
+            rows += kept[0].tolist()
+        assert rows == [q for _, _, q in prime_power_iter(2, 10**5)]
+        assert {2, *sieve_primes(31).tolist(), *(2**e for e in range(2, 17)),
+                *(3**e for e in range(2, 11))} <= set(rows)
+
     def test_segment_size_below_one_refused(self):
         with pytest.raises(ValueError, match="segment_size must be >= 1"):
             prime_power_segments(3, 100, 0)

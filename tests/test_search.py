@@ -580,21 +580,25 @@ class TestScanSieve:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_code_table_certifies_only_passes(self, n, prime_powers):
-        # the kernel's skip sees, for every prime power q <= 10^6, the code
-        # that _code reads off factorize; every q the code table passes on
-        # q and that code really passes
-        expected = [(q, _code(q)) for _, _, q in prime_powers(2, 10**6)]
+        # the kernel reads, for every prime power q <= 10^6, the code that
+        # _code reads off factorize; the table of ceilings(m_max), asked for
+        # once with m_max >= 10^6 - 1, keeps exactly the q at or below their
+        # code's entry, and every q above it really passes
+        q = np.array([v for _, _, v in prime_powers(2, 10**6)])
+        code = np.array([_code(v) for v in q.tolist()])
         kernel = SegmentKernel(prime_power_segments(2, 10**6, 10**6))
+        thresholds = code_thresholds(n, kernel.cut)
         seen = []
 
-        def skip(q, code):
-            seen.append(list(zip(q.tolist(), code.tolist())))
-            return np.zeros(q.size, dtype=bool)
+        def ceilings(m_max):
+            seen.append(m_max)
+            return thresholds.ceilings(m_max)
 
-        kernel.segment(2, 10**6 + 1, skip)
-        assert seen == [expected]
-        q, code = (np.array(a) for a in zip(*expected))
-        passed = code_thresholds(n, kernel.cut).passes(q, code)
+        kept = kernel.segment(2, 10**6 + 1, ceilings)[0]
+        assert (kernel.bits[q - 2] == code).all()
+        assert len(seen) == 1 and seen[0] >= 10**6 - 1
+        passed = q > thresholds.ceilings(seen[0])[code]
+        assert kept.tolist() == q[~passed].tolist()
         assert 0 < passed.sum() < q.size
         for qi in q[passed].tolist():
             assert best_prefix(qi, list(_factors(qi - 1).primes), n)[0] != "candidate", qi
@@ -603,17 +607,19 @@ class TestScanSieve:
     def test_direct_bound_edge_is_exact(self, n):
         # q = T_c[code, w] sits on the table's bound and fails it, q + 1
         # passes, at codes where (q - 1) // prod(S) < 37 leaves no room for a
-        # prime past 31, so that passes reads w = |S| back off both: the
-        # empty code, 31 alone, and the first omega primes at the omega where
-        # the scan ceiling binds, whose entry is the omega table's
+        # prime past 31, so that ceilings(q) reads w = |S| back: the empty
+        # code, 31 alone, and the first omega primes at the omega where the
+        # scan ceiling binds, whose entry is the omega table's
         omega = {2: 8, 3: 9, 5: 9}[n]
         code, w = np.array([0, 1 << 10, (1 << omega) - 1]), np.array([0, 1, omega])
         thresholds = code_thresholds(n, 11)
         edge = thresholds(code, w)
         assert edge[2] == omega_thresholds(n)[omega]
         assert (edge // [1, 31, prod(_BELOW_32[:omega])] < 37).all()
-        assert thresholds.passes(np.repeat(edge, 2) + np.tile([0, 1], 3),
-                                 np.repeat(code, 2)).tolist() == [False, True] * 3
+        for c, e in zip(code.tolist(), edge.tolist()):
+            table = thresholds.ceilings(e)  # q - 1 <= e for q = e and e + 1
+            assert table[c] == e
+            assert (np.array([e, e + 1]) > table[c]).tolist() == [False, True]
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("lo, hi", [(2, 10**6), (5 * 10**7, 5 * 10**7 + 10**5),
@@ -626,27 +632,27 @@ class TestScanSieve:
         plan = prime_power_segments(lo, hi, hi - lo + 1)
         kernel = SegmentKernel(plan)
         q, _, _, buf, _, cnt = (a.copy() for a in kernel.segment(lo, hi + 1))
+        code = kernel.bits[q - lo].copy()
         thresholds = code_thresholds(n, kernel.cut)
-        dropped = []
+        tables = []
 
-        def skip(q, code):
-            drop = thresholds.passes(q, code)
-            dropped.extend(q[drop].tolist())
-            return drop
+        def ceilings(m_max):
+            tables.append(thresholds.ceilings(m_max))
+            return tables[-1]
 
-        kept = kernel.segment(lo, hi + 1, skip)[0]
-        gone = np.isin(q, dropped)
-        assert gone.sum() == len(dropped)
+        kept = kernel.segment(lo, hi + 1, ceilings)[0]
+        assert len(tables) == 1
+        gone = q > tables[0][code]
         for qi, omega, row in zip(q[gone].tolist(), cnt[gone].tolist(), buf[gone].tolist()):
             assert best_prefix(qi, row[:omega], n)[0] != "candidate", qi
         assert kept.tolist() == q[~gone].tolist()
-        assert kept.size == {2: 5648, 3: 10907, 5: 23721}[n] if lo == 2 else not kept.size
+        assert kept.size == {2: 7862, 3: 14075, 5: 28625}[n] if lo == 2 else not kept.size
 
     def test_exact_kernel_sees_only_rows_the_table_keeps(self, monkeypatch, prime_powers):
         # best_prefix is called once per row the code table keeps, on its
-        # code read off factorize and w = |S| + l alone; it keeps every row
-        # at or below T_c at the true omega(q - 1), and the scan's output
-        # is the same
+        # code read off factorize and the table of its segment's top; it
+        # keeps every row at or below T_c at the true omega(q - 1), and the
+        # scan's output is the same
         calls = [0]
         real = search.best_prefix
 
@@ -655,15 +661,18 @@ class TestScanSieve:
             return real(*args)
 
         monkeypatch.setattr(search, "best_prefix", counting)
-        hi = 300_000
-        got = list(exception_scan(3, hi, 2, segment_size=1 << 15))
+        hi, size = 300_000, 1 << 15
+        got = list(exception_scan(3, hi, 2, segment_size=size))
         assert got == [r for r in (_oracle_record(q, p, k, 2) for p, k, q in prime_powers(3, hi))
                        if r.verdict == "candidate"]
         q = np.array([v for _, _, v in prime_powers(3, hi)])
         code = np.array([_code(v) for v in q.tolist()])
         omega = np.array([_factors(v - 1).omega for v in q.tolist()])
         thresholds = code_thresholds(2, 11)
-        keep = int((~thresholds.passes(q, code)).sum())
+        seg_hi = np.minimum(3 + (q - 3) // size * size + size, hi + 1)
+        ceiling = np.array([thresholds.ceilings(t - 2)[c]
+                            for t, c in zip(seg_hi.tolist(), code.tolist())])
+        keep = int((q <= ceiling).sum())
         at_omega = int((q <= thresholds(code, omega)).sum())
         assert calls[0] == keep
         assert len(got) <= at_omega <= keep
