@@ -6,7 +6,8 @@ exception classification, single-function pair searches, family membership,
 and a seeded audit of the character-sum machinery.
 
 Exit codes: 0 success, 1 negative verdict (candidate, absent pair,
-non-member, failed audit), 2 usage error, 3 compute-budget refusal.
+non-member, failed audit), 2 usage error, 3 compute-budget refusal, 130 a
+scan stopped by Ctrl-C.
 Inputs are refused in one place: `main` turns a ValueError (the library's
 refusals), a ZeroDivisionError (a zero denominator) or an OSError (a
 missing checkpoint, or a file that cannot be read or written, such as one
@@ -25,6 +26,7 @@ import json
 import random
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -146,14 +149,27 @@ def cmd_tables(args) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+def _bookmark(path: str | None) -> str:
+    """How far the checkpoint at path lets a stopped scan resume from."""
+    if path:
+        with suppress(OSError, ValueError, TypeError, KeyError), open(path) as fh:
+            return (f"checkpointed at {path} up to q={json.load(fh)['next_q']}; "
+                    "rerun with --resume to continue")
+    return "not checkpointed; rerun the scan, with --checkpoint to make it resumable"
+
+
 def cmd_scan(args) -> int:
     if args.hi < args.lo:
         raise ValueError(f"--hi must be >= --lo, got --lo {args.lo} --hi {args.hi}")
-    result, records = search.run_scan(
-        args.lo, args.hi, args.n, emit=args.emit,
-        workers=args.workers, csv_path=args.out,
-        checkpoint_path=args.checkpoint, resume=args.resume,
-        segment_size=args.segment)
+    try:
+        result, records = search.run_scan(
+            args.lo, args.hi, args.n, emit=args.emit,
+            workers=args.workers, csv_path=args.out,
+            checkpoint_path=args.checkpoint, resume=args.resume,
+            segment_size=args.segment)
+    except KeyboardInterrupt:
+        print(f"error: scan interrupted; {_bookmark(args.checkpoint)}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     payload = {
         "lo": args.lo, "hi": args.hi, "n": args.n,
         "emit": args.emit, "workers": args.workers,

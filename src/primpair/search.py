@@ -35,8 +35,9 @@ Three layers:
    kernel and the criterion decide F_2's record like every other.
 
 Scans are deterministic: records are emitted in increasing q, worker
-partitioning never changes output bytes, and checkpoints allow byte-identical
-resumption.
+partitioning never changes output bytes, and a resume from any checkpoint a
+scan writes (at its start, at most once per CHECKPOINT_EVERY_S seconds, and
+when it ends or stops) gives the bytes of an uninterrupted scan.
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import nullcontext
+import signal
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from time import monotonic
 
 import numpy as np
 
@@ -81,6 +84,12 @@ CLASSIFY_QMAX = 1_000
 NAIVE_WALK_MAX = 100_000
 
 CSV_HEADER = "q,p,k,omega,q_minus_1_factors,verdict,best_core"
+
+# The least time, in seconds, between two checkpoints a scan writes after a
+# completed segment (see run_scan). A write, with its os.replace, costs about
+# 0.1 ms on ext4, more than a segment that keeps no row; on that clock a kill
+# loses at most about this much work.
+CHECKPOINT_EVERY_S = 1.0
 
 
 class ExceptionalFunctionError(ValueError):
@@ -543,10 +552,17 @@ def _scan_segment(cfg: ScanConfig, kernel: SegmentKernel,
 
 
 def _checkpoint_write(path: str, payload: dict):
+    """Replace the checkpoint at path with payload, atomically: through a
+    .tmp file beside it, which a failed write or replace removes again."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(payload))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _checkpoint_read(path: str | None, fresh: dict, csv_path: str) -> dict:
@@ -588,6 +604,9 @@ _WORKER: tuple[ScanConfig, SegmentKernel] | None = None
 
 
 def _worker_start(cfg: ScanConfig, plan):
+    # Ctrl-C reaches the whole process group: the parent stops the scan and
+    # terminates the pool, so a worker does not print a traceback of its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _WORKER
     _WORKER = cfg, SegmentKernel(plan)
 
@@ -639,15 +658,27 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
 
     Output is byte-identical for any worker count: segments are disjoint,
     processed independently, and written in range order. A checkpoint is a
-    bookmark in the scan's CSV, so it needs csv_path: after every completed
-    segment, the atomic unit of resumable work, it stores the scan's state
-    (the next q, the records and candidates so far, the largest candidate,
-    the CSV's byte offset and the config hash). A scan starts at lo, a
-    resume at the checkpoint's next q, in segments of this call's size
-    (which may differ from the interrupted run's), from the checkpoint's
-    counters. It cuts the CSV back to the stored byte offset, so lines
-    written after the last checkpoint are not written twice. The range must
-    lie within [SCAN_FLOOR, SCAN_HI_MAX] = [2, 200560490129].
+    bookmark in the scan's CSV, so it needs csv_path. It stores the scan's
+    state after a completed segment, the atomic unit of resumable work: the
+    next q, the records and candidates so far, the largest candidate, the
+    CSV's byte offset and the config hash. The CSV is flushed up to that
+    offset before any checkpoint names it, so every checkpoint the scan
+    writes is a valid bookmark. It is written in three cases only: when a
+    fresh scan starts (next q = lo, the offset just past the header); after
+    a completed segment, at most once per CHECKPOINT_EVERY_S seconds; and
+    when the call ends, by return or by any exception, with the state of
+    the last completed segment if the file holds an older one. A failed
+    checkpoint write is not retried, and a failed write at the end never
+    hides the exception in flight. So an exception or a Ctrl-C leaves the
+    exact bookmark, and a kill loses at most about one interval of work.
+
+    A scan starts at lo, a resume at the checkpoint's next q, in segments of
+    this call's size (which may differ from the interrupted run's), from the
+    checkpoint's counters. It cuts the CSV back to the stored byte offset,
+    so lines written after the last checkpoint are not written twice. The
+    range must lie within [SCAN_FLOOR, SCAN_HI_MAX] = [2, 200560490129]. An
+    OSError while the scan runs comes back as an OSError that says how far
+    the scan got and whether it can resume.
 
     mode is the older spelling of a scan from 2, kept because the benchmark
     harness (perfbench/workloads.py) still passes it: "faithful" with lo = 3
@@ -669,8 +700,21 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     # segments start at the resume point, so their size never changes output
     plan = prime_power_segments(state["next_q"], hi, segment_size)
 
+    # state is the snapshot after the last completed segment, replaced, never
+    # changed, by the next one; saved is the snapshot the checkpoint holds
+    saved = state if resume else None
+    write_failed = False
+
+    def bookmark():
+        nonlocal saved, write_failed
+        try:
+            _checkpoint_write(checkpoint_path, state)
+        except BaseException:
+            write_failed = True
+            raise
+        saved = state
+
     all_records: list[ScanRecord] = []
-    saved = resume  # a checkpoint exists to resume from
     out = open(csv_path, "r+" if resume else "w") if csv_path else None
     segments = _scan_segments(cfg, plan, workers)
     try:
@@ -679,39 +723,56 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             out.truncate()
         elif out:
             out.write(CSV_HEADER + "\n")
-        for seg_end, seg_records in segments:
-            try:
-                for rec in seg_records:
-                    if out:
-                        out.write(rec.csv_line() + "\n")
-                    if rec.verdict == "candidate":
-                        state["num_candidates"] += 1
-                        state["max_candidate"] = rec.q  # records ascend
-                state["records_emitted"] += len(seg_records)
-                if out:
-                    out.flush()
-                else:
+            out.flush()
+            state = {**state, "csv_offset": out.tell()}
+            if checkpoint_path:
+                bookmark()
+        due = monotonic() + CHECKPOINT_EVERY_S
+        try:
+            for seg_end, seg_records in segments:
+                offset = state["csv_offset"]
+                if not out:
                     all_records.extend(seg_records)
-                if checkpoint_path:
-                    _checkpoint_write(checkpoint_path, {
-                        **state, "next_q": seg_end, "csv_offset": out.tell()})
-                    saved = True
-            except OSError as e:
-                raise OSError(
-                    f"{e}; scan interrupted before q={seg_end}. Completed segments are "
-                    + (f"checkpointed at {checkpoint_path}; rerun with resume=True "
-                       f"(CLI: --resume) to continue." if saved else
-                       "not checkpointed; rerun the scan, with a writable checkpoint "
-                       "path to make it resumable.")) from e
-            if progress:
-                progress(seg_end, hi, state["records_emitted"])
+                elif seg_records:
+                    out.write("".join(rec.csv_line() + "\n" for rec in seg_records))
+                    out.flush()
+                    offset = out.tell()
+                found = [rec.q for rec in seg_records if rec.verdict == "candidate"]
+                state = {**state, "next_q": seg_end,
+                         "records_emitted": state["records_emitted"] + len(seg_records),
+                         "num_candidates": state["num_candidates"] + len(found),
+                         "max_candidate": found[-1] if found else state["max_candidate"],
+                         "csv_offset": offset}
+                if checkpoint_path and monotonic() >= due:
+                    bookmark()
+                    due = monotonic() + CHECKPOINT_EVERY_S
+                if progress:
+                    progress(seg_end, hi, state["records_emitted"])
+        except BaseException:
+            if checkpoint_path and state is not saved and not write_failed:
+                with suppress(OSError):
+                    bookmark()
+            raise
+        if out:
+            out.close()
+        if checkpoint_path and state is not saved:
+            bookmark()
+    except OSError as e:
+        raise OSError(
+            f"{e}; the scan stopped with every q below {state['next_q']} done. "
+            + (f"It is checkpointed at {checkpoint_path} up to q={saved['next_q']}; "
+               "rerun with resume=True (CLI: --resume) to continue." if saved else
+               "It is not checkpointed; rerun the scan, with a writable checkpoint "
+               "path to make it resumable.")) from e
     finally:
         # closing the driver terminates its worker pool; lines past the last
         # checkpoint may reach the file here, and a resume cuts them off at
-        # the checkpoint's CSV offset
+        # the checkpoint's CSV offset, so a failed close after an error
+        # loses nothing and does not hide the error
         segments.close()
         if out:
-            out.close()
+            with suppress(OSError):
+                out.close()
     result = ScanResult(cfg, state["num_candidates"], state["max_candidate"],
                         state["records_emitted"], csv_path)
     return result, all_records

@@ -196,6 +196,43 @@ class TestScan:
         assert "not checkpointed" in err
         assert "--resume" not in err
 
+    def test_ctrl_c_says_how_far_the_scan_got(self, capsys, tmp_path, monkeypatch):
+        # Ctrl-C in the third segment: one error line naming the bookmark
+        # after the second, exit 130, and --resume gives the whole CSV
+        argv = ["scan", "--hi", "100000", "--segment", "4096"]
+        full = tmp_path / "full.csv"
+        assert run(capsys, *argv, "--out", str(full))[0] == 0
+        second_end = [end for _, end in ffcore.prime_power_segments(3, 100_000, 4096)][1]
+        real_segment, calls = search._scan_segment, [0]
+
+        def interrupt_third(*args):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise KeyboardInterrupt
+            return real_segment(*args)
+
+        monkeypatch.setattr(search, "_scan_segment", interrupt_third)
+        csv, ck = tmp_path / "scan.csv", tmp_path / "ck.json"
+        scan = [*argv, "--out", str(csv), "--checkpoint", str(ck)]
+        code, out, err = run(capsys, *scan)
+        assert code == 130
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"checkpointed at {ck} up to q={second_end};" in err
+        assert "--resume" in err
+        assert json.loads(ck.read_text())["next_q"] == second_end
+
+        calls[0] = 0
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "bare.csv"))
+        assert code == 130
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not checkpointed" in err and "--resume" not in err
+
+        monkeypatch.undo()
+        assert run(capsys, *scan, "--resume")[0] == 0
+        assert csv.read_bytes() == full.read_bytes()
+
 
 class TestClassify:
     def test_case1_prefix(self, capsys):

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 from itertools import zip_longest
 from math import gcd, prod
 
@@ -828,7 +829,9 @@ class TestRunScan:
 
     def test_resume_after_fault_between_csv_and_checkpoint(self, tmp_path, monkeypatch):
         # segment 3's lines reach the CSV but its checkpoint write fails; the
-        # resume cuts them off again instead of writing them twice
+        # resume cuts them off again instead of writing them twice. With no
+        # interval the scan checkpoints after every segment, so the failing
+        # write is the 4th: the one at the start, then one per segment.
         full = tmp_path / "full.csv"
         whole, _ = run_scan(3, 400_000, 2, csv_path=str(full), segment_size=100_000)
 
@@ -839,12 +842,112 @@ class TestRunScan:
 
         def write_then_fail(path, payload):
             writes[0] += 1
-            if writes[0] == 3:
+            if writes[0] == 4:
                 raise OSError("injected fault")
             real_write(path, payload)
 
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY_S", 0)
         monkeypatch.setattr(search, "_checkpoint_write", write_then_fail)
         with pytest.raises(OSError, match="injected fault.*checkpointed at"):
+            run_scan(3, 400_000, 2, csv_path=str(part), checkpoint_path=str(ck),
+                     segment_size=100_000)
+        assert writes[0] == 4  # the failed write is not retried at the exit
+        monkeypatch.undo()
+        assert json.loads(ck.read_text())["next_q"] == 200_003
+        resumed, _ = run_scan(3, 400_000, 2, csv_path=str(part), checkpoint_path=str(ck),
+                              segment_size=100_000, resume=True)
+        assert part.read_bytes() == full.read_bytes()
+        assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    def _spied_writes(self, monkeypatch):
+        """Payloads of every checkpoint write, each written for real."""
+        real_write, payloads = search._checkpoint_write, []
+
+        def spy(path, payload):
+            payloads.append(dict(payload))
+            real_write(path, payload)
+
+        monkeypatch.setattr(search, "_checkpoint_write", spy)
+        return payloads
+
+    def test_checkpoint_writes_on_a_clock(self, tmp_path, monkeypatch):
+        # a scan inside one interval writes at its start and at its end only;
+        # with no interval, after every segment too, and at the end no more,
+        # since the file already holds the last segment's state
+        csv, ck = tmp_path / "scan.csv", tmp_path / "ck.json"
+        ends = []
+        for every in (3600, 0):
+            monkeypatch.setattr(search, "CHECKPOINT_EVERY_S", every)
+            payloads = self._spied_writes(monkeypatch)
+            ends.clear()
+            result, _ = run_scan(3, 200_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                                 segment_size=1 << 11,
+                                 progress=lambda seg_end, hi, emitted: ends.append(seg_end))
+            assert len(ends) >= 50
+            if every:
+                assert len(payloads) <= 3
+            else:
+                assert [p["next_q"] for p in payloads] == [3] + ends
+            start, last = payloads[0], payloads[-1]
+            assert start == {"next_q": 3, "records_emitted": 0, "num_candidates": 0,
+                             "max_candidate": None, "csv_offset": len(CSV_HEADER) + 1,
+                             "config_hash": result.config.config_hash()}
+            assert last == {"next_q": ends[-1], "records_emitted": result.records_emitted,
+                            "num_candidates": result.num_candidates,
+                            "max_candidate": result.max_candidate,
+                            "csv_offset": csv.stat().st_size,
+                            "config_hash": start["config_hash"]}
+            assert json.loads(ck.read_text()) == last
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_from_stale_checkpoint(self, workers, tmp_path, monkeypatch):
+        # every checkpoint a scan writes is a bookmark: after the scan has run
+        # to its end, a resume from the one written at its start, or from one
+        # copied in a progress callback mid-run, cuts the CSV back to it and
+        # gives the bytes and summary of the uninterrupted scan
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 150_000, 2, csv_path=str(full), segment_size=1 << 13)
+        part, ck = tmp_path / "part.csv", tmp_path / "ck.json"
+        for every, pick in ((3600, 0), (0, 8)):
+            monkeypatch.setattr(search, "CHECKPOINT_EVERY_S", every)
+            copies, ends = [], []
+
+            def copy(seg_end, hi, emitted):
+                copies.append(ck.read_text())
+                ends.append(seg_end)
+
+            run_scan(3, 150_000, 2, csv_path=str(part), checkpoint_path=str(ck),
+                     workers=workers, segment_size=1 << 13, progress=copy)
+            assert part.read_bytes() == full.read_bytes()
+            stale = json.loads(copies[pick])
+            if every:
+                assert (stale["next_q"], stale["csv_offset"]) == (3, len(CSV_HEADER) + 1)
+            else:
+                assert stale["next_q"] == ends[pick] < 150_000
+            ck.write_text(copies[pick])
+            resumed, _ = run_scan(3, 150_000, 2, csv_path=str(part), checkpoint_path=str(ck),
+                                  workers=workers, segment_size=1 << 13, resume=True)
+            assert part.read_bytes() == full.read_bytes()
+            assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    def test_csv_fault_leaves_the_last_segment_bookmarked(self, tmp_path, monkeypatch):
+        # no interval passes, so the checkpoint at the segment before the
+        # fault is the one written when the scan stops
+        full = tmp_path / "full.csv"
+        whole, _ = run_scan(3, 400_000, 2, csv_path=str(full), segment_size=100_000)
+        part, ck = tmp_path / "part.csv", tmp_path / "ck.json"
+        real_line = search.ScanRecord.csv_line
+
+        def line_then_fail(rec):
+            if rec.q > 250_000:
+                raise OSError("injected fault")
+            return real_line(rec)
+
+        monkeypatch.setattr(search, "CHECKPOINT_EVERY_S", 3600)
+        monkeypatch.setattr(search.ScanRecord, "csv_line", line_then_fail)
+        with pytest.raises(OSError, match=f"injected fault.*checkpointed at {ck} up to "
+                                          "q=200003; rerun with resume=True"):
             run_scan(3, 400_000, 2, csv_path=str(part), checkpoint_path=str(ck),
                      segment_size=100_000)
         monkeypatch.undo()
@@ -853,6 +956,44 @@ class TestRunScan:
                               segment_size=100_000, resume=True)
         assert part.read_bytes() == full.read_bytes()
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_at_the_header_writes_no_checkpoint(self, tmp_path):
+        # the header never reached the CSV, so no state is a bookmark yet
+        ck = tmp_path / "ck.json"
+        with pytest.raises(OSError, match="No space left.*It is not checkpointed"):
+            run_scan(3, 10_000, 2, csv_path="/dev/full", checkpoint_path=str(ck))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_exists_at_every_progress_call(self, tmp_path):
+        # the write at the start comes before the first segment, so a
+        # callback always finds a checkpoint, at or before its segment's end
+        csv, ck = tmp_path / "scan.csv", tmp_path / "ck.json"
+        seen = []
+
+        def check(seg_end, hi, emitted):
+            seen.append(seg_end)
+            assert json.loads(ck.read_text())["next_q"] <= seg_end
+
+        run_scan(3, 100_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                 segment_size=1 << 12, progress=check)
+        assert len(seen) > 20
+
+    def test_failed_checkpoint_write_leaves_no_tmp(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.json"
+        ck.write_text("{}")
+
+        def fail(src, dst):
+            raise OSError("injected fault")
+
+        monkeypatch.setattr(search.os, "replace", fail)
+        with pytest.raises(OSError, match="injected fault"):
+            search._checkpoint_write(str(ck), {"next_q": 3})
+        monkeypatch.undo()
+        with pytest.raises(FileNotFoundError):
+            search._checkpoint_write(str(tmp_path / "nodir" / "ck.json"), {"next_q": 3})
+        assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
+        assert ck.read_text() == "{}"
 
     def test_resume_with_other_segment_size(self, tmp_path):
         # the resume starts its segments at the checkpoint's next q, so the
