@@ -859,26 +859,21 @@ class TestRunScan:
         assert part.read_bytes() == full.read_bytes()
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
 
-    def _spied_writes(self, monkeypatch):
-        """Payloads of every checkpoint write, each written for real."""
-        real_write, payloads = search._checkpoint_write, []
-
-        def spy(path, payload):
-            payloads.append(dict(payload))
-            real_write(path, payload)
-
-        monkeypatch.setattr(search, "_checkpoint_write", spy)
-        return payloads
-
     def test_checkpoint_writes_on_a_clock(self, tmp_path, monkeypatch):
         # a scan inside one interval writes at its start and at its end only;
         # with no interval, after every segment too, and at the end no more,
         # since the file already holds the last segment's state
         csv, ck = tmp_path / "scan.csv", tmp_path / "ck.json"
-        ends = []
+        real_write, payloads, ends = search._checkpoint_write, [], []
+
+        def spy(path, payload):
+            payloads.append(dict(payload))
+            real_write(path, payload)
+
         for every in (3600, 0):
             monkeypatch.setattr(search, "CHECKPOINT_EVERY_S", every)
-            payloads = self._spied_writes(monkeypatch)
+            monkeypatch.setattr(search, "_checkpoint_write", spy)
+            payloads.clear()
             ends.clear()
             result, _ = run_scan(3, 200_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
                                  segment_size=1 << 11,
