@@ -7,12 +7,13 @@ and a seeded audit of the character-sum machinery.
 
 Exit codes: 0 success, 1 negative verdict (candidate, absent pair,
 non-member, failed audit), 2 usage error, 3 compute-budget refusal, 130 a
-scan stopped by Ctrl-C.
+command stopped by Ctrl-C.
 Inputs are refused in one place: `main` turns a ValueError (the library's
 refusals), a ZeroDivisionError (a zero denominator) or an OSError (a
 missing checkpoint, or a file that cannot be read or written, such as one
 in a missing directory) from any subcommand into an `error:` line on stderr
-and exit code 2.
+and exit code 2, and a KeyboardInterrupt, which a scan words itself (see
+`search.run_scan`), into one and exit code 130.
 
 The argument parser is built once per process, on the first `main` call,
 and reused by every later call; parsing makes a fresh namespace each time,
@@ -26,7 +27,6 @@ import json
 import random
 import sys
 import time
-from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -149,27 +149,14 @@ def cmd_tables(args) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
-def _bookmark(path: str | None) -> str:
-    """How far the checkpoint at path lets a stopped scan resume from."""
-    if path:
-        with suppress(OSError, ValueError, TypeError, KeyError), open(path) as fh:
-            return (f"checkpointed at {path} up to q={json.load(fh)['next_q']}; "
-                    "rerun with --resume to continue")
-    return "not checkpointed; rerun the scan, with --checkpoint to make it resumable"
-
-
 def cmd_scan(args) -> int:
     if args.hi < args.lo:
         raise ValueError(f"--hi must be >= --lo, got --lo {args.lo} --hi {args.hi}")
-    try:
-        result, records = search.run_scan(
-            args.lo, args.hi, args.n, emit=args.emit,
-            workers=args.workers, csv_path=args.out,
-            checkpoint_path=args.checkpoint, resume=args.resume,
-            segment_size=args.segment)
-    except KeyboardInterrupt:
-        print(f"error: scan interrupted; {_bookmark(args.checkpoint)}", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    result, records = search.run_scan(
+        args.lo, args.hi, args.n, emit=args.emit,
+        workers=args.workers, csv_path=args.out,
+        checkpoint_path=args.checkpoint, resume=args.resume,
+        segment_size=args.segment)
     payload = {
         "lo": args.lo, "hi": args.hi, "n": args.n,
         "emit": args.emit, "workers": args.workers,
@@ -432,6 +419,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt as e:  # a scan's interrupt says how far it got
+        print(f"error: {str(e) or 'interrupted'}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

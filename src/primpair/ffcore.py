@@ -297,10 +297,10 @@ def higher_prime_powers(lo: int, hi: int, base: np.ndarray) -> list[tuple[int, i
 class SegmentPlan:
     """A walk over the prime powers in [lo, hi], ascending, in segments
     [seg_lo, seg_hi) of `size` integers, the last one shorter; iterating it
-    gives the (seg_lo, seg_hi) of each. `base` holds the primes up to
-    isqrt(hi) and `higher` is the `higher_prime_powers` list of [lo, hi];
-    every segment shares both. size is the largest actual segment, 0 for an
-    empty walk."""
+    gives the (seg_lo, seg_hi) of each, and len() their count. `base` holds
+    the primes up to isqrt(hi) and `higher` is the `higher_prime_powers`
+    list of [lo, hi]; every segment shares both. size is the largest actual
+    segment, 0 for an empty walk."""
 
     lo: int
     hi: int
@@ -311,6 +311,9 @@ class SegmentPlan:
     def __iter__(self):
         for seg_lo in range(self.lo, self.hi + 1, max(self.size, 1)):
             yield seg_lo, min(seg_lo + self.size, self.hi + 1)
+
+    def __len__(self):
+        return len(range(self.lo, self.hi + 1, max(self.size, 1)))
 
 
 def prime_power_segments(lo: int, hi: int, segment_size: int) -> SegmentPlan:

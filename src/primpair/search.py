@@ -37,7 +37,8 @@ Three layers:
 Scans are deterministic: records are emitted in increasing q, worker
 partitioning never changes output bytes, and a resume from any checkpoint a
 scan writes (at its start, at most once per CHECKPOINT_EVERY_S seconds, and
-when it ends or stops) gives the bytes of an uninterrupted scan.
+when it ends or stops) gives the bytes of an uninterrupted scan. `run_scan`
+alone writes a stopped scan's last bookmark and says how far it got.
 """
 
 from __future__ import annotations
@@ -565,19 +566,35 @@ def _checkpoint_write(path: str, payload: dict):
         raise
 
 
-def _checkpoint_read(path: str | None, fresh: dict, csv_path: str) -> dict:
+def _checkpoint_read(path: str | None, fresh: dict, hi: int, csv_path: str) -> dict:
     """The state a resume continues from: the checkpoint at path, refused
-    unless it belongs to the scan of fresh (its config hash), holds every key
-    of fresh with an integer csv_offset, and bookmarks a byte of the CSV at
-    csv_path that the file still holds. Keys outside fresh are dropped."""
+    unless it belongs to the scan of fresh (its config hash) over [lo, hi],
+    lo = fresh's next q, holds every key of fresh, each valid, and bookmarks
+    a byte of the CSV at csv_path that the file still holds. Keys outside
+    fresh are dropped.
+
+    Valid means: every counter is an int (not a bool), lo <= next_q <= hi + 1,
+    0 <= num_candidates <= records_emitted, and max_candidate is None or an
+    int in [lo, next_q)."""
     if not path or not os.path.exists(path):
         raise FileNotFoundError("resume requested but no checkpoint found")
     with open(path) as fh:
         ck = json.load(fh)
     if not isinstance(ck, dict) or ck.get("config_hash") != fresh["config_hash"]:
         raise ValueError(f"checkpoint {path} belongs to another scan configuration")
-    bad = [key for key in fresh if key not in ck
-           or key == "csv_offset" and type(ck[key]) is not int]
+    lo = fresh["next_q"]
+    nq, emitted, cands, top = (ck.get(key) for key in (
+        "next_q", "records_emitted", "num_candidates", "max_candidate"))
+
+    def ints(*values):
+        return all(type(v) is int for v in values)
+
+    valid = {"next_q": ints(nq) and lo <= nq <= hi + 1,
+             "records_emitted": ints(emitted) and emitted >= 0,
+             "num_candidates": ints(cands, emitted) and 0 <= cands <= emitted,
+             "max_candidate": top is None or ints(top, nq) and lo <= top < nq,
+             "csv_offset": ints(ck.get("csv_offset"))}
+    bad = [key for key in fresh if key not in ck or not valid.get(key, True)]
     if bad:
         raise ValueError(f"checkpoint {path} cannot resume a scan: missing or invalid "
                          f"{', '.join(bad)}; rerun the scan without resume")
@@ -629,7 +646,10 @@ def _scan_segments(cfg: ScanConfig, plan, workers: int = 1):
         from multiprocessing import Pool  # imported only by a parallel scan
     with (Pool(workers, _worker_start, (cfg, plan)) if workers > 1
           else nullcontext()) as pool:
-        decided = (pool.imap(_worker_segment, plan) if pool else
+        # one segment per task costs more in messages than a segment that
+        # keeps no row; a task of about 1/8 of each worker's share does not
+        chunk = max(1, len(plan) // (8 * workers))
+        decided = (pool.imap(_worker_segment, plan, chunk) if pool else
                    map(partial(_scan_segment, cfg, SegmentKernel(plan)), plan))
         for (_, seg_end), records in zip(plan, decided):
             yield seg_end, records
@@ -667,18 +687,22 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
     fresh scan starts (next q = lo, the offset just past the header); after
     a completed segment, at most once per CHECKPOINT_EVERY_S seconds; and
     when the call ends, by return or by any exception, with the state of
-    the last completed segment if the file holds an older one. A failed
-    checkpoint write is not retried, and a failed write at the end never
-    hides the exception in flight. So an exception or a Ctrl-C leaves the
-    exact bookmark, and a kill loses at most about one interval of work.
+    the last completed segment if the file holds an older one. Nothing is
+    written before the CSV holds its header, a failed checkpoint write is
+    not retried, and a failed write at the end never hides the exception in
+    flight. So an exception or a Ctrl-C leaves the exact bookmark, and a
+    kill loses at most about one interval of work. A checkpoint path that
+    is, or whose .tmp file is, the CSV itself is refused before any file is
+    opened.
 
     A scan starts at lo, a resume at the checkpoint's next q, in segments of
     this call's size (which may differ from the interrupted run's), from the
-    checkpoint's counters. It cuts the CSV back to the stored byte offset,
+    checkpoint's counters, which are each checked before the CSV is opened
+    (see _checkpoint_read). It cuts the CSV back to the stored byte offset,
     so lines written after the last checkpoint are not written twice. The
     range must lie within [SCAN_FLOOR, SCAN_HI_MAX] = [2, 200560490129]. An
-    OSError while the scan runs comes back as an OSError that says how far
-    the scan got and whether it can resume.
+    OSError or a KeyboardInterrupt that stops the scan comes back as one of
+    its kind that says how far the scan got and whether it can resume.
 
     mode is the older spelling of a scan from 2, kept because the benchmark
     harness (perfbench/workloads.py) still passes it: "faithful" with lo = 3
@@ -693,30 +717,33 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
         raise ValueError(
             "a checkpoint needs the CSV of its scan (CLI: --out): it records the "
             "CSV's byte offset, and a resume continues that file")
-    state = {"next_q": cfg.lo, "records_emitted": 0, "num_candidates": 0,
+    if checkpoint_path and os.path.realpath(csv_path) in (
+            os.path.realpath(checkpoint_path), os.path.realpath(checkpoint_path + ".tmp")):
+        raise ValueError(
+            f"checkpoint {checkpoint_path} would overwrite the CSV {csv_path}, through "
+            "itself or its .tmp file; give the checkpoint a path of its own")
+    fresh = {"next_q": cfg.lo, "records_emitted": 0, "num_candidates": 0,
              "max_candidate": None, "csv_offset": 0, "config_hash": cfg.config_hash()}
-    if resume:
-        state = _checkpoint_read(checkpoint_path, state, csv_path)
+    state = _checkpoint_read(checkpoint_path, fresh, hi, csv_path) if resume else fresh
     # segments start at the resume point, so their size never changes output
     plan = prime_power_segments(state["next_q"], hi, segment_size)
 
     # state is the snapshot after the last completed segment, replaced, never
-    # changed, by the next one; saved is the snapshot the checkpoint holds
-    saved = state if resume else None
+    # changed, by the next one; saved is the snapshot the checkpoint holds,
+    # and fresh, whose offset 0 no CSV holds, stands for no bookmark at all
+    saved = state
     write_failed = False
 
     def bookmark():
         nonlocal saved, write_failed
-        try:
-            _checkpoint_write(checkpoint_path, state)
-        except BaseException:
-            write_failed = True
-            raise
-        saved = state
+        write_failed = True  # until the write returns
+        _checkpoint_write(checkpoint_path, state)
+        saved, write_failed = state, False
 
     all_records: list[ScanRecord] = []
     out = open(csv_path, "r+" if resume else "w") if csv_path else None
     segments = _scan_segments(cfg, plan, workers)
+    stop = None
     try:
         if resume:
             out.seek(state["csv_offset"])
@@ -728,51 +755,53 @@ def run_scan(lo: int, hi: int, n: int = 2, *, mode: str = "exact",
             if checkpoint_path:
                 bookmark()
         due = monotonic() + CHECKPOINT_EVERY_S
-        try:
-            for seg_end, seg_records in segments:
-                offset = state["csv_offset"]
-                if not out:
-                    all_records.extend(seg_records)
-                elif seg_records:
-                    out.write("".join(rec.csv_line() + "\n" for rec in seg_records))
-                    out.flush()
-                    offset = out.tell()
-                found = [rec.q for rec in seg_records if rec.verdict == "candidate"]
-                state = {**state, "next_q": seg_end,
-                         "records_emitted": state["records_emitted"] + len(seg_records),
-                         "num_candidates": state["num_candidates"] + len(found),
-                         "max_candidate": found[-1] if found else state["max_candidate"],
-                         "csv_offset": offset}
-                if checkpoint_path and monotonic() >= due:
-                    bookmark()
-                    due = monotonic() + CHECKPOINT_EVERY_S
-                if progress:
-                    progress(seg_end, hi, state["records_emitted"])
-        except BaseException:
-            if checkpoint_path and state is not saved and not write_failed:
-                with suppress(OSError):
-                    bookmark()
-            raise
+        for seg_end, seg_records in segments:
+            offset = state["csv_offset"]
+            if not out:
+                all_records.extend(seg_records)
+            elif seg_records:
+                out.write("".join(rec.csv_line() + "\n" for rec in seg_records))
+                out.flush()
+                offset = out.tell()
+            found = [rec.q for rec in seg_records if rec.verdict == "candidate"]
+            state = {**state, "next_q": seg_end,
+                     "records_emitted": state["records_emitted"] + len(seg_records),
+                     "num_candidates": state["num_candidates"] + len(found),
+                     "max_candidate": found[-1] if found else state["max_candidate"],
+                     "csv_offset": offset}
+            if checkpoint_path and monotonic() >= due:
+                bookmark()
+                due = monotonic() + CHECKPOINT_EVERY_S
+            if progress:
+                progress(seg_end, hi, state["records_emitted"])
         if out:
             out.close()
-        if checkpoint_path and state is not saved:
+    except BaseException as e:
+        stop = e
+    # closing the driver terminates its worker pool; a resume cuts off any
+    # lines past the last checkpoint, so a failed close after a stop loses nothing
+    segments.close()
+    if out:
+        with suppress(OSError):
+            out.close()
+    # the one exit bookmark: its failure stops a scan that ran to the end,
+    # and never hides the exception that stopped one
+    if checkpoint_path and state is not saved and not write_failed:
+        try:
             bookmark()
-    except OSError as e:
-        raise OSError(
-            f"{e}; the scan stopped with every q below {state['next_q']} done. "
+        except (OSError, KeyboardInterrupt) as e:
+            stop = stop or e
+    if isinstance(stop, (OSError, KeyboardInterrupt)):
+        kind = OSError if isinstance(stop, OSError) else KeyboardInterrupt
+        raise kind(
+            f"{str(stop) or 'interrupted'}; the scan stopped with every q below "
+            f"{state['next_q']} done. "
             + (f"It is checkpointed at {checkpoint_path} up to q={saved['next_q']}; "
-               "rerun with resume=True (CLI: --resume) to continue." if saved else
-               "It is not checkpointed; rerun the scan, with a writable checkpoint "
-               "path to make it resumable.")) from e
-    finally:
-        # closing the driver terminates its worker pool; lines past the last
-        # checkpoint may reach the file here, and a resume cuts them off at
-        # the checkpoint's CSV offset, so a failed close after an error
-        # loses nothing and does not hide the error
-        segments.close()
-        if out:
-            with suppress(OSError):
-                out.close()
+               "rerun with resume=True (CLI: --resume) to continue." if saved is not fresh
+               else "It is not checkpointed; rerun the scan, with a writable checkpoint "
+               "path to make it resumable.")) from stop
+    if stop:
+        raise stop
     result = ScanResult(cfg, state["num_candidates"], state["max_candidate"],
                         state["records_emitted"], csv_path)
     return result, all_records
@@ -820,6 +849,10 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
     CLASSIFY_QMAX with an explicit high-water mark when q_max exceeds
     it.
 
+    jsonl_path, if given, is opened before any field is decided, so a path
+    that cannot be written is refused at once; each exception's
+    `witness_entry` line is written and flushed as soon as it is verified.
+
     For the (2, 0) family the default scope counts only irreducible failing
     quadratics, matching the established classification; pass
     quadratic_scope="all" for the full-family superset (see q_in_Q).
@@ -828,22 +861,24 @@ def classify_true_exceptions(q_max: int, family: tuple[int, int], *,
         raise ValueError(f"classification supports families (1,1) and (2,0), got {family}")
     high_water = min(q_max, CLASSIFY_QMAX)
     exceptions: list[ClassifiedException] = []
-    # from 3, not SCAN_FLOOR: q_in_Q refuses q <= 2, where F_2* is trivial
-    for rec in exception_scan(3, high_water, sum(family)):
-        ctx = field_make(rec.p, rec.k)
-        res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
-        if progress:
-            progress(rec.q, res.member)
-        if res.member:
-            continue
-        f = res.failing
-        if pair_exists(ctx, f).found:
-            raise AssertionError(f"witness disagreement at q={rec.q}")
-        exceptions.append(ClassifiedException(
-            rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))
-    if jsonl_path:
-        write_witness_jsonl(jsonl_path, [
-            witness_entry(e.q, family, e.failing_num, e.failing_den) for e in exceptions])
+    with open(jsonl_path, "w") if jsonl_path else nullcontext() as report:
+        # from 3, not SCAN_FLOOR: q_in_Q refuses q <= 2, where F_2* is trivial
+        for rec in exception_scan(3, high_water, sum(family)):
+            ctx = field_make(rec.p, rec.k)
+            res = q_in_Q(ctx, *family, quadratic_scope=quadratic_scope)
+            if progress:
+                progress(rec.q, res.member)
+            if res.member:
+                continue
+            f = res.failing
+            if pair_exists(ctx, f).found:
+                raise AssertionError(f"witness disagreement at q={rec.q}")
+            exceptions.append(ClassifiedException(
+                rec.q, rec.p, rec.k, family, f.num.coeffs, f.den.coeffs))
+            if report:
+                report.write(json.dumps(witness_entry(
+                    rec.q, family, f.num.coeffs, f.den.coeffs)) + "\n")
+                report.flush()
     return ClassificationResult(family, q_max, exceptions, high_water,
                                 complete=q_max <= CLASSIFY_QMAX)
 

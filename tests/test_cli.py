@@ -234,6 +234,74 @@ class TestScan:
         assert csv.read_bytes() == full.read_bytes()
 
 
+    def test_ctrl_c_before_the_first_write_is_not_checkpointed(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # another scan's checkpoint sits at the path: the report comes from
+        # this scan, which had bookmarked nothing yet, not from that file
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps({"next_q": 12345}))
+
+        def interrupted(path, payload):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "_checkpoint_write", interrupted)
+        code, out, err = run(capsys, "scan", "--hi", "100000", "--out",
+                             str(tmp_path / "scan.csv"), "--checkpoint", str(ck))
+        assert (code, out) == (130, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not checkpointed" in err
+        assert "12345" not in err and "--resume" not in err
+        assert json.loads(ck.read_text()) == {"next_q": 12345}
+
+    @pytest.mark.parametrize("out, checkpoint", [
+        ("x.csv", "x.csv"), ("ck.json.tmp", "ck.json"),
+        ("x.csv", "{dir}/x.csv"), ("ck.json.tmp", "{dir}/ck.json")])
+    def test_checkpoint_naming_the_csv_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                      out, checkpoint):
+        # refused before any file is opened: the CSV is not cut, and no
+        # checkpoint takes its place
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / out).write_text("keep\n")
+        for resume in ((), ("--resume",)):
+            code, stdout, err = run(capsys, "scan", "--hi", "100000", "--out", out,
+                                    "--checkpoint", checkpoint.format(dir=tmp_path),
+                                    *resume)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "would overwrite the CSV" in err
+            assert [f.name for f in tmp_path.iterdir()] == [out]
+            assert (tmp_path / out).read_text() == "keep\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("next_q", "abc"), ("next_q", 5.5), ("next_q", True), ("next_q", 2),
+        ("next_q", 10_002), ("records_emitted", "x"), ("records_emitted", -1),
+        ("num_candidates", -1), ("num_candidates", "emitted + 1"),
+        ("num_candidates", False), ("max_candidate", "x"), ("max_candidate", 2),
+        ("max_candidate", "next_q"), ("max_candidate", 9967.0)])
+    def test_resume_refuses_invalid_checkpoint_field(self, capsys, tmp_path, key, value):
+        # the scan is [3, 10000]: lo <= next_q <= hi + 1, 0 <= num_candidates
+        # <= records_emitted, and max_candidate in [lo, next_q); a refusal
+        # comes before the CSV is opened, in the library and in the CLI
+        argv = ["scan", "--hi", "10000", "--segment", "4096"]
+        csv, ck = tmp_path / "scan.csv", tmp_path / "ck.json"
+        assert run(capsys, *argv, "--out", str(csv), "--checkpoint", str(ck))[0] == 0
+        state = json.loads(ck.read_text())
+        assert state["next_q"] == 10_001 and state["max_candidate"] == 9967
+        value = {"emitted + 1": state["records_emitted"] + 1,
+                 "next_q": state["next_q"]}.get(value, value)
+        ck.write_text(json.dumps({**state, key: value}))
+        data = csv.read_bytes()
+        with pytest.raises(ValueError, match=f"missing or invalid {key}"):
+            search.run_scan(3, 10_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                            segment_size=4096, resume=True)
+        code, out, err = run(capsys, *argv, "--out", str(csv), "--checkpoint", str(ck),
+                             "--resume")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"missing or invalid {key}" in err
+        assert csv.read_bytes() == data
+
+
 class TestClassify:
     def test_case1_prefix(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "classify",
@@ -301,6 +369,19 @@ class TestClassify:
         data = out_path.read_bytes()
         assert data.count(b"\n") == lines
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+    def test_out_in_missing_directory_refused_before_computing(self, capsys, tmp_path,
+                                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a field was decided before the report was opened")
+
+        monkeypatch.setattr(search, "q_in_Q", never)
+        code, out, err = run(capsys, "classify", "--family", "1,1", "--qmax", "1000",
+                             "--out", str(tmp_path / "nodir" / "w.jsonl"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "No such file or directory" in err
 
 
 class TestPair:
@@ -518,6 +599,23 @@ class TestWeilAudit:
         assert code == 2
         assert out == ""
         assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("classify_true_exceptions", ["classify", "--family", "1,1", "--qmax", "350"]),
+    ("q_in_Q", ["qmember", "--q", "337", "--n1", "1", "--n2", "1"]),
+    ("pair_exists", ["pair", "--q", "13", "--num", "1,1", "--den", "2,1"])])
+def test_ctrl_c_exits_130_from_any_command(capsys, monkeypatch, target, argv):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, target, interrupted)
+    try:
+        code, out, err = run(capsys, *argv)
+    except KeyboardInterrupt:
+        pytest.fail(f"the interrupt of {argv[0]} escaped main")
+    assert (code, out) == (130, "")
+    assert err == "error: interrupted\n"
 
 
 def test_timestamp_suppression(capsys):

@@ -952,6 +952,33 @@ class TestRunScan:
         assert part.read_bytes() == full.read_bytes()
         assert resumed == dataclasses.replace(whole, csv_path=str(part))
 
+    def test_interrupt_names_the_bookmark(self, tmp_path, monkeypatch):
+        # a KeyboardInterrupt in the third segment comes out of run_scan with
+        # the report an OSError gets: how far the scan got, and the bookmark
+        # written at the exit after the second segment
+        ends = [end for _, end in prime_power_segments(3, 100_000, 4096)]
+        real_segment, calls = search._scan_segment, [0]
+
+        def interrupt_third(*args):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise KeyboardInterrupt
+            return real_segment(*args)
+
+        monkeypatch.setattr(search, "_scan_segment", interrupt_third)
+        csv, ck = tmp_path / "scan.csv", tmp_path / "ck.json"
+        with pytest.raises(KeyboardInterrupt,
+                           match=f"^interrupted; the scan stopped with every q below "
+                                 f"{ends[1]} done. It is checkpointed at {ck} up to "
+                                 f"q={ends[1]}; rerun with resume=True"):
+            run_scan(3, 100_000, 2, csv_path=str(csv), checkpoint_path=str(ck),
+                     segment_size=4096)
+        assert json.loads(ck.read_text())["next_q"] == ends[1]
+        calls[0] = 0
+        with pytest.raises(KeyboardInterrupt, match=f"every q below {ends[1]} done. "
+                                                    "It is not checkpointed"):
+            run_scan(3, 100_000, 2, segment_size=4096)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_disk_at_the_header_writes_no_checkpoint(self, tmp_path):
         # the header never reached the CSV, so no state is a bookmark yet
@@ -1228,6 +1255,19 @@ class TestClassify:
         candidates = [r.q for r in exception_scan(3, 120, 2)]
         assert [q for q, _ in seen] == candidates == sorted(candidates)
         assert [q for q, member in seen if not member] == res.q_list
+
+    def test_witness_report_streams(self, tmp_path):
+        # each exception's line is on disk before the next field is decided
+        out = tmp_path / "w.jsonl"
+        seen = []
+
+        def check(q, member):
+            seen.append(q)
+            assert [json.loads(s)["q"] for s in out.read_text().splitlines()] == [
+                e for e in CASE_1_1 if e < q]
+
+        res = classify_true_exceptions(60, (1, 1), jsonl_path=str(out), progress=check)
+        assert res.q_list == [q for q in CASE_1_1 if q <= 60] and len(seen) > 17
 
     def test_witness_report(self, tmp_path):
         out = tmp_path / "w.jsonl"
