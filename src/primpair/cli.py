@@ -190,6 +190,8 @@ def cmd_classify(args) -> int:
         raise ValueError(f"cannot parse family {args.family!r}") from None
     if family not in search.ENGINE_FAMILIES:  # a usage error, before the budget
         raise ValueError("classification supports families 1,1 and 2,0")
+    if args.qmax < 3:
+        raise ValueError(f"--qmax must be >= 3, the smallest field classified; got {args.qmax}")
     cost = ("the exhaustive step ANDs about q * rad(q-1) * ceil(rad(q-1)/64) "
             "words per shift, 16 to 48 shifts, for each surviving field q, "
             "half that for 1,1")

@@ -10,8 +10,9 @@ sits on three primitives built here:
    exp/dlog tables that are built on first use, by a vector operation or by
    a scalar operation of an extension field, which reduce primitivity and
    u-freeness to gcd tests on exponents. A prime field's scalar operations
-   never ask for the tables: they use Python `pow`, test a^((q-1)/l) != 1
-   on the primes l of q - 1, and solve a discrete log by Pohlig-Hellman.
+   never build the tables: they use Python `pow`, test a^((q-1)/l) != 1
+   on the primes l of q - 1 (gcd(dlog a, q - 1) = 1 once something else
+   has built them), and solve a discrete log by Pohlig-Hellman.
    The tables are filled from [1, g] by doubling,
    with g^t carried from step to step and squared mod p. A prime field is
    built as Z/p: its generator is found by scalar `pow` tests, and each
@@ -629,7 +630,9 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
 
 class _Table:
     """A FieldCtx table, exp or dlog: the first read of either builds both
-    and sets them on the context, where later reads find them first.
+    and sets them on the context, where later reads find them first, with
+    dlog also as `_logs`, which scalar operations read to learn whether the
+    tables exist without building them.
 
     Unlike functools.cached_property, it sets them with plain attribute
     assignment and leaves the instance __dict__ alone: CPython 3.11 reads
@@ -647,6 +650,7 @@ class _Table:
         if ctx is None:
             return self
         ctx.exp, ctx.dlog = _build_tables(ctx.p, ctx.k, ctx.g, ctx._gen_matrix)
+        ctx._logs = ctx.dlog
         return getattr(ctx, self.name)
 
 
@@ -655,10 +659,11 @@ class FieldCtx:
     and, built on first use, the exp/dlog tables.
 
     `exp` and `dlog` are built together by `_build_tables` the first time
-    either is read: by a vector operation, by `primitive_elements`, or by a
-    scalar operation of an extension field. Scalar operations of a prime
-    field read no table: they use Python `pow`, and `dlog_of` solves by
-    Pohlig-Hellman. Nothing else changes after construction. A FieldCtx may
+    either is read: by a vector operation or by a scalar operation of an
+    extension field. Scalar operations of a prime field build no table:
+    they use Python `pow`, and `dlog_of` solves by Pohlig-Hellman; only
+    `is_primitive` reads dlog once something else has built the tables.
+    Nothing else changes after construction. A FieldCtx may
     be shared across threads: two threads that first read a table at the
     same time may each build it, and both builds are equal.
     Use :func:`field_make` to build one.
@@ -675,6 +680,7 @@ class FieldCtx:
         self._gen_matrix = gen_matrix  # matrix of v -> v*g, float64; None for k == 1
         self._cofactors = tuple((self.q - 1) // r for r in qm1.primes)
         self._pow_p = tuple(p**i for i in range(k))
+        self._logs = None  # dlog once the tables are built, read without building them
 
     exp = _Table()  # exp[t] = g^t for 0 <= t < q - 1
     dlog = _Table()  # dlog[a] = t with g^t = a for a != 0, dlog[0] = -1
@@ -776,13 +782,18 @@ class FieldCtx:
         return (self.q - 1) // gcd(t, self.q - 1)
 
     def is_primitive(self, a) -> bool:
-        """True iff a generates the multiplicative group."""
+        """True iff a generates the multiplicative group: gcd(dlog a, q - 1)
+        = 1 once the tables are built, which a prime field does not ask for;
+        until then a^((q-1)/l) != 1 for every prime l of q - 1."""
         if a == 0:
             return False
-        if self.k == 1:
-            a = int(a)
-            return all(pow(a, c, self.p) != 1 for c in self._cofactors)
-        return gcd(int(self.dlog[a]), self.q - 1) == 1
+        logs = self._logs
+        if logs is None:
+            if self.k == 1:
+                a = int(a)
+                return all(pow(a, c, self.p) != 1 for c in self._cofactors)
+            logs = self.dlog
+        return gcd(int(logs[a]), self.q - 1) == 1
 
     def rad_of_divisor(self, u: int) -> int:
         """Product of the distinct primes dividing u, for u | q - 1."""
@@ -808,12 +819,6 @@ class FieldCtx:
             a, m = int(a), self.q - 1
             return all(pow(a, m // s, self.p) != 1 for s in self.qm1.primes if r % s == 0)
         return gcd(int(self.dlog[a]), r) == 1
-
-    def primitive_elements(self) -> np.ndarray:
-        """Packed values of all primitive elements, in ascending dlog order."""
-        m = self.q - 1
-        ts = np.flatnonzero(np.gcd(np.arange(m, dtype=np.int64), m) == 1)
-        return self.exp[ts]
 
     # -- vectorized arithmetic on int64 arrays of packed values -------------
 

@@ -12,15 +12,17 @@ Three layers:
    h making x + d a unit mod q-1. Mod rho = rad(q-1) they are the AND of one
    packed row of non-unit bits per shift, which the engine takes for a block
    of shapes at once, a chunk of shifts at a time, dropping each shape as
-   soon as a shift rescues its last scale. Multiplying by u in H = <g^rho>
-   permutes the primitive elements, so each family generates one shape per
-   orbit of H (the (1,1) shifts read from a table of translate dlogs, the
-   (2,0) ones from rows of x^2 + b0*x + c0), the engine keeps the failing
-   classes, and the family expands them back over H. In (1,1), alpha ->
-   1/alpha pairs each orbit (beta, d) with (-beta-d mod rho, d), and failing
-   scale class r with d - r, so only one orbit of each pair is decided.
-   `naive_membership` walks any other family one function at a time and is
-   the engine's test oracle.
+   soon as a shift rescues its last scale. Every shift is read in the dlog
+   domain from one table of Zech logarithms, dlog(1 + g^n), so no field
+   arithmetic runs per shift. Multiplying by u in H = <g^rho> permutes the
+   primitive elements, so each family generates one shape per orbit of H
+   ((1,1) the pairs b = g^beta, c = b*g^d, (2,0) the rows of
+   x^2 + b0*x + c0), the engine keeps the failing classes, and the family
+   expands them back over H. In (1,1), alpha -> 1/alpha pairs each orbit
+   (beta, d) with (-beta-d mod rho, d), and failing scale class r with
+   d - r, so only one orbit of each pair is decided. `naive_membership`
+   walks any other family one function at a time and is the engine's test
+   oracle.
  - `exception_scan` / `run_scan` / `classify_true_exceptions`: segmented scan
    of all prime powers in a range against the certification criteria (one
    `ffcore.SegmentKernel` call per segment drops the q above the
@@ -73,8 +75,9 @@ SCAN_HI_MAX = 200_560_490_129
 # The largest q a classification decides; the CLI refuses a larger qmax. One
 # field decides about q * rad(q-1) shapes per family, half that for (1,1),
 # which decides one shape of each inversion pair, and a shape costs
-# ceil(rad(q-1) / 64) words per shift ANDed: 16 shifts, or 48 where q - 1
-# has many primes and few units. The README gives the measured times.
+# ceil(rad(q-1) / 64) words per shift ANDed, each shift two gathers in O(q)
+# tables: 16 shifts, or 48 where q - 1 has many primes and few units. The
+# README gives the measured times.
 CLASSIFY_QMAX = 1_000
 
 # The most coefficient tuples, q^(n1+n2) * (q-1) for the (n1, n2) family over
@@ -184,7 +187,7 @@ def _mask_table(rho: int, primes: tuple[int, ...]) -> np.ndarray:
 
 class _Engine:
     """The membership engine of one field: it decides blocks of shapes and
-    keeps their failing scale classes.
+    keeps their failing scale classes, all in the dlog domain.
 
     Scale dlog x fails a shape when x + d is a non-unit mod m = q - 1 for
     every kept shift d of the shape. Unit-ness depends only on the residue
@@ -194,14 +197,32 @@ class _Engine:
     and reads row rho, which is all ones. `decide` ANDs the shifts of a block
     in chunks of columns, the first _FIRST_COLUMNS wide and each next one
     twice as wide, and after each chunk drops the shapes with no failing
-    class left; a family gives the columns of the shapes still live only.
-    A family reads the shifts of its shapes from `dlog` and expands the kept
-    classes over H = <g^rho> with `lift`.
+    class left; a family gives the mask rows of the shapes still live only.
+
+    The shifts come from one table of Zech logarithms, z[n] = dlog(1 + g^n)
+    for n mod m (Lidl and Niederreiter, Finite Fields), built with one
+    add_vec. The identity: for nonzero a and c, a + c = c * (1 + a/c) and
+    a/c = g^(dlog a - dlog c), so dlog(a + c) = dlog c + z[dlog a - dlog c]
+    mod m. 1 + g^n is zero exactly when g^n = -1: at n = m/2 for odd q,
+    where -1 is the one element of order 2 and g^(m/2) has order 2, and at
+    n = 0 for even q, where -1 = 1. There `zech` holds `zero` = -3m - 1, and
+    a + c = 0 exactly when the index is that n. So every column of every
+    shape is integer sums and gathers in tables of O(m) entries, whatever
+    k is.
+
+    `row[n]` is the mask row a family reads for a dlog offset n, so that
+    its columns need no reduction mod m or rho:
+      - n in [-m, m): z[n mod m] mod rho, and rho where z is zero;
+      - n in [m, 2m): n mod rho;
+      - n in [2m, 3m]: 0;
+      - n in [3m + 1, 4m]: rho.
+    Negative n read the last m entries, as numpy indexes from the end. So
+    e - zech[i] for e in [0, m) reads rho when zech[i] is `zero`.
     """
 
     def __init__(self, ctx: FieldCtx):
         m, rho = ctx.q - 1, ctx.qm1.radical
-        self.rho, self.words = rho, -(-rho // 64)
+        self.m, self.rho, self.words = m, rho, -(-rho // 64)
         cells = (rho + 1) * self.words
         if cells > DEFAULT_TABLE_CAP:
             raise ValueError(
@@ -209,17 +230,19 @@ class _Engine:
                 f"(rho + 1) * ceil(rho / 64) = {cells} words, rho = rad(q-1), "
                 f"above the limit of {DEFAULT_TABLE_CAP} (ffcore.DEFAULT_TABLE_CAP)")
         self.masks = _mask_table(rho, ctx.qm1.primes)
-        # dlogs mod rho, with 2*rho in place of the -1 at zero: a difference
-        # of two of them is a shift in (-rho, rho), or one past rho in size
-        # when a zero or pole took part
-        self.dlog = np.where(ctx.dlog < 0, 2 * rho, ctx.dlog % rho).astype(np.int32)
-        # the mask row of each shift s in [-2*rho, 2*rho], indexed from the
-        # end for s < 0: s mod rho for |s| < rho, and row rho past it
-        ids = np.arange(rho)
-        self.row = np.concatenate((ids, np.full(2 * rho, rho), ids))
+        self.zero = -3 * m - 1
+        zech = ctx.dlog[ctx.add_vec(1, ctx.exp)]
+        self.zech = np.where(zech < 0, self.zero, zech).astype(np.int32)
+        reduced = np.where(zech < 0, rho, zech % rho)
+        self.row = np.concatenate((reduced, np.arange(m) % rho, np.zeros(m + 1, np.intp),
+                                   np.full(m, rho), reduced))
+        self.prim = np.flatnonzero(np.gcd(np.arange(m), m) == 1)  # dlogs of the columns
         self.lift = np.arange(0, m, rho)  # the dlogs of H
-        self.points = ctx.qm1.euler_phi  # the primitive elements, one shift each
         self.kept = [np.zeros((3, 0), dtype=np.int64)]  # (u, v, r) per block
+        # the mask rows of a chunk, in one buffer for the engine's life: a
+        # fresh array per chunk faults in fresh pages whenever glibc serves
+        # it by mmap, which depends on what the process freed before
+        self.rows = np.empty(max(_BLOCK_CELLS, self.words), dtype=np.uint64)
 
     def blocks(self, count: int):
         """Cut count shapes into the engine's blocks."""
@@ -229,19 +252,20 @@ class _Engine:
         """Keep (u[row], v[row], r) for every failing (row, x mod rho) of a
         block, if it has any.
 
-        shifts(live, cols) gives the shifts of the block rows live at the
-        primitive elements cols, a slice of range(phi(m)), as a live x cols
-        array of `dlog` entries or of differences of two; u and v name the
-        rows. A failing class r stands for the scales x = r + j*rho,
-        j < m / rho.
+        shifts(live, cols) gives the mask rows of the block rows live at the
+        primitive elements whose dlogs are prim[cols], cols a slice of
+        range(phi(m)), as a live x cols array; u and v name the rows. A
+        failing class r stands for the scales x = r + j*rho, j < m / rho.
         """
         live = np.arange(u.size)
         acc = self.masks[self.rho]
-        lo, step = 0, _FIRST_COLUMNS
-        while live.size and lo < self.points:
+        lo, step, points = 0, _FIRST_COLUMNS, self.prim.size
+        while live.size and lo < points:
             step = min(step, max(1, _BLOCK_CELLS // (live.size * self.words)))
-            cols = slice(lo, min(lo + step, self.points))
-            rows = np.take(self.masks, self.row[shifts(live, cols).T], axis=0)
+            cols = slice(lo, min(lo + step, points))
+            index = shifts(live, cols).T
+            rows = self.rows[:index.size * self.words].reshape(*index.shape, self.words)
+            np.take(self.masks, index, axis=0, out=rows, mode="clip")
             acc = np.bitwise_and.reduce(rows, axis=0) & acc
             alive = acc.any(axis=1)
             live, acc = live[alive], acc[alive]
@@ -271,17 +295,29 @@ def _sorted_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray
     return list(zip(a[new].tolist(), b[new].tolist(), c[new].tolist()))
 
 
+def _minus_one(ctx: FieldCtx) -> int:
+    """dlog(-1): m/2 for odd q, 0 for even q."""
+    return (ctx.q - 1) // 2 if ctx.p > 2 else 0
+
+
 def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     """All (a, b, c) with a(x+b)/(x+c) lacking a primitive pair, b != c both
     nonzero, as canonical orbit representatives min((a, b, c), (a^-1, c, b)).
 
     For u in H = <g^rho>, rho = rad(q-1), u*alpha is primitive exactly when
     alpha is, so the shape (b, c) fails at the same scales as (u*b, u*c).
-    The orbits are the shapes b = g^beta, c = g^(beta+d) for beta < rho and
-    d in [1, m/2]. Every unordered {b, c} has such an orientation, and both
-    orientations when d = m/2, which the final dedupe absorbs. The shifts of
-    a shape are T[beta] - T[beta+d], from the table T[t, i] = dlog(g^t +
-    prim[i]) of every nonzero translate of the primitive elements.
+    The orbits are the shapes b = g^beta, c = g^(beta+d) = g^gamma for beta
+    < rho and d in [1, m/2]. Every unordered {b, c} has such an orientation,
+    and both orientations when d = m/2, which the final dedupe absorbs.
+
+    At alpha = g^t the shift of a shape is dlog((alpha + b)/(alpha + c)).
+    With alpha + b = (alpha + c) + (b - c), it is z[dlog(b - c) - dlog(alpha
+    + c)], and dlog(alpha + c) = gamma + z[t - gamma]. As b - c = g^beta *
+    (1 - g^d), dlog(b - c) - gamma = z[d + dlog(-1)] - d, which no shape's
+    beta enters (see _Engine). So the column reads the mask row
+    row[e_d - zech[t - gamma]], e_d = z[d + dlog(-1)] - d mod m: row rho at
+    the pole alpha = -c, where zech reads `zero`, and at the zero alpha = -b,
+    where the index is dlog(-1) mod m.
 
     1/alpha is primitive exactly when alpha is, and f(1/alpha) is
     (ab/c)(alpha + 1/b)/(alpha + 1/c); taking 1/f of that, the shape
@@ -293,21 +329,12 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
     c = b*g^d.
     """
     m = ctx.q - 1
-    cells = ctx.q * ctx.qm1.euler_phi
-    if cells > DEFAULT_TABLE_CAP:
-        raise ValueError(
-            f"the (1,1) engine of F_{ctx.q} needs tables of q * phi(q-1) = "
-            f"{cells} entries, above the limit of {DEFAULT_TABLE_CAP} "
-            "(ffcore.DEFAULT_TABLE_CAP)")
     engine = _Engine(ctx)
-    rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
-    # filled in blocks, so the sums never take a second table's memory
-    table = np.empty((m, prim.size), dtype=engine.dlog.dtype)
-    for blk in _blocks(m, prim.size):
-        table[blk] = engine.dlog[ctx.add_vec(exp[blk, None], prim)]
+    rho, zech, row, prim = engine.rho, engine.zech, engine.row, engine.prim
     # The shapes kept for shift d, with s = -d mod rho, are beta in [0, s/2]
     # and then in (s, (s+rho)/2], numbered from start[d-1] on.
     shift = np.arange(1, m // 2 + 1)
+    lead = (zech[(shift + _minus_one(ctx)) % m] - shift) % m
     s = -shift % rho
     head = s // 2 + 1
     count = head + (s + rho) // 2 - s
@@ -317,16 +344,18 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
         k = np.searchsorted(start, i, side="right") - 1
         beta = i - start[k]
         beta += np.where(beta < head[k], 0, s[k] + 1 - head[k])
-        d = shift[k]
+        d, e = shift[k], lead[k]
         gamma = (beta + d) % m
-        # dlog(alpha + b) - dlog(alpha + c) for b = g^beta, c = g^gamma
-        engine.decide(beta, d, lambda live, cols: (table[beta[live], cols]
-                                                   - table[gamma[live], cols]))
+        engine.decide(beta, d, lambda live, cols: row[
+            e[live, None] - zech[prim[cols] - gamma[live, None]]])
+    if len(engine.kept) == 1:
+        return []
     beta, d, r = np.concatenate(engine.kept, axis=1)
     partner = (-beta - d) % rho
     other = partner != beta
     beta, d, r = (np.concatenate(v)[:, None, None] for v in (
         (beta, partner[other]), (d, d[other]), (r, (d - r)[other] % rho)))
+    exp = ctx.exp
     ta = r + engine.lift[:, None]  # (reps, i, 1)
     tb = beta + engine.lift  # (reps, 1, j)
     a, a_inv = exp[ta], exp[-ta]
@@ -336,49 +365,88 @@ def _failing_triples_1_1(ctx: FieldCtx) -> list[tuple[int, int, int]]:
                            np.where(swap, b, c))
 
 
+def _quadratic_logs(engine: _Engine, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dlog(x(x + b0)) at x = g^t, t in [0, m), for each row b0 of rows, as a
+    rows x t array: 2t for row 0, where b0 = 0, and t + beta + z[t - beta]
+    mod m for row 1 + beta, where b0 = g^beta; 3m at x = -b0."""
+    m = engine.m
+    beta = np.maximum(rows - 1, 0)[:, None]
+    logs = t + beta + engine.zech[t - beta]
+    logs = np.where(logs < 0, 3 * m, logs % m)
+    logs[rows == 0] = 2 * t % m
+    return logs
+
+
+def _quadratic_shapes(ctx: FieldCtx, engine: _Engine, rows: np.ndarray,
+                      irreducible: bool) -> np.ndarray:
+    """The shapes x^2 + b0*x + c0 of rows that (2,0) decides: a rows x (m + 1)
+    mask whose column j < m stands for c0 = g^j and column m for c0 = 0.
+
+    b0^2 = 4*c0 drops c0 = g^(2*beta - dlog 4) from row 1 + beta of an odd
+    field, where dlog 4 = 2*z[0], and c0 = 0 from row 0; in an even field
+    4 = 0, and the rule drops row 0 whole. With irreducible=True a shape
+    with a root x goes too: c0 = 0 (x = 0) and c0 = -x(x + b0), whose dlog
+    is dlog(-1) plus `_quadratic_logs` at x."""
+    m = engine.m
+    keep = np.ones((rows.size, m + 1), dtype=bool)
+    if ctx.p == 2:
+        keep[rows == 0] = False
+    else:
+        keep[rows == 0, m] = False
+        linear = rows > 0
+        keep[linear, (2 * (rows[linear] - 1) - 2 * int(engine.zech[0])) % m] = False
+    if irreducible:
+        logs = _quadratic_logs(engine, rows, np.arange(m))
+        root = np.where(logs == 3 * m, m, (logs + _minus_one(ctx)) % m)
+        keep[np.arange(rows.size)[:, None], root] = False
+        keep[:, m] = False
+    return keep
+
+
 def _failing_triples_2_0(ctx: FieldCtx, irreducible: bool = False
                          ) -> list[tuple[int, int, int]]:
     """All (a, b, c) with a*x^2 + b*x + c (b^2 != 4ac) lacking a primitive pair;
     with irreducible=True only those with no root in F_q. For even q the rule
     reads b != 0, which also drops a*x^2 + c, c != 0 (see enumerate_family).
 
-    A row b0 holds every shape x^2 + b0*x + c0 with b0^2 != 4*c0. The shape
-    and a times it share their roots, and x^2 + b0*x + c0 has one iff c0 =
-    -(x^2 + b0*x) for some x, so a whole row is masked at once. For u in
-    H = <g^rho>, a*x^2 + b*x + c fails exactly when a*u^2*x^2 + b*u*x + c
-    does, and shapes keep their roots under it. So the rows decided are b0 =
-    0 and b0 = g^beta for beta < rho, and a failing class r mod rho of row b0
-    expands to (a*u^2, a*b0*u, a*c0) for a = g^(r + i*rho) and u in H. Row 0
-    holds every c0 already, and its expansion only repeats triples, which
-    the final dedupe drops.
+    Row 0 holds the shapes x^2 + c0 and row 1 + beta the shapes x^2 +
+    g^beta*x + c0, those that `_quadratic_shapes` keeps. For u in H =
+    <g^rho>, a*x^2 + b*x + c fails exactly when a*u^2*x^2 + b*u*x + c does,
+    and shapes keep their roots under it, so these rows stand for every
+    quadratic. A failing class r mod rho of the shape (row, c0) expands to
+    (a*u^2, a*b0*u, a*c0) for a = g^(r + i*rho) and u in H. Row 0 holds every
+    c0 already, and its expansion only repeats triples, which the final
+    dedupe drops.
+
+    At alpha = g^t the value is c0 + x(x + b0) at x = alpha, whose dlog L is
+    `_quadratic_logs`. For c0 = g^lam it is lam + z[L - lam] (see _Engine),
+    and the engine decides the scales y = x + lam on the mask rows
+    row[L - lam], whose class r is y - lam: row 0 when L is 3m, where the
+    value is c0, and row rho at a root. For c0 = 0, lam stands as -m: the
+    row is L mod rho, or rho when L is 3m, and r = y.
     """
-    q, m = ctx.q, ctx.q - 1
+    m = ctx.q - 1
     engine = _Engine(ctx)
-    rho, exp, prim = engine.rho, ctx.exp, ctx.primitive_elements()
-    elems = np.arange(q, dtype=np.int64)
-    squares = ctx.mul_vec(elems, elems)
-    negated = ctx.mul_vec(elems, np.full_like(elems, ctx.neg(1)))
-    four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
-    four_c = ctx.mul_vec(np.full_like(elems, four), elems)
-    row_b0 = np.concatenate(([0], exp[:rho]))
-    for grp in _blocks(rho + 1, q):
-        b0, x = np.broadcast_arrays(row_b0[grp, None], elems)
-        values = ctx.add_vec(squares, ctx.mul_vec(b0, x))  # x^2 + b0*x
-        shape = four_c != ctx.mul_vec(b0[:, :1], b0[:, :1])  # nonzero discriminant
-        if irreducible:
-            shape[np.arange(shape.shape[0])[:, None], negated[values]] = False
-        base = values[:, prim]
-        kept = np.flatnonzero(shape)
+    rho, row = engine.rho, engine.row
+    for grp in _blocks(rho + 1, m + 1):
+        rows = np.arange(grp.start, grp.stop)
+        logs = _quadratic_logs(engine, rows, engine.prim)
+        kept = np.flatnonzero(_quadratic_shapes(ctx, engine, rows, irreducible))
         for blk in engine.blocks(kept.size):
-            row, c0 = np.divmod(kept[blk], q)
-            engine.decide(row + grp.start, c0, lambda live, cols: engine.dlog[
-                ctx.add_vec(base[row[live], cols], c0[live, None])])
-    row, c0, r = (v[:, None, None] for v in np.concatenate(engine.kept, axis=1))
-    lift = engine.lift
-    ta = r + lift[:, None]  # (reps, i, 1)
-    a, au, au2, b0, c0 = np.broadcast_arrays(exp[ta], exp[(ta + lift) % m],
-                                             exp[(ta + 2 * lift) % m], row_b0[row], c0)
-    return _sorted_triples(au2, ctx.mul_vec(au, b0), ctx.mul_vec(a, c0))
+            shape, j = np.divmod(kept[blk], m + 1)
+            lam = np.where(j == m, -m, j)[:, None]
+            engine.decide(shape + grp.start, j, lambda live, cols: row[
+                logs[shape[live], cols] - lam[live]])
+    if len(engine.kept) == 1:
+        return []
+    rows, j, y = (v[:, None, None] for v in np.concatenate(engine.kept, axis=1))
+    exp, lift = ctx.exp, engine.lift
+    ta = (y - j) % rho + lift[:, None]  # (reps, i, 1): rho divides m, so c0 = 0 gives y
+    tu = ta + lift  # a*u
+    au2 = exp[(tu + lift) % m]
+    b = np.where(rows == 0, 0, exp[(tu + rows - 1) % m])
+    c = np.where(j == m, 0, exp[(ta + j) % m])
+    return _sorted_triples(*np.broadcast_arrays(au2, b, c))
 
 
 # The families the engine decides, and so the ones a classification covers:
@@ -431,12 +499,11 @@ def q_in_Q(ctx: FieldCtx, n1: int, n2: int,
     On failure the reported function is the first failing one in canonical
     enumeration order. The (1,1) and (2,0) families go through the
     batched engine; every other family is walked by naive_membership.
-    Both refuse, with ValueError, a field whose mask table, (rho + 1) *
-    ceil(rho / 64) words for rho = rad(q-1), exceeds ffcore.DEFAULT_TABLE_CAP;
-    (1,1) also refuses one where q * phi(q-1), the size of its translate
-    table, does. Past those tables the engine works in blocks of at most
-    _BLOCK_CELLS cells, and a shape costs only the shifts it takes to rescue
-    every scale.
+    The engine refuses, with ValueError, a field whose mask table, (rho + 1)
+    * ceil(rho / 64) words for rho = rad(q-1), exceeds
+    ffcore.DEFAULT_TABLE_CAP. Its other tables hold O(q) entries, it works
+    in blocks of at most _BLOCK_CELLS cells, and a shape costs only the
+    shifts it takes to rescue every scale.
 
     quadratic_scope applies to the (2, 0) family only: "all" keeps every
     a*x^2+b*x+c with nonzero discriminant, while "irreducible" restricts to

@@ -346,6 +346,14 @@ class TestClassify:
         assert code == 2
         assert err == "error: cannot parse family 'one,one'\n"
 
+    @pytest.mark.parametrize("qmax", ["-5", "2"])
+    def test_qmax_below_3_is_usage_error(self, capsys, never_classify, qmax):
+        # as weil-audit --qmax: F_3 is the smallest field classified
+        code, out, err = run(capsys, "--format", "json", "classify", "--family", "1,1",
+                             "--qmax", qmax)
+        assert (code, out) == (2, "")
+        assert err == f"error: --qmax must be >= 3, the smallest field classified; got {qmax}\n"
+
     def test_witness_file(self, capsys, tmp_path):
         out_path = tmp_path / "w.jsonl"
         code, _, _ = run(capsys, "--format", "json", "classify",
@@ -488,11 +496,13 @@ class TestQMember:
                          "--n1", "2", "--n2", "0", "--quadratic-scope", "irreducible")
         assert code == 0
 
-    def test_table_cap_exits_usage(self, capsys):
+    def test_past_old_translate_cap_decided(self, capsys):
+        # q * phi(q - 1) = 65537 * 32768, past the cap of the translate table
+        # that (1,1) once built; the Zech engine decides F_65537
         code, out, err = run(capsys, "--format", "json", "qmember", "--q", "65537",
                              "--n1", "1", "--n2", "1")
-        assert code == 2 and out == ""
-        assert "limit of 16777216" in err
+        assert (code, err) == (0, "")
+        assert json.loads(out)["member"]
 
     def test_mask_table_cap_exits_usage(self, capsys):
         # F_32771, rho = 32770: the (2,0) engine's mask table is past the cap

@@ -1,6 +1,7 @@
-"""Every narrative script in demos/ and the README's library example run to
-completion against the library."""
+"""Every narrative script in demos/, the README's library example and the
+settle-times script run to completion against the library."""
 
+import json
 import os
 import re
 import subprocess
@@ -39,3 +40,13 @@ def test_readme_library_example():
     lines = _run("-c", blocks[0]).splitlines()
     assert "alpha=6, value=7" in lines[0]
     assert lines[1] == "False"
+
+
+def test_settle_times_script():
+    # one JSON line per input, each from its own process
+    lines = _run("scripts/settle_times.py", "125:2,0:irreducible", "331:1,1").splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [(e["q"], e["family"], e["scope"], e["member"], e["num_failing"])
+            for e in entries] == [(125, [2, 0], "irreducible", True, 0),
+                                  (331, [1, 1], "all", False, 1)]
+    assert all(e["seconds"] >= 0 and e["peak_rss_mb"] > 0 for e in entries)

@@ -300,6 +300,21 @@ class TestTableFree:
         fresh, table = field_make(p, 1), field_make(p, 1)
         self._agree(fresh, table, random.Random(p).sample(range(1, p), 200))
 
+    @pytest.mark.parametrize("p", [199, 211])
+    def test_is_primitive_before_and_after_tables(self, p):
+        # a fresh prime field tests a^((q-1)/l) != 1 and builds no table;
+        # once its tables are built it tests gcd(dlog a, q - 1) = 1, which
+        # the emptied cofactors show: the power test would now pass every a
+        ctx = field_make(p, 1)
+        powers = [ctx.is_primitive(a) for a in range(p)]
+        assert "exp" not in ctx.__dict__ and "dlog" not in ctx.__dict__
+        dlog = ctx.dlog
+        ctx._cofactors = ()
+        logs = [ctx.is_primitive(a) for a in range(p)]
+        assert logs == powers
+        assert logs == [a > 0 and gcd(int(dlog[a]), p - 1) == 1 for a in range(p)]
+        assert sum(logs) == ctx.qm1.euler_phi
+
     def test_tables_are_built_on_first_use(self):
         ctx = field_make(101, 1)
         assert "exp" not in ctx.__dict__ and "dlog" not in ctx.__dict__

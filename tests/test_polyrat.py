@@ -355,7 +355,8 @@ class TestEnumerateFamily:
             ctx = field(2, k)
             m = ctx.q - 1
             units = np.arange(1, ctx.q)
-            a, c, alpha = np.meshgrid(units, units, ctx.primitive_elements(), indexing="ij")
+            primitive = ctx.exp[np.gcd(np.arange(m), m) == 1]
+            a, c, alpha = np.meshgrid(units, units, primitive, indexing="ij")
             values = ctx.add_vec(ctx.mul_vec(a, ctx.mul_vec(alpha, alpha)), c)
             primitive = (values != 0) & (np.gcd(ctx.dlog[values], m) == 1)
             assert primitive.any(axis=2).all(), ctx.q

@@ -355,29 +355,68 @@ class TestMembershipEngine:
         assert verdict(211, (2, 0)) == (10, ((154, 198, 90), (1,)))
         assert verdict(211, (2, 0), "irreducible") == (6, ((178, 64, 125), (1,)))
 
-    def test_table_cap_refused_before_building(self, field, monkeypatch):
-        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap of
-        # the (1,1) translate table, which is refused before the engine builds
-        # its mask table; F_32771 has rho = 32770, so its mask table would
-        # hold 32771 * 513 words, just past the cap, and the engine refuses
-        # it before building anything
+    def test_mask_table_cap_refused_before_building(self, field, monkeypatch):
+        # F_65537 has q * phi(q - 1) = 65537 * 32768 entries, past the cap
+        # that the (1,1) engine's translate table once had; the Zech engine
+        # builds no such table and decides it; F_32771 has rho = 32770, so
+        # its mask table would hold 32771 * 513 words, just past the cap, and
+        # the engine refuses it before building anything
+        ctx = field(65537, 1)
+        assert ctx.q * ctx.qm1.euler_phi > ffcore.DEFAULT_TABLE_CAP
+        res = q_in_Q(ctx, 1, 1)
+        assert (res.member, res.num_failing) == (True, 0)
+
         def no_table(*args):
             raise AssertionError("built a mask table")
 
         monkeypatch.setattr(search, "_mask_table", no_table)
-        ctx = field(65537, 1)
-        with pytest.raises(ValueError, match="limit of 16777216"):
-            q_in_Q(ctx, 1, 1)
-        # rho = 2: one word a row
-        with pytest.raises(AssertionError, match="built a mask table"):
-            q_in_Q(ctx, 2, 0)
-        # F_2003, with 2003 * 720 entries, reaches the engine
-        with pytest.raises(AssertionError, match="built a mask table"):
-            q_in_Q(field(2003, 1), 1, 1)
         assert 32771 * 513 > ffcore.DEFAULT_TABLE_CAP
         with pytest.raises(ValueError, match="mask table of .* = 16811523 words.*"
                                              "limit of 16777216"):
             q_in_Q(field(32771, 1), 2, 0)
+
+    @pytest.mark.parametrize("p, k", [(211, 1), (3, 4), (2, 6)])
+    def test_zech_table_matches_scalar_arithmetic(self, field, p, k):
+        # zech[n] = dlog(1 + g^n), and the one n where 1 + g^n = 0 holds the
+        # engine's zero: m/2 for odd q, where g^(m/2) = -1, and 0 for even q
+        ctx = field(p, k)
+        engine = search._Engine(ctx)
+        m, rho, zech = ctx.q - 1, engine.rho, engine.zech.tolist()
+        at_zero = m // 2 if p > 2 else 0
+        for n in range(m):
+            total = ctx.add(1, ctx.exp_of(n))
+            if n == at_zero:
+                assert total == 0 and zech[n] == engine.zero, n
+            else:
+                assert zech[n] == ctx.dlog_of(total), n
+        # the mask row of each dlog offset, region by region
+        row = engine.row
+        assert row.size == 5 * m + 1
+        reduced = [rho if z == engine.zero else z % rho for z in zech]
+        assert [int(row[n]) for n in range(-m, m)] == reduced + reduced
+        assert row[m:2 * m].tolist() == [n % rho for n in range(m, 2 * m)]
+        assert not row[2 * m:3 * m + 1].any()
+        assert (row[3 * m + 1:4 * m + 1] == rho).all()
+        assert (row[np.arange(m) - engine.zero] == rho).all()
+
+    def test_quadratic_shapes_match_packed_values(self, field, prime_powers):
+        # the dlog-domain discriminant and root masks of every row against
+        # the rule on packed values: b0^2 != 4*c0, and with irreducible=True
+        # no x with x^2 + b0*x + c0 = 0
+        for p, k, q in prime_powers(3, 64):
+            ctx = field(p, k)
+            engine = search._Engine(ctx)
+            m, mul, add = q - 1, ctx.mul, ctx.add
+            four = add(add(1, 1), add(1, 1))
+            b0s = [0] + [ctx.exp_of(beta) for beta in range(engine.rho)]
+            c0s = [ctx.exp_of(j) for j in range(m)] + [0]
+            rows = np.arange(len(b0s))
+            every = [[mul(b, b) != mul(four, c) for c in c0s] for b in b0s]
+            assert search._quadratic_shapes(ctx, engine, rows, False).tolist() == every, q
+            rooted = [{ctx.neg(mul(x, add(x, b))) for x in range(q)} for b in b0s]
+            irreducible = [[keep and c not in roots for keep, c in zip(row, c0s)]
+                           for row, roots in zip(every, rooted)]
+            assert search._quadratic_shapes(ctx, engine, rows, True).tolist() == irreducible, q
 
     def test_member_keeps_no_blocks(self, field, monkeypatch):
         # F_12289 is a member of irreducible (2,0), decided in many blocks;
